@@ -6,10 +6,22 @@ others).  By Tarski's irredundant basis theorem the sizes of independent
 generating sets fill the whole integer interval [d(G), m(G)]; spectrum()
 reports that interval together with one witness per size.
 
-Searches fix one element to a conjugacy class representative (independence
-and generation are invariant under conjugating the whole set) and enumerate
-the remaining slots in ascending element order, where elements are ordered
-by (element order, image tuple).
+Every exhaustive answer comes from one search engine, _search().  Its goal
+is a size range: [k, k] asks for one independent generating set of exactly
+k elements (the d phase and each spectrum size), [lower, Omega(|G|)] for a
+largest one of at least lower elements (m).  The walk fixes the first slot
+to a conjugacy class representative (independence and generation are
+invariant under conjugating the whole set) and fills the remaining slots in
+ascending element order, where elements are ordered by (element order,
+image tuple).  It carries the span of the prefix and the spans of the prefix
+with one element removed, so a prefix that stops being independent is cut
+at once, and it cuts prefixes whose span has too small an index to reach the
+goal.
+
+Spans come from a GenOracle as integer handles with element-id membership
+and join rows.  The oracle reads them off the subgroup lattice when the
+group has one within the caps; otherwise it builds each span once from a
+stabilizer chain and interns it.  The engine cannot tell the two apart.
 """
 
 from __future__ import annotations
@@ -19,10 +31,8 @@ import random
 from . import structure
 from .perm import (
     DEFAULT_ELEMENT_CAP,
-    Budget,
     CapExceeded,
     GroupError,
-    Perm,
     PermGroup,
     factorint,
     omega,
@@ -34,11 +44,14 @@ DEFAULT_RANDOM_TRIES = 400
 
 
 class GenOracle:
-    """Membership and order queries for generated subgroups, memoized.
+    """Spans of element sets as integer handles, for the search engine.
 
-    Backed by the full subgroup lattice when the group is small enough for
-    one; otherwise each distinct generator set gets its own stabilizer
-    chain.
+    ``ids`` maps element image tuples to small ints, ``sets[h]`` is span
+    ``h`` as a frozenset of ids, ``join_row(h)[e]`` is the handle of the
+    join of span ``h`` with element ``e``, and handle 0 is the trivial
+    subgroup and ``top`` the whole group.  ``lattice`` is the subgroup
+    lattice the spans come from, or None when there is none within the caps
+    and each span is built from a stabilizer chain on first use instead.
     """
 
     def __init__(self, G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
@@ -51,72 +64,73 @@ class GenOracle:
                 self.lattice = structure.subgroup_lattice(
                     G, lattice_cap, element_cap, budget)
             except CapExceeded:
-                self.lattice = None
-        self._memo = {}
+                pass
+        if self.lattice is not None:
+            self.ids = self.lattice.element_ids()
+            self.sets = [self.lattice.id_set(i)
+                         for i in range(len(self.lattice))]
+            self.top = self.lattice.top
+            return
+        self._elems = G.elements(element_cap)
+        self.ids = {e.images: k for k, e in enumerate(self._elems)}
+        self.sets = []
+        self._gens = []
+        self._rows = []
+        self._handles = {}
+        self._intern(frozenset([self.ids[G.identity().images]]), ())
+        self.top = self._intern(frozenset(self.ids.values()), G.gens)
 
-    def _lookup(self, key):
-        hit = self._memo.get(key)
-        if hit is None:
-            if self.lattice is not None:
-                # span(S) = join(span(S - x), x): peel one element and walk
-                # the supersets, so no resolution ever scans the lattice
-                if not key:
-                    hit = 0
-                else:
-                    imgs = sorted(key)
-                    parent = self._lookup(frozenset(imgs[:-1]))
-                    hit = self.lattice.smallest_above(parent, imgs[-1])
-            else:
-                hit = PermGroup(self.G.degree, tuple(Perm(i) for i in key))
-            self._memo[key] = hit
-        return hit
+    def _intern(self, id_set, gens):
+        h = self._handles.get(id_set)
+        if h is None:
+            h = self._handles[id_set] = len(self.sets)
+            self.sets.append(id_set)
+            self._gens.append(tuple(gens))
+            self._rows.append(_ChainRow(self, h))
+        return h
 
-    def span_order(self, images):
-        hit = self._lookup(frozenset(images))
-        if isinstance(hit, int):
-            return len(self.lattice.elem_sets[hit])
-        return hit.order()
+    def _chain_join(self, h, e):
+        if e in self.sets[h]:
+            return h
+        gens = self._gens[h] + (self._elems[e],)
+        span = PermGroup(self.G.degree, gens)
+        return self._intern(
+            frozenset(self.ids[x.images] for x in span.elements(None)), gens)
 
-    def span_ids(self, images):
-        """The span as a frozenset of element ids, or None without a lattice."""
-        if self.lattice is None:
-            return None
-        return self.lattice.id_set(self._lookup(frozenset(images)))
+    def join_row(self, h):
+        if self.lattice is not None:
+            return self.lattice.join_row(h)
+        return self._rows[h]
 
-    def element_id(self, img):
-        return self.lattice.element_ids()[img]
+    def span(self, images):
+        """Handle of the subgroup generated by the image tuples."""
+        h = 0
+        for img in images:
+            e = self.ids.get(img)
+            if e is None:
+                raise GroupError("elements are not all inside the group")
+            h = self.join_row(h)[e]
+        return h
 
     def member(self, images, candidate):
         """Whether the candidate image tuple lies in <images>."""
-        hit = self._lookup(frozenset(images))
-        if isinstance(hit, int):
-            return candidate in self.lattice.elem_sets[hit]
-        return Perm(candidate) in hit
-
-    def note_extension(self, images, img):
-        """Record the span of <images + img> by walking up from <images>.
-
-        The searches extend prefixes one element at a time, so the child
-        is resolved against the parent it actually grew from rather than
-        through the canonical peel order."""
-        if self.lattice is None:
-            return
-        child = frozenset(images) | {img}
-        if child not in self._memo:
-            parent = self._lookup(frozenset(images))
-            self._memo[child] = self.lattice.smallest_above(parent, img)
+        return self.ids.get(candidate) in self.sets[self.span(images)]
 
     def generates(self, images):
-        if self.lattice is not None:
-            return self.lattice.generates(list(images))
-        return self.span_order(images) == self.n
+        return self.span(images) == self.top
 
 
-def _element_id_list(oracle, elems):
-    """Candidate element ids aligned with elems, or None without a lattice."""
-    if oracle.lattice is None:
-        return None
-    return [oracle.element_id(e.images) for e in elems]
+class _ChainRow(dict):
+    """A join row of a stabilizer-chain oracle, filled in as it is read."""
+
+    def __init__(self, oracle, h):
+        super().__init__()
+        self.oracle = oracle
+        self.h = h
+
+    def __missing__(self, e):
+        got = self[e] = self.oracle._chain_join(self.h, e)
+        return got
 
 
 def is_independent(G, perms, oracle=None):
@@ -167,14 +181,77 @@ def lower_bound_d(G, element_cap=DEFAULT_ELEMENT_CAP):
     return lower
 
 
-def _sorted_elements(G, element_cap):
-    return [e for e in G.sorted_by_search_order(element_cap)
-            if not e.is_identity()]
-
-
-def _class_reps(G, element_cap):
-    return [r for r in G.class_representatives(element_cap)
+def _search_candidates(G, element_cap, prime_power_only=False):
+    """Candidate elements in search order and first-slot class
+    representatives, the identity left out of both."""
+    elems = [e for e in G.sorted_by_search_order(element_cap)
+             if not e.is_identity()]
+    reps = [r for r in G.class_representatives(element_cap)
             if not r.is_identity()]
+    if prime_power_only:
+        elems = [e for e in elems if len(factorint(e.order())) == 1]
+        reps = [r for r in reps if len(factorint(r.order())) == 1]
+    return elems, reps
+
+
+def _search(oracle, elems, reps, lower, upper, budget):
+    """The first independent generating set in walk order whose size is the
+    largest in [lower, upper] that occurs, or None.
+
+    lower == upper finds one set of exactly that size; upper = Omega(|G|)
+    finds a largest set of at least lower elements.  Each prefix is
+    independent: a candidate is taken only when it lies outside the span of
+    the prefix and no earlier member falls into the span of the others once
+    it joins.  No proper subset of an independent set generates, so the walk
+    stops at the whole group, and a strict chain of spans from the prefix up
+    to the whole group has at most Omega(index) more steps, which bounds
+    what a prefix can still reach.
+    """
+    n, sets, top, ids = oracle.n, oracle.sets, oracle.top, oracle.ids
+    join_row = oracle.join_row
+    eids = [ids[e.images] for e in elems]
+    best = None
+    need = lower
+
+    def extend(prefix, pids, span, others, start):
+        # others[j] is the span of the prefix without its member j
+        nonlocal best, need
+        if budget is not None:
+            budget.check()
+        depth = len(pids)
+        if span == top:
+            if depth >= need:
+                best, need = tuple(prefix), depth + 1
+            return
+        if depth >= upper or depth + omega(n // len(sets[span])) < need:
+            return
+        span_set = sets[span]
+        row = join_row(span)
+        orows = [join_row(t) for t in others]
+        for i in range(start, len(eids)):
+            e = eids[i]
+            if e in span_set:
+                continue
+            child_others = []
+            for j, orow in enumerate(orows):
+                t = orow[e]
+                if pids[j] in sets[t]:
+                    break
+                child_others.append(t)
+            else:
+                child_others.append(span)
+                extend(prefix + [elems[i]], pids + [e], row[e], child_others,
+                       i + 1)
+                if need > upper:
+                    return
+
+    row0 = join_row(0)
+    for rep in reps:
+        rid = ids[rep.images]
+        extend([rep], [rid], row0[rid], [0], 0)
+        if need > upper:
+            break
+    return best
 
 
 def d(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
@@ -184,14 +261,18 @@ def d(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
 
 def d_with_witness(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
                    search_order_cap=DEFAULT_SEARCH_ORDER_CAP):
-    """(d(G), one generating set of that size)."""
+    """(d(G), one generating set of that size).
+
+    The exhaustive phase asks the engine for an independent generating set
+    of exactly k elements, which loses nothing: no generating set exists
+    below k, so one of size k is independent.
+    """
     n = G.order()
     if n == 1:
         return 0, ()
     lower = lower_bound_d(G, element_cap)
-    reps = _class_reps(G, element_cap)
     if lower == 1:
-        for r in reps:
+        for r in G.class_representatives(element_cap):
             if r.order() == n:
                 return 1, (r,)
         lower = 2
@@ -212,52 +293,11 @@ def d_with_witness(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
                 f"group has order {n}")
         if oracle is None:
             oracle = GenOracle(G, element_cap=element_cap, budget=budget)
-        witness = _search_generating(G, oracle, k, element_cap, budget)
+            candidates, reps = _search_candidates(G, element_cap)
+        witness = _search(oracle, candidates, reps, k, k, budget)
         if witness is not None:
-            return len(witness), witness
+            return k, witness
     raise GroupError("no generating set up to the chief length bound")
-
-
-def _search_generating(G, oracle, k, element_cap, budget):
-    """Exhaustive search for a generating k-tuple, or None.
-
-    Complete for deciding d: a generating set of minimum size is
-    independent, so some ordering with one slot conjugated onto its class
-    representative and the rest ascending survives the strict-extension
-    pruning.
-    """
-    n = G.order()
-    elems = _sorted_elements(G, element_cap)
-    reps = _class_reps(G, element_cap)
-    eids = _element_id_list(oracle, elems)
-
-    def extend(prefix_images, start, depth):
-        if budget is not None:
-            budget.check()
-        span = oracle.span_order(prefix_images)
-        if span == n:
-            return tuple(prefix_images)
-        if depth == k:
-            return None
-        span_set = oracle.span_ids(prefix_images)
-        for i in range(start, len(elems)):
-            img = elems[i].images
-            if span_set is not None:
-                if eids[i] in span_set:
-                    continue
-            elif img in prefix_images or oracle.member(prefix_images, img):
-                continue
-            oracle.note_extension(prefix_images, img)
-            got = extend(prefix_images + [img], i + 1, depth + 1)
-            if got is not None:
-                return got
-        return None
-
-    for rep in reps:
-        got = extend([rep.images], 0, 1)
-        if got is not None:
-            return tuple(Perm(img) for img in got)
-    return None
 
 
 def chief_counts(G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
@@ -300,210 +340,17 @@ def m(G, force_search=False, lattice_cap=structure.DEFAULT_LATTICE_CAP,
             f"m search needs order <= {search_order_cap}, group has order {n}")
     a, b = chief_counts(G, lattice_cap, element_cap, budget)
     oracle = GenOracle(G, lattice_cap, element_cap, budget)
-    best = _search_max_independent(G, oracle, a + b, element_cap, budget,
-                                   prime_power_only)
+    elems, reps = _search_candidates(G, element_cap, prime_power_only)
+    best = _search(oracle, elems, reps, a + b, omega(n), budget)
     if best is None:
         raise GroupError(
             "no independent generating set reached the lower bound a + b")
     return len(best)
 
 
-def _search_candidates(G, element_cap, prime_power_only):
-    """Candidate elements and first-slot class representatives."""
-    elems = _sorted_elements(G, element_cap)
-    reps = _class_reps(G, element_cap)
-    if prime_power_only:
-        elems = [e for e in elems if len(factorint(e.order())) == 1]
-        reps = [r for r in reps if len(factorint(r.order())) == 1]
-    return elems, reps
-
-
-def _search_max_independent(G, oracle, lower, element_cap, budget,
-                            prime_power_only=False):
-    """The largest independent generating set found by exhaustive search."""
-    n = G.order()
-    elems, reps = _search_candidates(G, element_cap, prime_power_only)
-    if oracle.lattice is not None:
-        return _lattice_max_independent(oracle.lattice, n, elems, reps,
-                                        lower, budget)
-    state = {"best": None, "best_size": lower - 1}
-
-    def consider(prefix_images):
-        # only reached when the prefix spans the whole group
-        if len(prefix_images) <= state["best_size"]:
-            return
-        perms = tuple(Perm(img) for img in prefix_images)
-        if is_independent(G, perms, oracle):
-            state["best"] = perms
-            state["best_size"] = len(perms)
-
-    def extend(prefix_images, start):
-        if budget is not None:
-            budget.check()
-        span = oracle.span_order(prefix_images)
-        if span == n:
-            consider(prefix_images)
-            return
-        if len(prefix_images) + omega(n // span) <= state["best_size"]:
-            return
-        for i in range(start, len(elems)):
-            img = elems[i].images
-            if img in prefix_images or oracle.member(prefix_images, img):
-                continue
-            extend(prefix_images + [img], i + 1)
-
-    for rep in reps:
-        extend([rep.images], 0)
-    return state["best"]
-
-
-def _lattice_max_independent(lat, n, elems, reps, lower, budget):
-    """Max search over the subgroup lattice, one join-table read per step.
-
-    Alongside each prefix it carries the spans of the prefix with one
-    element removed, so a candidate is accepted only when the grown set is
-    still independent and complete sets need no final check.  No proper
-    subset of an independent set generates, which is why stopping at the
-    full span loses nothing.
-    """
-    top = lat.top
-    sets = [lat.id_set(i) for i in range(len(lat))]
-    orders = [len(s) for s in sets]
-    ids = lat.element_ids()
-    eids = [ids[e.images] for e in elems]
-    jrow = lat.join_row
-    state = {"best": None, "best_size": lower - 1}
-
-    def extend(imgs, pids, span_idx, others, start):
-        if budget is not None:
-            budget.check()
-        if span_idx == top:
-            if len(pids) > state["best_size"]:
-                state["best"] = tuple(Perm(im) for im in imgs)
-                state["best_size"] = len(pids)
-            return
-        if len(pids) + omega(n // orders[span_idx]) <= state["best_size"]:
-            return
-        span_set = sets[span_idx]
-        row = jrow(span_idx)
-        orows = [jrow(t) for t in others]
-        for i in range(start, len(eids)):
-            e = eids[i]
-            if e in span_set:
-                continue
-            child_others = []
-            for j, orow in enumerate(orows):
-                t = orow[e]
-                if pids[j] in sets[t]:
-                    break
-                child_others.append(t)
-            else:
-                child_others.append(span_idx)
-                extend(imgs + [elems[i].images], pids + [e], row[e],
-                       child_others, i + 1)
-
-    row0 = jrow(0)
-    for rep in reps:
-        rid = ids[rep.images]
-        extend([rep.images], [rid], row0[rid], [0], 0)
-    return state["best"]
-
-
-def _search_exact_independent(G, oracle, k, element_cap, budget,
-                              prime_power_only=False):
-    """One independent generating set of size exactly k, or None."""
-    n = G.order()
-    if k == 0:
-        return () if n == 1 else None
-    elems, reps = _search_candidates(G, element_cap, prime_power_only)
-    if oracle.lattice is not None:
-        return _lattice_exact_independent(oracle.lattice, n, k, elems, reps,
-                                          budget)
-
-    def extend(prefix_images, start):
-        if budget is not None:
-            budget.check()
-        span = oracle.span_order(prefix_images)
-        depth = len(prefix_images)
-        if depth == k:
-            if span != n:
-                return None
-            perms = tuple(Perm(img) for img in prefix_images)
-            return perms if is_independent(G, perms, oracle) else None
-        # at most Omega(index) further strict extensions are possible, so
-        # paths that cannot fill all k slots are cut
-        if span == n or depth + omega(n // span) < k:
-            return None
-        for i in range(start, len(elems)):
-            img = elems[i].images
-            if img in prefix_images or oracle.member(prefix_images, img):
-                continue
-            got = extend(prefix_images + [img], i + 1)
-            if got is not None:
-                return got
-        return None
-
-    for rep in reps:
-        got = extend([rep.images], 0)
-        if got is not None:
-            return got
-    return None
-
-
-def _lattice_exact_independent(lat, n, k, elems, reps, budget):
-    """One independent generating k-set via the join-table engine, or None."""
-    top = lat.top
-    sets = [lat.id_set(i) for i in range(len(lat))]
-    orders = [len(s) for s in sets]
-    ids = lat.element_ids()
-    eids = [ids[e.images] for e in elems]
-    jrow = lat.join_row
-
-    def extend(imgs, pids, span_idx, others, start):
-        if budget is not None:
-            budget.check()
-        if span_idx == top:
-            if len(pids) == k:
-                return tuple(Perm(im) for im in imgs)
-            return None
-        if len(pids) >= k:
-            return None
-        if len(pids) + omega(n // orders[span_idx]) < k:
-            return None
-        span_set = sets[span_idx]
-        row = jrow(span_idx)
-        orows = [jrow(t) for t in others]
-        for i in range(start, len(eids)):
-            e = eids[i]
-            if e in span_set:
-                continue
-            child_others = []
-            for j, orow in enumerate(orows):
-                t = orow[e]
-                if pids[j] in sets[t]:
-                    break
-                child_others.append(t)
-            else:
-                child_others.append(span_idx)
-                got = extend(imgs + [elems[i].images], pids + [e], row[e],
-                             child_others, i + 1)
-                if got is not None:
-                    return got
-        return None
-
-    row0 = jrow(0)
-    for rep in reps:
-        rid = ids[rep.images]
-        got = extend([rep.images], [rid], row0[rid], [0], 0)
-        if got is not None:
-            return got
-    return None
-
-
 def spectrum(G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
              element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
-             search_order_cap=DEFAULT_SEARCH_ORDER_CAP,
-             prime_power_only=False):
+             search_order_cap=DEFAULT_SEARCH_ORDER_CAP):
     """Witnesses for every size of independent generating set, as a dict
     size -> tuple of permutations.  The sizes always form the full interval
     [d(G), m(G)]."""
@@ -517,13 +364,13 @@ def spectrum(G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
             f"spectrum search needs order <= {search_order_cap}, "
             f"group has order {n}")
     oracle = GenOracle(G, lattice_cap, element_cap, budget)
+    elems, reps = _search_candidates(G, element_cap)
     out = {}
     for k in range(d_val, m_val + 1):
         if k == d_val and is_independent(G, d_wit, oracle):
             out[k] = tuple(d_wit)
             continue
-        witness = _search_exact_independent(G, oracle, k, element_cap, budget,
-                                            prime_power_only)
+        witness = _search(oracle, elems, reps, k, k, budget)
         if witness is None:
             raise GroupError(
                 f"no independent generating set of size {k} although "

@@ -114,18 +114,19 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
         finally:
             timings[name] = time.perf_counter() - t0
 
-    series = stage("chief_series", lambda: structure.chief_series(
-        G, lattice_cap, element_cap, budget))
-    if series is not None:
-        rep["a"] = sum(1 for f in series if not f.is_frattini)
-        rep["b"] = sum(1 for f in series if not f.is_abelian)
-        rep["chief_factors"] = [
+    def chief_data():
+        # the Frattini flags build lattices, so they run inside the stage
+        # and a cap they hit is recorded like any other
+        factors = [
             {"order": f.order, "abelian": f.is_abelian,
              "frattini": f.is_frattini, "prime": f.prime, "dim": f.dim}
-            for f in series]
-    else:
-        rep["a"] = rep["b"] = None
-        rep["chief_factors"] = None
+            for f in structure.chief_series(G, lattice_cap, element_cap,
+                                            budget)]
+        return (sum(1 for f in factors if not f["frattini"]),
+                sum(1 for f in factors if not f["abelian"]), factors)
+
+    chief = stage("chief_series", chief_data)
+    rep["a"], rep["b"], rep["chief_factors"] = chief or (None, None, None)
 
     rep["d"] = stage("d", lambda: genset.d(
         G, element_cap, budget, seed, search_order_cap))

@@ -128,34 +128,6 @@ class SubgroupLattice:
             mu[i] = -sum(mu[j] for j in self.strict_supersets(i))
         return mu
 
-    def smallest_containing(self, images_list):
-        """Index of <S> for a collection of element image tuples."""
-        ids, sets = self._with_ids()
-        try:
-            wanted = [ids[img] for img in images_list]
-        except KeyError:
-            raise GroupError("elements are not all inside the group")
-        for i, fs in enumerate(sets):
-            if all(w in fs for w in wanted):
-                return i
-        raise GroupError("elements are not all inside the group")
-
-    def smallest_above(self, i, img):
-        """Index of <subgroup i, one more element>; only supersets of i
-        can contain the join, so the scan is a short walk instead of a
-        pass over the whole lattice."""
-        ids, sets = self._with_ids()
-        w = ids.get(img)
-        if w is None:
-            raise GroupError("elements are not all inside the group")
-        if w in sets[i]:
-            return i
-        for b in self.strict_supersets(i):
-            if w in sets[b]:
-                return b
-        raise GroupError(
-            "elements are not all inside the group")  # pragma: no cover
-
     def join_row(self, i):
         """Joins of subgroup i with every single element, as a list indexed
         by element id.  Rows are built once and reused, which turns the

@@ -91,12 +91,25 @@ def test_verify_red_flag_exit(capsys, monkeypatch):
     assert "RED FLAG" in out
 
 
+SPECTRUM_OUTPUT = {
+    "S4": "2: (1,3,2) (1,3,4,2)\n"
+          "3: (3,4) (2,3) (1,2)\n",
+    "A4": "2: (1,3)(2,4) (1,3,4)\n",
+    "C12": "1: (1,2,3,4,5,6,7,8,9,10,11,12)\n"
+           "2: (1,5,9)(2,6,10)(3,7,11)(4,8,12) (1,4,7,10)(2,5,8,11)(3,6,9,12)\n",
+    "W(C2, 3)": "2: (1,4,6,2,3,5) (1,4,6)(2,3,5)\n"
+                "3: (3,4)(5,6) (1,2)(3,4)(5,6) (1,3,5)(2,4,6)\n",
+    "A5": "2: (1,5,4,2,3) (1,3,2)\n"
+          "3: (2,3)(4,5) (2,4)(3,5) (1,2)(4,5)\n",
+}
+
+
 def test_spectrum_command(capsys):
-    code, out, _ = run(capsys, "spectrum", "S4")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("2: ") and lines[1].startswith("3: ")
-    assert "(" in lines[0]
+    # the witnesses users see are part of the output and must not drift
+    for expr, expected in SPECTRUM_OUTPUT.items():
+        code, out, _ = run(capsys, "spectrum", expr)
+        assert code == 0
+        assert out == expected, expr
 
 
 def test_phi_command(capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from groupgen.perm import CapExceeded, Perm, PermGroup, omega
-from groupgen import genset
+from groupgen import builder, genset
 
 
 def _sym(n):
@@ -122,6 +122,39 @@ def test_d_witness_generates():
         assert PermGroup(G.degree, witness).order() == G.order()
 
 
+D_WITNESSES = {
+    # expression: (witness as d_with_witness returns it, the first one the
+    # exhaustive phase finds)
+    "EX2B(2)": (["(1,3)(4,5)(7,8)", "(1,3)(4,6)(7,8)", "(1,3,2)(4,5,6)(7,8)"],
+                ["(2,3)(5,6)", "(2,3)(4,5)", "(1,2)(5,6)(7,8)"]),
+    "CROWN(S3, 2)": (["(1,3)(4,5)", "(1,3)(4,6)", "(1,3,2)(4,5,6)"],
+                     ["(2,3)(5,6)", "(2,3)(4,5)", "(1,2)(5,6)"]),
+    "CROWN(S3, 3)": (["(1,3,2)(4,5,6)", "(1,3)(4,5)(8,9)", "(2,3)(4,6)(7,8)",
+                      "(1,3,2)(4,6,5)(7,8,9)"],
+                     ["(2,3)(5,6)(8,9)", "(2,3)(5,6)(7,8)", "(2,3)(4,5)(8,9)",
+                      "(1,2)(5,6)(8,9)"]),
+    "A4": (None, ["(1,2)(3,4)", "(2,3,4)"]),
+    "W(C2, 3)": (None, ["(5,6)", "(1,3,5)(2,4,6)"]),
+}
+
+
+def test_d_witnesses_pinned(monkeypatch):
+    # the three with a default witness settle d only once the exhaustive
+    # phase refutes d - 1; with the random probes off, every witness comes
+    # from the exhaustive phase
+    def shown(expr):
+        k, witness = genset.d_with_witness(builder.build(expr))
+        assert k == len(witness)
+        return [p.cycle_string() for p in witness]
+
+    for expr, (default, _) in D_WITNESSES.items():
+        if default is not None:
+            assert shown(expr) == default, expr
+    monkeypatch.setattr(genset, "DEFAULT_RANDOM_TRIES", 0)
+    for expr, (_, exhaustive) in D_WITNESSES.items():
+        assert shown(expr) == exhaustive, expr
+
+
 def test_lower_bound_d():
     assert genset.lower_bound_d(_elementary(2, 3)) == 3
     assert genset.lower_bound_d(_cyclic(6)) == 1
@@ -169,7 +202,6 @@ def test_bounds():
     assert b == {"a": 1, "b": 1, "lower": 2, "upper": 4}
     b = genset.bounds(_cyclic(8))
     assert b == {"a": 1, "b": 0, "lower": 1, "upper": 3}
-    assert genset.m(_alt(5)) <= b["upper"] or True  # bounds bracket m below
     for G in [_sym(4), _alt(5), _cyclic(8), _s3xc2()]:
         b = genset.bounds(G)
         mm = genset.m(G, force_search=not G.is_soluble())
@@ -237,35 +269,50 @@ def test_prime_power_restriction_cross_validation():
                 == genset.m(G, force_search=True))
 
 
+def _engine_results(G, oracle):
+    """The engine's maximum and its witness for every spectrum size."""
+    cap = genset.DEFAULT_ELEMENT_CAP
+    elems, reps = genset._search_candidates(G, cap)
+    top = omega(G.order())
+    out = {"max": genset._search(oracle, elems, reps, 1, top, None)}
+    for k in genset.spectrum(G):
+        out[k] = genset._search(oracle, elems, reps, k, k, None)
+    return out
+
+
 def test_search_fallback_without_lattice():
-    # a hand-disabled lattice forces the stabilizer chain search path
-    G = _sym(4)
-    oracle = genset.GenOracle(G)
-    oracle.lattice = None
-    best = genset._search_max_independent(G, oracle, 3,
-                                          genset.DEFAULT_ELEMENT_CAP, None)
-    assert best is not None and len(best) == 3
-    assert genset.is_independent_generating_set(G, best)
-    pair = genset._search_exact_independent(G, oracle, 2,
-                                            genset.DEFAULT_ELEMENT_CAP, None)
-    assert pair is not None and len(pair) == 2
-    assert genset.is_independent_generating_set(G, pair)
+    # a lattice cap of one leaves the oracle on stabilizer chains; the
+    # engine must then find exactly what it finds over the lattice
+    for G in [_sym(4), _alt(4), _cyclic(12), _alt(5)]:
+        chains = genset.GenOracle(G, lattice_cap=1)
+        assert chains.lattice is None
+        lattice = genset.GenOracle(G)
+        assert lattice.lattice is not None
+        got = _engine_results(G, chains)
+        assert got == _engine_results(G, lattice)
+        assert len(got["max"]) == genset.m(G, force_search=True,
+                                           prime_power_only=False)
+        for k, witness in got.items():
+            assert genset.is_independent_generating_set(G, witness)
+            if k != "max":
+                assert len(witness) == k
 
 
 def test_oracle_fallback_matches_lattice():
-    G = _sym(4)
-    with_lat = genset.GenOracle(G)
-    assert with_lat.lattice is not None
-    without = genset.GenOracle(G)
-    without.lattice = None
-    rng = random.Random(9)
-    elems = G.elements()
-    for _ in range(20):
-        picks = [rng.choice(elems).images for _ in range(rng.randrange(1, 4))]
-        probe = rng.choice(elems).images
-        assert with_lat.span_order(picks) == without.span_order(picks)
-        assert with_lat.member(picks, probe) == without.member(picks, probe)
-        assert with_lat.generates(picks) == without.generates(picks)
+    for G in [_sym(4), _alt(5)]:
+        with_lat = genset.GenOracle(G)
+        assert with_lat.lattice is not None
+        without = genset.GenOracle(G, lattice_cap=1)
+        assert without.lattice is None
+        rng = random.Random(9)
+        elems = G.elements()
+        for _ in range(20):
+            picks = [rng.choice(elems).images
+                     for _ in range(rng.randrange(1, 4))]
+            for e in elems:
+                assert (with_lat.member(picks, e.images)
+                        == without.member(picks, e.images))
+            assert with_lat.generates(picks) == without.generates(picks)
 
 
 def test_d_random_phase_on_large_group():

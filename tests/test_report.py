@@ -204,6 +204,17 @@ def test_budget_degrades_to_skips():
     assert rep["d"] is None or rep["m"] is None or rep["verdicts"] is None
 
 
+def test_lattice_cap_in_frattini_flags_is_a_skip(tmp_path):
+    # S3's chief series needs no lattice, its Frattini flags do
+    rep = compute_report("S3", lattice_cap=3)
+    assert "error" not in rep
+    assert "subgroup lattice exceeds 3" in rep["skipped"]["chief_series"]
+    assert rep["a"] is None and rep["chief_factors"] is None
+    assert rep["d"] == 2
+    reps = run_corpus(str(_write_corpus(tmp_path)), lattice_cap=3)
+    assert sorted(r["id"] for r in reps) == ["C6", "D(C2", "S3"]
+
+
 @pytest.mark.slow
 def test_big_wreath_report_skips_m_with_reason():
     rep = compute_report("WREATH(1)")
