@@ -148,7 +148,8 @@ def cmd_verify(args):
           "soluble": verify.verify_soluble_cases}[args.check]
     G = _build(args, args.expr)
     budget = _budget(args)
-    d = genset.d(G, budget=budget, seed=args.seed)
+    d = genset.d(G, budget=budget, seed=args.seed,
+                 lattice_cap=args.lattice_cap)
     m = genset.m(G, lattice_cap=args.lattice_cap, budget=budget)
     v = fn(G, d=d, m=m, lattice_cap=args.lattice_cap, budget=budget)
     applies = "applicable" if v.applicable else "not applicable"

@@ -255,12 +255,15 @@ def _search(oracle, elems, reps, lower, upper, budget):
 
 
 def d(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
-      search_order_cap=DEFAULT_SEARCH_ORDER_CAP):
-    return d_with_witness(G, element_cap, budget, seed, search_order_cap)[0]
+      search_order_cap=DEFAULT_SEARCH_ORDER_CAP,
+      lattice_cap=structure.DEFAULT_LATTICE_CAP):
+    return d_with_witness(G, element_cap, budget, seed, search_order_cap,
+                          lattice_cap)[0]
 
 
 def d_with_witness(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
-                   search_order_cap=DEFAULT_SEARCH_ORDER_CAP):
+                   search_order_cap=DEFAULT_SEARCH_ORDER_CAP,
+                   lattice_cap=structure.DEFAULT_LATTICE_CAP):
     """(d(G), one generating set of that size).
 
     The exhaustive phase asks the engine for an independent generating set
@@ -292,7 +295,7 @@ def d_with_witness(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
                 f"exhaustive d search needs order <= {search_order_cap}, "
                 f"group has order {n}")
         if oracle is None:
-            oracle = GenOracle(G, element_cap=element_cap, budget=budget)
+            oracle = GenOracle(G, lattice_cap, element_cap, budget)
             candidates, reps = _search_candidates(G, element_cap)
         witness = _search(oracle, candidates, reps, k, k, budget)
         if witness is not None:
@@ -357,7 +360,8 @@ def spectrum(G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
     n = G.order()
     if n == 1:
         return {0: ()}
-    d_val, d_wit = d_with_witness(G, element_cap, budget, seed, search_order_cap)
+    d_val, d_wit = d_with_witness(G, element_cap, budget, seed,
+                                  search_order_cap, lattice_cap)
     m_val = m(G, False, lattice_cap, element_cap, budget, search_order_cap)
     if n > search_order_cap:
         raise CapExceeded(

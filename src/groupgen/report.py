@@ -129,7 +129,7 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
     rep["a"], rep["b"], rep["chief_factors"] = chief or (None, None, None)
 
     rep["d"] = stage("d", lambda: genset.d(
-        G, element_cap, budget, seed, search_order_cap))
+        G, element_cap, budget, seed, search_order_cap, lattice_cap))
     rep["m"] = stage("m", lambda: genset.m(
         G, False, lattice_cap, element_cap, budget, search_order_cap))
 

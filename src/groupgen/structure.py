@@ -1,9 +1,23 @@
 """Structural analysis: subgroup lattices, Frattini subgroups, minimal
 normal subgroups, socle and chief series.
 
-The subgroup lattice is built by closing the cyclic subgroups of prime
-power order under pairwise joins.  Every subgroup is the join of the
-prime-power cyclic subgroups it contains, so the closure is complete.
+The subgroup lattice is built by closing the zuppos (cyclic subgroups of
+prime power order) under joins with one another.  Every subgroup is the
+join of the zuppos it contains, so the closure is complete.
+
+The closure works on element ids: an element's id is its index in
+G.elements(), which is sorted by image tuple, so a subgroup's sorted ids
+sort like its sorted image tuples.  A join is a breadth-first walk over
+ids, right-multiplying by the generators through one row per generator,
+row[x] = id(x * g), built the first time that generator is used.  A walk
+that passes half the group has found the whole group and stops.
+
+Joins are computed only for one representative per conjugacy class of
+subgroups.  A new subgroup enters with its whole class, the orbit of its
+id set under the generators of G, each conjugate carrying the conjugated
+generators; only the representative is queued.  Nothing is lost: the
+zuppos are closed under conjugation and join(H^g, z) = join(H, z^(g^-1))^g,
+so every join of a conjugate is the conjugate of a join that was computed.
 """
 
 from __future__ import annotations
@@ -44,60 +58,44 @@ def _quotient(G, N, cap=DEFAULT_ELEMENT_CAP):
     return quotient(G, N, cap)
 
 
-def _mul(a, b):
-    return tuple(map(b.__getitem__, a))
-
-
 class SubgroupLattice:
-    """All subgroups of a group, sorted by (order, sorted element tuples)."""
+    """All subgroups of a group, sorted by (order, sorted element tuples).
 
-    def __init__(self, group, subgroups, elem_sets):
+    Subgroup i is ``subgroups[i]``, a PermGroup on a few generators, and
+    ``id_set(i)``, the frozenset of its element ids; an element's id is its
+    index in ``group.elements()``.
+    """
+
+    def __init__(self, group, subgroups, id_sets, ids):
         self.group = group
         self.subgroups = tuple(subgroups)
-        self.elem_sets = tuple(elem_sets)
+        self._id_sets = tuple(id_sets)
         self.top = len(self.subgroups) - 1
+        self._ids = ids
         self._supersets = None
-        self._maximal_sets = None
-        self._element_ids = None
-        self._id_sets = None
         self._join_rows = {}
 
     def __len__(self):
         return len(self.subgroups)
 
-    def _with_ids(self):
-        """elem_sets recoded over small integers.
-
-        Containment scans hash the same image tuples millions of times
-        during generation searches; ints hash for free, tuples do not.
-        """
-        if self._id_sets is None:
-            ids = {img: k for k, img in enumerate(self.elem_sets[self.top])}
-            self._id_sets = tuple(frozenset(ids[im] for im in fs)
-                                  for fs in self.elem_sets)
-            self._element_ids = ids
-        return self._element_ids, self._id_sets
-
-    def index_of_set(self, elemset):
-        try:
-            return self.elem_sets.index(elemset)
-        except ValueError:
-            raise GroupError("subgroup not present in the lattice")
+    @functools.cached_property
+    def elem_sets(self):
+        """Each subgroup as a frozenset of element image tuples."""
+        images = [e.images for e in self.group.elements(None)]
+        return tuple(frozenset(images[k] for k in s) for s in self._id_sets)
 
     def element_ids(self):
         """Mapping from element image tuple to its small integer id."""
-        ids, _ = self._with_ids()
-        return ids
+        return self._ids
 
     def id_set(self, i):
         """Subgroup i as a frozenset of element ids."""
-        _, sets = self._with_ids()
-        return sets[i]
+        return self._id_sets[i]
 
     def strict_supersets(self, i):
         """Indices of subgroups strictly containing subgroup i."""
         if self._supersets is None:
-            _, sets = self._with_ids()
+            sets = self._id_sets
             sizes = [len(s) for s in sets]
             sups = []
             for a in range(len(sets)):
@@ -121,7 +119,7 @@ class SubgroupLattice:
         mu = [0] * len(self.subgroups)
         mu[self.top] = 1
         order = sorted(range(len(self.subgroups)),
-                       key=lambda i: -len(self.elem_sets[i]))
+                       key=lambda i: -len(self._id_sets[i]))
         for i in order:
             if i == self.top:
                 continue
@@ -134,7 +132,7 @@ class SubgroupLattice:
         innermost loops of the generation searches into array reads."""
         row = self._join_rows.get(i)
         if row is None:
-            _, sets = self._with_ids()
+            sets = self._id_sets
             mine = sets[i]
             sups = self.strict_supersets(i)
             row = [i] * len(sets[self.top])
@@ -147,18 +145,6 @@ class SubgroupLattice:
                         break
             self._join_rows[i] = row
         return row
-
-    def generates(self, images_list):
-        """True when the elements lie in no maximal subgroup."""
-        ids, sets = self._with_ids()
-        if self._maximal_sets is None:
-            self._maximal_sets = tuple(sets[i]
-                                       for i in self.maximal_indices())
-        wanted = [ids.get(img, -1) for img in images_list]
-        for fs in self._maximal_sets:
-            if all(w in fs for w in wanted):
-                return False
-        return True
 
 
 def subgroup_lattice(G, cap=DEFAULT_LATTICE_CAP, element_cap=DEFAULT_ELEMENT_CAP,
@@ -174,42 +160,78 @@ def subgroup_lattice(G, cap=DEFAULT_LATTICE_CAP, element_cap=DEFAULT_ELEMENT_CAP
         return cached
     n = G.order()
     elems = G.elements(element_cap)
-    ident = G.identity().images
+    ids = {e.images: k for k, e in enumerate(elems)}
+    # conj[j][x] is the id of x^g for the j-th generator g of G
+    conj = []
+    for g in G.gens:
+        gim, ginv = g.images, g.inverse().images
+        conj.append([ids[tuple(gim[e.images[i]] for i in ginv)]
+                     for e in elems])
 
     zuppos = {}
-    for e in elems:
-        if not e.is_identity() and is_prime_power(e.order()):
-            cyc = frozenset((e ** k).images for k in range(e.order()))
-            if cyc not in zuppos:
-                zuppos[cyc] = e.images
+    for k, e in enumerate(elems):
+        o = e.order()
+        if o > 1 and is_prime_power(o):
+            cyc = frozenset(ids[(e ** j).images] for j in range(o))
+            zuppos.setdefault(cyc, k)
     zuppo_list = sorted(zuppos.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
-    sets_list = [frozenset([ident])]
-    gens_list = [[]]
-    found = {sets_list[0]: 0}
-    for fs, zgen in zuppo_list:
+    rows = {}
+
+    def right_row(g):
+        """row[x] is the id of x * g, for the element with id g."""
+        row = rows.get(g)
+        if row is None:
+            get = elems[g].images.__getitem__
+            row = rows[g] = [ids[tuple(map(get, e.images))] for e in elems]
+        return row
+
+    sets_list = []
+    gens_list = []
+    found = {}
+    queue = []
+
+    def add(fs, gens):
+        if len(sets_list) >= cap:
+            raise CapExceeded(f"subgroup lattice exceeds {cap} subgroups")
+        found[fs] = len(sets_list)
+        sets_list.append(fs)
+        gens_list.append(gens)
+
+    def add_class(fs, gens):
+        """Record the new subgroup fs and then its conjugates, conjugating
+        the generators along; only fs itself is queued for joins."""
+        k = len(sets_list)
+        queue.append(k)
+        add(fs, gens)
+        while k < len(sets_list):
+            h_set, h_gens = sets_list[k], gens_list[k]
+            k += 1
+            for c in conj:
+                if budget is not None:
+                    budget.check()
+                image = frozenset(map(c.__getitem__, h_set))
+                if image not in found:
+                    add(image, tuple(map(c.__getitem__, h_gens)))
+
+    add_class(frozenset([ids[G.identity().images]]), ())
+    for fs, z in zuppo_list:
         if fs not in found:
-            found[fs] = len(sets_list)
-            sets_list.append(fs)
-            gens_list.append([zgen])
-    whole = frozenset(e.images for e in elems)
+            add_class(fs, (z,))
+    whole = frozenset(range(n))
     half = n // 2
-    queue = list(range(len(sets_list)))
-    qi = 0
-    while qi < len(queue):
-        i = queue[qi]
-        qi += 1
+    for i in queue:
         h_set, h_gens = sets_list[i], gens_list[i]
-        for z_set, z_gen in zuppo_list:
+        h_rows = [right_row(g) for g in h_gens]
+        for z_set, z in zuppo_list:
             if budget is not None:
                 budget.check()
-            if z_gen in h_set:
+            if z in h_set:
                 continue
-            # both factors are already closed, so the orbit walk only has
+            # both factors are already closed, so the walk only has
             # to fill in the genuinely new products; any subgroup larger
             # than half the group is the group, which ends most walks early
-            join_gens = h_gens + [z_gen]
-            getters = [g.__getitem__ for g in join_gens]
+            join_rows = h_rows + [right_row(z)]
             closed = set(h_set)
             closed.update(z_set)
             work = list(closed)
@@ -217,32 +239,22 @@ def subgroup_lattice(G, cap=DEFAULT_LATTICE_CAP, element_cap=DEFAULT_ELEMENT_CAP
             while wi < len(work) and len(closed) <= half:
                 x = work[wi]
                 wi += 1
-                for gg in getters:
-                    y = tuple(map(gg, x))
+                for row in join_rows:
+                    y = row[x]
                     if y not in closed:
                         closed.add(y)
                         work.append(y)
             fs = whole if len(closed) > half else frozenset(closed)
             if fs not in found:
-                if len(found) >= cap:
-                    raise CapExceeded(
-                        f"subgroup lattice exceeds {cap} subgroups")
-                found[fs] = len(sets_list)
-                sets_list.append(fs)
-                gens_list.append(join_gens)
-                queue.append(found[fs])
-    if max(len(fs) for fs in sets_list) != n:
+                add_class(fs, h_gens + (z,))
+    if whole not in found:
         raise GroupError("lattice closure never reached the whole group")
 
     order = sorted(range(len(sets_list)),
                    key=lambda i: (len(sets_list[i]), sorted(sets_list[i])))
-    subgroups = []
-    elem_sets = []
-    for i in order:
-        gens = tuple(Perm(g) for g in gens_list[i])
-        subgroups.append(PermGroup(G.degree, gens))
-        elem_sets.append(sets_list[i])
-    lattice = SubgroupLattice(G, subgroups, elem_sets)
+    subgroups = [PermGroup(G.degree, tuple(elems[g] for g in gens_list[i]))
+                 for i in order]
+    lattice = SubgroupLattice(G, subgroups, [sets_list[i] for i in order], ids)
     G._lattice_cache = lattice
     return lattice
 
@@ -254,9 +266,10 @@ def frattini(G, lattice=None, cap=DEFAULT_LATTICE_CAP,
         return PermGroup(G.degree, ())
     if lattice is None:
         lattice = subgroup_lattice(G, cap, element_cap, budget)
-    maximal_sets = [lattice.elem_sets[i] for i in lattice.maximal_indices()]
+    maximal_sets = [lattice.id_set(i) for i in lattice.maximal_indices()]
     inter = frozenset.intersection(*maximal_sets)
-    return group_from_elements(G.degree, sorted(inter))
+    elems = G.elements(None)
+    return group_from_elements(G.degree, [elems[k] for k in sorted(inter)])
 
 
 def minimal_normal_subgroups(G, element_cap=DEFAULT_ELEMENT_CAP):

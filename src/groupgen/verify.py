@@ -68,7 +68,7 @@ def _red_flag(theorem, reason, **extra):
 
 def _dm(G, d, m, lattice_cap, element_cap, budget):
     if d is None:
-        d = genset.d(G, element_cap, budget)
+        d = genset.d(G, element_cap, budget, lattice_cap=lattice_cap)
     if m is None:
         m = genset.m(G, lattice_cap=lattice_cap, element_cap=element_cap,
                      budget=budget)
@@ -275,7 +275,7 @@ def _match_case1(G, d, lattice, lattice_cap, element_cap, budget):
         (r, _), = factorint(V.order()).items()
         if p == r:
             continue
-        if genset.d(Q, element_cap, budget) != d:
+        if genset.d(Q, element_cap, budget, lattice_cap=lattice_cap) != d:
             continue
         if _find_complement(G, V, lattice, lattice_cap, element_cap,
                             budget) is None:

@@ -155,6 +155,14 @@ def test_d_witnesses_pinned(monkeypatch):
         assert shown(expr) == exhaustive, expr
 
 
+def test_d_honours_lattice_cap():
+    # EX2B(2) needs the exhaustive phase; over the cap it runs on
+    # stabilizer-chain spans and builds no lattice
+    G = builder.build("EX2B(2)")
+    assert genset.d(G, lattice_cap=3) == 3
+    assert G._lattice_cache is None
+
+
 def test_lower_bound_d():
     assert genset.lower_bound_d(_elementary(2, 3)) == 3
     assert genset.lower_bound_d(_cyclic(6)) == 1
@@ -174,6 +182,12 @@ def test_m_known_values():
     assert genset.m(_cyclic(8)) == 1
     assert genset.m(_s3xc2()) == 3
     assert genset.m(_alt(5)) == 3
+
+
+@pytest.mark.slow
+def test_m_of_s6():
+    # m(S_n) = n - 1 (Whiston 2000)
+    assert genset.m(_sym(6)) == 5
 
 
 def test_m_soluble_fast_path_matches_search():

@@ -9,8 +9,9 @@ import random
 import numpy as np
 import pytest
 
-from groupgen.perm import CapExceeded, Perm, PermGroup, quotient
-from groupgen import structure
+from groupgen.perm import (Budget, CapExceeded, Perm, PermGroup,
+                           TimeBudgetExceeded, quotient)
+from groupgen import builder, genset, structure
 
 
 def _sym(n):
@@ -99,6 +100,12 @@ def test_known_subgroup_counts():
         "C2^4": (_elementary(2, 4), 67),
         "K4": (_klein(), 5),
         "C12": (_cyclic(12), 6),
+        # published counts of the nonsoluble groups up to order 720
+        "S5": (_sym(5), 156),
+        "PSL2(7)": (builder.build("PSL2(7)"), 179),
+        "A6": (_alt(6), 501),
+        "PSL2(11)": (builder.build("PSL2(11)"), 620),
+        "S6": (_sym(6), 1455),
     }
     for name, (G, count) in expected.items():
         lat = structure.subgroup_lattice(G)
@@ -117,6 +124,15 @@ def test_lattice_subgroups_are_closed_and_sorted():
         for a in sample:
             for b in sample:
                 assert tuple(b[x] for x in a) in fs
+    # only one subgroup per conjugacy class is joined; the others carry
+    # conjugated generators, which must still generate exactly their set
+    for G in (_sym(4), _sym(5), builder.build("CROWN(S4, 2)")):
+        lat = structure.subgroup_lattice(G)
+        for H, fs in zip(lat.subgroups, lat.elem_sets):
+            assert H.element_set() == fs
+        keys = [(len(fs), sorted(fs)) for fs in lat.elem_sets]
+        assert keys == sorted(keys)
+        assert len(set(lat.elem_sets)) == len(lat)
 
 
 def test_lattice_contains_all_two_generated_subgroups():
@@ -141,8 +157,21 @@ def test_lattice_closed_under_intersection():
 
 
 def test_lattice_cap():
-    with pytest.raises(CapExceeded):
-        structure.subgroup_lattice(_sym(4), cap=10)
+    # S4 has 30 subgroups; every smaller cap fails, whether the count runs
+    # over on a zuppo, on a join or inside a conjugacy class being added
+    G = _sym(4)
+    for cap in range(30):
+        with pytest.raises(CapExceeded):
+            structure.subgroup_lattice(G, cap=cap)
+        assert G._lattice_cache is None
+    assert len(structure.subgroup_lattice(G, cap=30)) == 30
+
+
+def test_lattice_budget():
+    G = builder.build("S5")
+    with pytest.raises(TimeBudgetExceeded):
+        structure.subgroup_lattice(G, budget=Budget(0.0))
+    assert G._lattice_cache is None
 
 
 def test_maximal_subgroups_of_s4():
@@ -175,12 +204,11 @@ def test_moebius_sums_vanish():
 
 
 def test_generates():
-    G = _sym(4)
-    lat = structure.subgroup_lattice(G)
+    oracle = genset.GenOracle(_sym(4))
     a = Perm.from_cycles(4, [(0, 1, 2, 3)])
     b = Perm.from_cycles(4, [(0, 1)])
-    assert lat.generates([a.images, b.images])
-    assert not lat.generates([a.images])
+    assert oracle.generates([a.images, b.images])
+    assert not oracle.generates([a.images])
 
 
 def test_frattini():
