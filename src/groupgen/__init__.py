@@ -11,6 +11,7 @@ from .perm import (
     DegreeMismatch,
     GroupError,
     Homomorphism,
+    Limits,
     NotInGroup,
     NotNormal,
     Perm,
@@ -18,7 +19,6 @@ from .perm import (
     TimeBudgetExceeded,
     closure,
     group_from_elements,
-    intersection,
     quotient,
 )
 
@@ -27,6 +27,7 @@ __all__ = [
     "DegreeMismatch",
     "GroupError",
     "Homomorphism",
+    "Limits",
     "NotInGroup",
     "NotNormal",
     "Perm",
@@ -34,7 +35,6 @@ __all__ = [
     "TimeBudgetExceeded",
     "closure",
     "group_from_elements",
-    "intersection",
     "quotient",
 ]
 

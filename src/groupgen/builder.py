@@ -29,8 +29,8 @@ import re
 from dataclasses import dataclass
 
 from . import crowns, structure
-from .perm import (DEFAULT_ELEMENT_CAP, MAX_DEGREE, CapExceeded, GroupError,
-                   Homomorphism, Perm, PermGroup, quotient)
+from .perm import (MAX_DEGREE, CapExceeded, GroupError, Homomorphism, Perm,
+                   PermGroup, quotient)
 
 DEFAULT_ORDER_CAP = 10_000_000
 
@@ -501,15 +501,7 @@ def _point_conjugator(N, images):
     return None
 
 
-def _apply_all(hom, N, element_cap):
-    """The automorphism with the given generator images as a permutation
-    of N's element list."""
-    elems = N.elements(element_cap)
-    index = {e: i for i, e in enumerate(elems)}
-    return Perm(tuple(index[hom(e)] for e in elems))
-
-
-def _semidirect(N, H, action, order_cap, element_cap=DEFAULT_ELEMENT_CAP):
+def _semidirect(N, H, action, order_cap):
     by_index = {}
     for idx, words in action:
         if idx >= len(H.gens):
@@ -547,7 +539,7 @@ def _semidirect(N, H, action, order_cap, element_cap=DEFAULT_ELEMENT_CAP):
     if N.order() + H.degree > MAX_DEGREE:
         raise CapExceeded("semidirect regular representation degree exceeds"
                           f" {MAX_DEGREE}")
-    elems = N.elements(element_cap)
+    elems = N.elements()
     index = {e: i for i, e in enumerate(elems)}
     points = len(elems)
     total = points + H.degree
@@ -599,54 +591,52 @@ def _atom(node, order_cap):
     raise GroupError(f"unknown atom {name!r}")  # pragma: no cover
 
 
-def evaluate(node, order_cap=DEFAULT_ORDER_CAP, ex3_action="shipped",
-             element_cap=DEFAULT_ELEMENT_CAP):
+def evaluate(node, order_cap=DEFAULT_ORDER_CAP, ex3_action="shipped"):
     """Evaluate a parsed expression to a permutation group."""
     if isinstance(node, Atom):
         return _atom(node, order_cap)
     if isinstance(node, DirectProduct):
-        parts = [evaluate(p, order_cap, ex3_action, element_cap)
+        parts = [evaluate(p, order_cap, ex3_action)
                  for p in node.parts]
         return _direct_product(parts, order_cap)
     if isinstance(node, WreathCyclic):
-        X = evaluate(node.base, order_cap, ex3_action, element_cap)
+        X = evaluate(node.base, order_cap, ex3_action)
         return _wreath_cyclic(X, node.n, order_cap)
     if isinstance(node, Semidirect):
-        N = evaluate(node.normal, order_cap, ex3_action, element_cap)
-        H = evaluate(node.acting, order_cap, ex3_action, element_cap)
-        return _semidirect(N, H, node.action, order_cap, element_cap)
+        N = evaluate(node.normal, order_cap, ex3_action)
+        H = evaluate(node.acting, order_cap, ex3_action)
+        return _semidirect(N, H, node.action, order_cap)
     if isinstance(node, Quotient):
-        G = evaluate(node.expr, order_cap, ex3_action, element_cap)
+        G = evaluate(node.expr, order_cap, ex3_action)
         seeds = tuple(_eval_word(w, G, "quotient") for w in node.words)
         N = G.normal_closure(seeds)
-        Q, _ = quotient(G, N, element_cap)
+        Q, _ = quotient(G, N)
         return Q
     if isinstance(node, Subgroup):
-        G = evaluate(node.expr, order_cap, ex3_action, element_cap)
+        G = evaluate(node.expr, order_cap, ex3_action)
         gens = tuple(_eval_word(w, G, "subgroup") for w in node.words)
         for g in gens:
             if g not in G:
                 raise GroupError("subgroup word is not an element of the group")
         return PermGroup(G.degree, gens)
     if isinstance(node, CrownPower):
-        L = evaluate(node.expr, order_cap, ex3_action, element_cap)
-        A = structure.unique_minimal_normal(L, element_cap)
+        L = evaluate(node.expr, order_cap, ex3_action)
+        A = structure.unique_minimal_normal(L)
         if A is None:
             raise GroupError("crown powers need a unique minimal normal"
                              " subgroup")
         order = A.order() ** (node.k - 1) * L.order() if node.k >= 1 else 0
         if order > order_cap:
             raise CapExceeded(f"crown power order {order} exceeds {order_cap}")
-        return crowns.crown_power(L, A, node.k, element_cap)
+        return crowns.crown_power(L, A, node.k)
     if isinstance(node, PaperFamily):
         return paper_family(node.name, node.t, ex3_action, order_cap)
     raise GroupError(f"cannot evaluate {node!r}")  # pragma: no cover
 
 
-def build(text, order_cap=DEFAULT_ORDER_CAP, ex3_action="shipped",
-          element_cap=DEFAULT_ELEMENT_CAP):
+def build(text, order_cap=DEFAULT_ORDER_CAP, ex3_action="shipped"):
     """Parse and evaluate, labelling the result with the source text."""
-    G = evaluate(parse(text), order_cap, ex3_action, element_cap)
+    G = evaluate(parse(text), order_cap, ex3_action)
     G.label = " ".join(text.split())
     return G
 

@@ -25,8 +25,8 @@ from . import genset
 from . import report
 from . import structure
 from . import verify
-from .perm import (Budget, CapExceeded, GroupError, TimeBudgetExceeded,
-                   DEFAULT_ELEMENT_CAP)
+from .perm import (DEFAULT_LATTICE_CAP, CapExceeded, GroupError, Limits,
+                   TimeBudgetExceeded)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -42,8 +42,8 @@ def _worst(codes):
     return EXIT_OK
 
 
-def _budget(args):
-    return Budget(args.time_budget) if args.time_budget is not None else None
+def _limits(args):
+    return Limits(args.lattice_cap, args.time_budget)
 
 
 def _knobs(args):
@@ -55,8 +55,7 @@ def _knobs(args):
 
 
 def _build(args, text):
-    return builder.build(text, order_cap=args.max_order,
-                         element_cap=DEFAULT_ELEMENT_CAP)
+    return builder.build(text, order_cap=args.max_order)
 
 
 def _report_code(rep):
@@ -147,11 +146,10 @@ def cmd_verify(args):
           "nonsoluble": verify.verify_nonsoluble,
           "soluble": verify.verify_soluble_cases}[args.check]
     G = _build(args, args.expr)
-    budget = _budget(args)
-    d = genset.d(G, budget=budget, seed=args.seed,
-                 lattice_cap=args.lattice_cap)
-    m = genset.m(G, lattice_cap=args.lattice_cap, budget=budget)
-    v = fn(G, d=d, m=m, lattice_cap=args.lattice_cap, budget=budget)
+    limits = _limits(args)
+    d = genset.d(G, limits=limits, seed=args.seed)
+    m = genset.m(G, limits=limits)
+    v = fn(G, d=d, m=m, limits=limits)
     applies = "applicable" if v.applicable else "not applicable"
     case = f" case {v.case}" if v.case is not None else ""
     state = "ok" if v.ok else "RED FLAG"
@@ -163,8 +161,7 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     G = _build(args, args.expr)
-    wits = genset.spectrum(G, lattice_cap=args.lattice_cap,
-                           budget=_budget(args), seed=args.seed)
+    wits = genset.spectrum(G, limits=_limits(args), seed=args.seed)
     for k in sorted(wits):
         shown = " ".join(p.cycle_string() for p in wits[k]) or "()"
         print(f"{k}: {shown}")
@@ -173,8 +170,7 @@ def cmd_spectrum(args):
 
 def cmd_phi(args):
     G = _build(args, args.expr)
-    count = crowns.eulerian(G, args.m, lattice_cap=args.lattice_cap,
-                            budget=_budget(args))
+    count = crowns.eulerian(G, args.m, limits=_limits(args))
     print(count)
     return EXIT_OK
 
@@ -204,7 +200,7 @@ def cmd_h1(args):
               file=sys.stderr)
         return EXIT_PARSE
     M = crowns.GfpModule(G, prime, matrices)
-    print(crowns.h1_dimension(G, M, budget=_budget(args)))
+    print(crowns.h1_dimension(G, M, limits=_limits(args)))
     return EXIT_OK
 
 
@@ -242,7 +238,7 @@ def main(argv=None):
                         default=builder.DEFAULT_ORDER_CAP,
                         help="refuse to build groups larger than this")
     common.add_argument("--lattice-cap", type=int, metavar="N",
-                        default=structure.DEFAULT_LATTICE_CAP,
+                        default=DEFAULT_LATTICE_CAP,
                         help="abort subgroup lattice walks beyond this many "
                              "subgroups")
     common.add_argument("--time-budget", type=float, metavar="SECONDS",

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .perm import (DEFAULT_ELEMENT_CAP, MAX_DEGREE, CapExceeded, GroupError,
+from .perm import (DEFAULT_LIMITS, MAX_DEGREE, CapExceeded, GroupError,
                    Homomorphism, Perm, PermGroup, build_chain,
                    group_from_elements, quotient)
-from .structure import (DEFAULT_LATTICE_CAP, chief_series, is_simple,
-                        minimal_normal_subgroups, subgroup_lattice)
+from .structure import (chief_series, is_simple, minimal_normal_subgroups,
+                        subgroup_lattice)
 
-DEFAULT_AUT_CAP = 500
-DEFAULT_COHOMOLOGY_CAP = 500
+AUT_CAP = 500
+COHOMOLOGY_CAP = 500
 
 
 class GfpModule:
@@ -119,12 +119,12 @@ class GfpModule:
             raise GroupError("matrices do not define an action of the group")
         return hom
 
-    def centralizer_kernel(self, element_cap=DEFAULT_ELEMENT_CAP):
+    def centralizer_kernel(self):
         """C_G(M): the kernel of the representation."""
         if self._centralizer is None:
             hom = self.realization()
             ident = Perm.identity(hom.target.degree)
-            kept = [g for g in self.group.elements(element_cap)
+            kept = [g for g in self.group.elements()
                     if hom(g) == ident]
             self._centralizer = group_from_elements(self.group.degree, kept)
         return self._centralizer
@@ -143,7 +143,7 @@ def trivial_module(G, p, dim=1):
                      centralizer_kernel=G)
 
 
-def monolithic_of(G, F, element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def monolithic_of(G, F, *, limits=DEFAULT_LIMITS):
     """The monolithic primitive group attached to a non-Frattini chief factor.
 
     An abelian factor A gives the affine group A x| (G / C_G(A)) acting on
@@ -172,9 +172,8 @@ def monolithic_of(G, F, element_cap=DEFAULT_ELEMENT_CAP, budget=None):
         return PermGroup(points, tuple(gens))
     kept = []
     below = F.below
-    for g in G.elements(element_cap):
-        if budget is not None:
-            budget.check()
+    for g in G.elements():
+        limits.check()
         for x in F.above.gens:
             w = x.conj(g) * x.inverse()
             if not (w.is_identity() or w in below):
@@ -182,11 +181,11 @@ def monolithic_of(G, F, element_cap=DEFAULT_ELEMENT_CAP, budget=None):
         else:
             kept.append(g)
     C = group_from_elements(G.degree, kept)
-    Q, _ = quotient(G, C, element_cap)
+    Q, _ = quotient(G, C)
     return Q
 
 
-def crown_power(L, A, k, element_cap=DEFAULT_ELEMENT_CAP):
+def crown_power(L, A, k):
     """The subgroup L_k of L^k of tuples that agree modulo the socle A.
 
     Generated by the diagonal copies of L's generators together with A's
@@ -197,7 +196,7 @@ def crown_power(L, A, k, element_cap=DEFAULT_ELEMENT_CAP):
         raise GroupError("crown powers need k >= 1")
     if A.degree != L.degree or not A.is_subgroup_of(L):
         raise GroupError("the socle must be a subgroup of L")
-    mins = minimal_normal_subgroups(L, element_cap)
+    mins = minimal_normal_subgroups(L)
     if len(mins) != 1 or not mins[0].same_group_as(A):
         raise GroupError("A is not the socle of a monolithic group L")
     deg = L.degree
@@ -217,8 +216,7 @@ def crown_power(L, A, k, element_cap=DEFAULT_ELEMENT_CAP):
     return out
 
 
-def eulerian(X, m, lattice_cap=DEFAULT_LATTICE_CAP,
-             element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def eulerian(X, m, *, limits=DEFAULT_LIMITS):
     """The number of ordered m-tuples of elements that generate X.
 
     Moebius inversion over the subgroup lattice: the tuples inside a fixed
@@ -227,13 +225,12 @@ def eulerian(X, m, lattice_cap=DEFAULT_LATTICE_CAP,
     """
     if m < 0:
         raise GroupError("tuple length must be nonnegative")
-    lat = subgroup_lattice(X, lattice_cap, element_cap, budget)
+    lat = subgroup_lattice(X, limits=limits)
     mu = lat.moebius()
     return sum(mu[i] * len(lat.elem_sets[i]) ** m for i in range(len(lat)))
 
 
-def aut_order(S, cap=DEFAULT_AUT_CAP, element_cap=DEFAULT_ELEMENT_CAP,
-              budget=None):
+def aut_order(S, *, limits=DEFAULT_LIMITS):
     """|Aut(S)| by exhaustive search over images of a generating sequence.
 
     The generating sequence is chosen greedily in search order.  Candidate
@@ -245,12 +242,13 @@ def aut_order(S, cap=DEFAULT_AUT_CAP, element_cap=DEFAULT_ELEMENT_CAP,
     far too large to count this way.
     """
     n = S.order()
-    if n > cap:
+    if n > AUT_CAP:
         raise CapExceeded(
-            f"automorphism search needs order <= {cap}, group has order {n}")
+            f"automorphism search needs order <= {AUT_CAP}, "
+            f"group has order {n}")
     if n == 1:
         return 1
-    elems = S.sorted_by_search_order(element_cap)
+    elems = S.sorted_by_search_order()
     word = []
     prefix_orders = []
     current = PermGroup(S.degree, ())
@@ -280,8 +278,7 @@ def aut_order(S, cap=DEFAULT_AUT_CAP, element_cap=DEFAULT_ELEMENT_CAP,
                 count += 1
             return
         for x in pools[i]:
-            if budget is not None:
-                budget.check()
+            limits.check()
             nxt = imgs + (x,)
             if extends(nxt):
                 search(nxt)
@@ -290,9 +287,7 @@ def aut_order(S, cap=DEFAULT_AUT_CAP, element_cap=DEFAULT_ELEMENT_CAP,
     return count
 
 
-def crown_generation_check(L, A, m, k, lattice_cap=DEFAULT_LATTICE_CAP,
-                           element_cap=DEFAULT_ELEMENT_CAP,
-                           aut_cap=DEFAULT_AUT_CAP, budget=None):
+def crown_generation_check(L, A, m, k, *, limits=DEFAULT_LIMITS):
     """Predicted truth of d(L_k) <= m in the simple-socle case L = A.
 
     For a non-abelian simple socle the crown power A_k is the direct power
@@ -304,14 +299,14 @@ def crown_generation_check(L, A, m, k, lattice_cap=DEFAULT_LATTICE_CAP,
         raise GroupError("the criterion needs k >= 1 and m >= 1")
     if not L.same_group_as(A):
         raise GroupError("only the simple-socle case L = A is supported")
-    if A.is_abelian() or not is_simple(A, element_cap):
+    if A.is_abelian() or not is_simple(A):
         raise GroupError("the socle must be non-abelian simple")
-    phi = eulerian(A, m, lattice_cap, element_cap, budget)
-    gamma = aut_order(A, aut_cap, element_cap, budget)
+    phi = eulerian(A, m, limits=limits)
+    gamma = aut_order(A, limits=limits)
     return k * gamma <= phi
 
 
-def h1_dimension(G, M, cap=DEFAULT_COHOMOLOGY_CAP, budget=None):
+def h1_dimension(G, M, *, limits=DEFAULT_LIMITS):
     """The GF(p) dimension of the first cohomology group H^1(G, M).
 
     Derivations are solved for on generator values only: a spanning tree
@@ -322,9 +317,10 @@ def h1_dimension(G, M, cap=DEFAULT_COHOMOLOGY_CAP, budget=None):
     that the matrices are consistent with the group's multiplication.
     """
     order = G.order()
-    if order > cap:
+    if order > COHOMOLOGY_CAP:
         raise CapExceeded(
-            f"cohomology needs order <= {cap}, group has order {order}")
+            f"cohomology needs order <= {COHOMOLOGY_CAP}, "
+            f"group has order {order}")
     p, n = M.prime, M.dim
     r = len(G.gens)
     if order == 1 or r == 0:
@@ -340,8 +336,7 @@ def h1_dimension(G, M, cap=DEFAULT_COHOMOLOGY_CAP, budget=None):
         x = queue.popleft()
         cx, mx = coeff[x], matval[x]
         for i, g in enumerate(G.gens):
-            if budget is not None:
-                budget.check()
+            limits.check()
             y = x * g
             cy = np.mod(cx @ rho[i], p)
             cy[i] = (cy[i] + eye) % p
@@ -394,9 +389,7 @@ def _field_check(basis, p, seed=0):
                 "endomorphism space contains a singular nonzero element")
 
 
-def module_invariants(G, M, series=None, lattice_cap=DEFAULT_LATTICE_CAP,
-                      element_cap=DEFAULT_ELEMENT_CAP,
-                      cohomology_cap=DEFAULT_COHOMOLOGY_CAP, budget=None):
+def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
     """The invariants r, s, t, delta and h of an irreducible module M of G.
 
     end_dim is the GF(p) dimension of End_G(M) (a field, by Schur); r is
@@ -416,21 +409,21 @@ def module_invariants(G, M, series=None, lattice_cap=DEFAULT_LATTICE_CAP,
     if rem:
         raise GroupError(
             "endomorphism dimension does not divide the module dimension")
-    s, rem = divmod(h1_dimension(G, M, cohomology_cap, budget), end_dim)
+    s, rem = divmod(h1_dimension(G, M, limits=limits), end_dim)
     if rem:
         raise GroupError("H^1 dimension is not a multiple of end_dim")
-    C = M.centralizer_kernel(element_cap)
+    C = M.centralizer_kernel()
     if C.order() == G.order():
         t = 0
     else:
-        Q, _ = quotient(G, C, element_cap)
+        Q, _ = quotient(G, C)
         MQ = GfpModule(Q, p, M.matrices,
                        centralizer_kernel=PermGroup(Q.degree, ()))
-        t, rem = divmod(h1_dimension(Q, MQ, cohomology_cap, budget), end_dim)
+        t, rem = divmod(h1_dimension(Q, MQ, limits=limits), end_dim)
         if rem:
             raise GroupError("H^1 dimension is not a multiple of end_dim")
     if series is None:
-        series = chief_series(G, lattice_cap, element_cap, budget)
+        series = chief_series(G, limits=limits)
     delta = 0
     for f in series:
         if (not f.is_abelian or f.is_frattini or f.prime != p
@@ -445,25 +438,20 @@ def module_invariants(G, M, series=None, lattice_cap=DEFAULT_LATTICE_CAP,
     return ModuleInvariants(r=r, s=s, t=t, delta=delta, h=h, end_dim=end_dim)
 
 
-def factor_invariants(G, series=None, lattice_cap=DEFAULT_LATTICE_CAP,
-                      element_cap=DEFAULT_ELEMENT_CAP,
-                      cohomology_cap=DEFAULT_COHOMOLOGY_CAP, budget=None):
+def factor_invariants(G, series=None, *, limits=DEFAULT_LIMITS):
     """(factor, ModuleInvariants) for every non-Frattini abelian chief factor."""
     if series is None:
-        series = chief_series(G, lattice_cap, element_cap, budget)
+        series = chief_series(G, limits=limits)
     out = []
     for f in series:
         if not f.is_abelian or f.is_frattini:
             continue
-        inv = module_invariants(G, module_of_factor(f), series, lattice_cap,
-                                element_cap, cohomology_cap, budget)
+        inv = module_invariants(G, module_of_factor(f), series, limits=limits)
         out.append((f, inv))
     return out
 
 
-def soluble_d(G, lattice_cap=DEFAULT_LATTICE_CAP,
-              element_cap=DEFAULT_ELEMENT_CAP,
-              cohomology_cap=DEFAULT_COHOMOLOGY_CAP, budget=None):
+def soluble_d(G, *, limits=DEFAULT_LIMITS):
     """d(G) for a soluble group: the maximum of h over its chief factors.
 
     The factor attaining the maximum is the generating one; its h equals
@@ -473,6 +461,5 @@ def soluble_d(G, lattice_cap=DEFAULT_LATTICE_CAP,
         raise GroupError("the h-based generator count needs a soluble group")
     if G.order() == 1:
         return 0
-    pairs = factor_invariants(G, None, lattice_cap, element_cap,
-                              cohomology_cap, budget)
+    pairs = factor_invariants(G, limits=limits)
     return max(inv.h for _, inv in pairs)

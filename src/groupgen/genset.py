@@ -20,7 +20,7 @@ goal.
 
 Spans come from a GenOracle as integer handles with element-id membership
 and join rows.  The oracle reads them off the subgroup lattice when the
-group has one within the caps; otherwise it builds each span once from a
+group has one within the limits; otherwise it builds each span once from a
 stabilizer chain and interns it.  The engine cannot tell the two apart.
 """
 
@@ -30,7 +30,7 @@ import random
 
 from . import structure
 from .perm import (
-    DEFAULT_ELEMENT_CAP,
+    DEFAULT_LIMITS,
     CapExceeded,
     GroupError,
     PermGroup,
@@ -39,7 +39,7 @@ from .perm import (
     quotient,
 )
 
-DEFAULT_SEARCH_ORDER_CAP = 2000
+SEARCH_ORDER_CAP = 2000
 DEFAULT_RANDOM_TRIES = 400
 
 
@@ -50,19 +50,18 @@ class GenOracle:
     ``h`` as a frozenset of ids, ``join_row(h)[e]`` is the handle of the
     join of span ``h`` with element ``e``, and handle 0 is the trivial
     subgroup and ``top`` the whole group.  ``lattice`` is the subgroup
-    lattice the spans come from, or None when there is none within the caps
-    and each span is built from a stabilizer chain on first use instead.
+    lattice the spans come from, or None when there is none within the
+    limits and each span is built from a stabilizer chain on first use
+    instead.
     """
 
-    def __init__(self, G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
-                 element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+    def __init__(self, G, *, limits=DEFAULT_LIMITS):
         self.G = G
         self.n = G.order()
         self.lattice = None
-        if self.n <= DEFAULT_SEARCH_ORDER_CAP:
+        if self.n <= SEARCH_ORDER_CAP:
             try:
-                self.lattice = structure.subgroup_lattice(
-                    G, lattice_cap, element_cap, budget)
+                self.lattice = structure.subgroup_lattice(G, limits=limits)
             except CapExceeded:
                 pass
         if self.lattice is not None:
@@ -71,7 +70,7 @@ class GenOracle:
                          for i in range(len(self.lattice))]
             self.top = self.lattice.top
             return
-        self._elems = G.elements(element_cap)
+        self._elems = G.elements()
         self.ids = {e.images: k for k, e in enumerate(self._elems)}
         self.sets = []
         self._gens = []
@@ -154,7 +153,7 @@ def is_independent_generating_set(G, perms, oracle=None):
             and is_independent(G, perms, oracle))
 
 
-def lower_bound_d(G, element_cap=DEFAULT_ELEMENT_CAP):
+def lower_bound_d(G):
     """max over p of the p-rank of the abelianization, floored at basic facts."""
     n = G.order()
     if n == 1:
@@ -165,9 +164,9 @@ def lower_bound_d(G, element_cap=DEFAULT_ELEMENT_CAP):
     if derived.order() == 1:
         Q = G
     else:
-        Q, _ = quotient(G, derived, element_cap)
+        Q, _ = quotient(G, derived)
     rank = 0
-    elems = Q.elements(element_cap)
+    elems = Q.elements()
     for p in factorint(Q.order()):
         count = sum(1 for e in elems if (e ** p).is_identity())
         r = 0
@@ -181,20 +180,18 @@ def lower_bound_d(G, element_cap=DEFAULT_ELEMENT_CAP):
     return lower
 
 
-def _search_candidates(G, element_cap, prime_power_only=False):
+def _search_candidates(G, prime_power_only=False):
     """Candidate elements in search order and first-slot class
     representatives, the identity left out of both."""
-    elems = [e for e in G.sorted_by_search_order(element_cap)
-             if not e.is_identity()]
-    reps = [r for r in G.class_representatives(element_cap)
-            if not r.is_identity()]
+    elems = [e for e in G.sorted_by_search_order() if not e.is_identity()]
+    reps = [r for r in G.class_representatives() if not r.is_identity()]
     if prime_power_only:
         elems = [e for e in elems if len(factorint(e.order())) == 1]
         reps = [r for r in reps if len(factorint(r.order())) == 1]
     return elems, reps
 
 
-def _search(oracle, elems, reps, lower, upper, budget):
+def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS):
     """The first independent generating set in walk order whose size is the
     largest in [lower, upper] that occurs, or None.
 
@@ -208,7 +205,7 @@ def _search(oracle, elems, reps, lower, upper, budget):
     what a prefix can still reach.
     """
     n, sets, top, ids = oracle.n, oracle.sets, oracle.top, oracle.ids
-    join_row = oracle.join_row
+    join_row, check = oracle.join_row, limits.check
     eids = [ids[e.images] for e in elems]
     best = None
     need = lower
@@ -216,8 +213,7 @@ def _search(oracle, elems, reps, lower, upper, budget):
     def extend(prefix, pids, span, others, start):
         # others[j] is the span of the prefix without its member j
         nonlocal best, need
-        if budget is not None:
-            budget.check()
+        check()
         depth = len(pids)
         if span == top:
             if depth >= need:
@@ -254,16 +250,11 @@ def _search(oracle, elems, reps, lower, upper, budget):
     return best
 
 
-def d(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
-      search_order_cap=DEFAULT_SEARCH_ORDER_CAP,
-      lattice_cap=structure.DEFAULT_LATTICE_CAP):
-    return d_with_witness(G, element_cap, budget, seed, search_order_cap,
-                          lattice_cap)[0]
+def d(G, *, limits=DEFAULT_LIMITS, seed=0):
+    return d_with_witness(G, limits=limits, seed=seed)[0]
 
 
-def d_with_witness(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
-                   search_order_cap=DEFAULT_SEARCH_ORDER_CAP,
-                   lattice_cap=structure.DEFAULT_LATTICE_CAP):
+def d_with_witness(G, *, limits=DEFAULT_LIMITS, seed=0):
     """(d(G), one generating set of that size).
 
     The exhaustive phase asks the engine for an independent generating set
@@ -273,55 +264,50 @@ def d_with_witness(G, element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
     n = G.order()
     if n == 1:
         return 0, ()
-    lower = lower_bound_d(G, element_cap)
+    lower = lower_bound_d(G)
     if lower == 1:
-        for r in G.class_representatives(element_cap):
+        for r in G.class_representatives(limits=limits):
             if r.order() == n:
                 return 1, (r,)
         lower = 2
-    elems = G.elements(element_cap)
+    elems = G.elements()
     rng = random.Random(seed)
     oracle = None
     for k in range(lower, omega(n) + 1):
-        if budget is not None:
-            budget.check()
+        limits.check()
         # randomized probe first; any hit is enough since k-1 was refuted
         for _ in range(DEFAULT_RANDOM_TRIES):
             picks = [rng.choice(elems) for _ in range(k)]
             if PermGroup(G.degree, picks).order() == n:
                 return k, tuple(picks)
-        if n > search_order_cap:
+        if n > SEARCH_ORDER_CAP:
             raise CapExceeded(
-                f"exhaustive d search needs order <= {search_order_cap}, "
+                f"exhaustive d search needs order <= {SEARCH_ORDER_CAP}, "
                 f"group has order {n}")
         if oracle is None:
-            oracle = GenOracle(G, lattice_cap, element_cap, budget)
-            candidates, reps = _search_candidates(G, element_cap)
-        witness = _search(oracle, candidates, reps, k, k, budget)
+            oracle = GenOracle(G, limits=limits)
+            candidates, reps = _search_candidates(G)
+        witness = _search(oracle, candidates, reps, k, k, limits=limits)
         if witness is not None:
             return k, witness
     raise GroupError("no generating set up to the chief length bound")
 
 
-def chief_counts(G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
-                 element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def chief_counts(G, *, limits=DEFAULT_LIMITS):
     """(a, b): non-Frattini and non-abelian factor counts of a chief series."""
-    series = structure.chief_series(G, lattice_cap, element_cap, budget)
+    series = structure.chief_series(G, limits=limits)
     a = sum(1 for f in series if not f.is_frattini)
     b = sum(1 for f in series if not f.is_abelian)
     return a, b
 
 
-def bounds(G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
-           element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def bounds(G, *, limits=DEFAULT_LIMITS):
     """Lower and upper bounds for m(G): a + b <= m(G) <= Omega(|G|)."""
-    a, b = chief_counts(G, lattice_cap, element_cap, budget)
+    a, b = chief_counts(G, limits=limits)
     return {"a": a, "b": b, "lower": a + b, "upper": omega(G.order())}
 
 
-def m(G, force_search=False, lattice_cap=structure.DEFAULT_LATTICE_CAP,
-      element_cap=DEFAULT_ELEMENT_CAP, budget=None,
-      search_order_cap=DEFAULT_SEARCH_ORDER_CAP, prime_power_only=True):
+def m(G, *, limits=DEFAULT_LIMITS, force_search=False, prime_power_only=True):
     """Largest size of an independent generating set.
 
     For soluble groups this equals the number of non-Frattini factors in a
@@ -336,45 +322,42 @@ def m(G, force_search=False, lattice_cap=structure.DEFAULT_LATTICE_CAP,
     if n == 1:
         return 0
     if G.is_soluble() and not force_search:
-        a, _ = chief_counts(G, lattice_cap, element_cap, budget)
+        a, _ = chief_counts(G, limits=limits)
         return a
-    if n > search_order_cap:
+    if n > SEARCH_ORDER_CAP:
         raise CapExceeded(
-            f"m search needs order <= {search_order_cap}, group has order {n}")
-    a, b = chief_counts(G, lattice_cap, element_cap, budget)
-    oracle = GenOracle(G, lattice_cap, element_cap, budget)
-    elems, reps = _search_candidates(G, element_cap, prime_power_only)
-    best = _search(oracle, elems, reps, a + b, omega(n), budget)
+            f"m search needs order <= {SEARCH_ORDER_CAP}, group has order {n}")
+    a, b = chief_counts(G, limits=limits)
+    oracle = GenOracle(G, limits=limits)
+    elems, reps = _search_candidates(G, prime_power_only)
+    best = _search(oracle, elems, reps, a + b, omega(n), limits=limits)
     if best is None:
         raise GroupError(
             "no independent generating set reached the lower bound a + b")
     return len(best)
 
 
-def spectrum(G, lattice_cap=structure.DEFAULT_LATTICE_CAP,
-             element_cap=DEFAULT_ELEMENT_CAP, budget=None, seed=0,
-             search_order_cap=DEFAULT_SEARCH_ORDER_CAP):
+def spectrum(G, *, limits=DEFAULT_LIMITS, seed=0):
     """Witnesses for every size of independent generating set, as a dict
     size -> tuple of permutations.  The sizes always form the full interval
     [d(G), m(G)]."""
     n = G.order()
     if n == 1:
         return {0: ()}
-    d_val, d_wit = d_with_witness(G, element_cap, budget, seed,
-                                  search_order_cap, lattice_cap)
-    m_val = m(G, False, lattice_cap, element_cap, budget, search_order_cap)
-    if n > search_order_cap:
+    d_val, d_wit = d_with_witness(G, limits=limits, seed=seed)
+    m_val = m(G, limits=limits)
+    if n > SEARCH_ORDER_CAP:
         raise CapExceeded(
-            f"spectrum search needs order <= {search_order_cap}, "
+            f"spectrum search needs order <= {SEARCH_ORDER_CAP}, "
             f"group has order {n}")
-    oracle = GenOracle(G, lattice_cap, element_cap, budget)
-    elems, reps = _search_candidates(G, element_cap)
+    oracle = GenOracle(G, limits=limits)
+    elems, reps = _search_candidates(G)
     out = {}
     for k in range(d_val, m_val + 1):
         if k == d_val and is_independent(G, d_wit, oracle):
             out[k] = tuple(d_wit)
             continue
-        witness = _search(oracle, elems, reps, k, k, budget)
+        witness = _search(oracle, elems, reps, k, k, limits=limits)
         if witness is None:
             raise GroupError(
                 f"no independent generating set of size {k} although "

@@ -78,21 +78,6 @@ def null_right(a, p):
     return basis
 
 
-def solve_right(a, b, p):
-    """One solution x of a @ x == b (vectors as 1-D arrays), or None."""
-    a = normalized(a, p)
-    b = normalized(b, p).reshape(-1)
-    rows, cols = a.shape
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols]
-    return x
-
-
 def inverse(a, p):
     """Matrix inverse mod p, or None if singular."""
     a = normalized(a, p)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import time
+from dataclasses import dataclass, field
 from math import gcd
 
-DEFAULT_ELEMENT_CAP = 200_000
+ELEMENT_CAP = 200_000
 MAX_DEGREE = 1 << 16
-DEFAULT_TIME_BUDGET = 300.0
+DEFAULT_LATTICE_CAP = 2000
 
 
 class GroupError(Exception):
@@ -40,17 +41,32 @@ class NotNormal(GroupError):
     pass
 
 
-class Budget:
-    """A wall clock budget for long searches; check() raises once expired."""
+@dataclass(frozen=True)
+class Limits:
+    """The limits a caller sets on one computation: how many subgroups a
+    subgroup lattice may have, and a wall clock budget in seconds (None for
+    no budget) whose deadline starts when the value is made.
 
-    def __init__(self, seconds=DEFAULT_TIME_BUDGET):
-        self.seconds = seconds
-        self.deadline = None if seconds is None else time.monotonic() + seconds
+    Every other cap (element sweeps, search order, complement and
+    automorphism candidates, cohomology order) is a fixed module constant.
+    """
+
+    lattice_cap: int = DEFAULT_LATTICE_CAP
+    seconds: float | None = None
+    deadline: float | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "deadline", None if self.seconds is None
+                           else time.monotonic() + self.seconds)
 
     def check(self):
+        """Raise TimeBudgetExceeded once the deadline has passed."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise TimeBudgetExceeded(
                 f"time budget of {self.seconds:g} s exhausted")
+
+
+DEFAULT_LIMITS = Limits()
 
 
 def factorint(n):
@@ -429,7 +445,7 @@ class PermGroup:
     def identity(self):
         return Perm.identity(self.degree)
 
-    def elements(self, cap=DEFAULT_ELEMENT_CAP):
+    def elements(self, cap=ELEMENT_CAP):
         """All elements sorted by image tuple; refuses above the cap."""
         if self._elements is None:
             n = self.order()
@@ -438,24 +454,28 @@ class PermGroup:
             self._elements = tuple(sorted(self.chain.iter_elements()))
         return self._elements
 
-    def element_set(self, cap=DEFAULT_ELEMENT_CAP):
+    def element_set(self):
         if self._elemset is None:
-            self._elemset = frozenset(p.images for p in self.elements(cap))
+            self._elemset = frozenset(p.images for p in self.elements())
         return self._elemset
 
-    def sorted_by_search_order(self, cap=DEFAULT_ELEMENT_CAP):
+    def sorted_by_search_order(self):
         """Elements under the search total order (element order, then images)."""
-        return sorted(self.elements(cap), key=_sort_key)
+        return sorted(self.elements(), key=_sort_key)
 
-    def conjugacy_classes(self, cap=DEFAULT_ELEMENT_CAP):
-        """List of (representative, class size); reps minimal in search order."""
+    def conjugacy_classes(self, *, limits=DEFAULT_LIMITS):
+        """List of (representative, class size); reps minimal in search order.
+
+        The time budget of ``limits`` is checked once per class."""
         if self._classes is None:
-            elems = self.sorted_by_search_order(cap)
+            check = limits.check
+            elems = self.sorted_by_search_order()
             seen = set()
             classes = []
             for e in elems:
                 if e.images in seen:
                     continue
+                check()
                 cls_elems = {e.images}
                 queue = [e]
                 while queue:
@@ -470,8 +490,8 @@ class PermGroup:
             self._classes = tuple(classes)
         return self._classes
 
-    def class_representatives(self, cap=DEFAULT_ELEMENT_CAP):
-        return tuple(rep for rep, _ in self.conjugacy_classes(cap))
+    def class_representatives(self, *, limits=DEFAULT_LIMITS):
+        return tuple(rep for rep, _ in self.conjugacy_classes(limits=limits))
 
     def random_element(self, rng):
         return self.chain.random_element(rng)
@@ -546,21 +566,18 @@ class PermGroup:
     def is_pgroup(self):
         return self.order() == 1 or is_prime_power(self.order())
 
-    def is_cyclic(self, cap=DEFAULT_ELEMENT_CAP):
+    def is_cyclic(self):
         n = self.order()
         if n == 1:
             return True
         if not self.is_abelian():
             return False
-        return any(e.order() == n for e in self.elements(cap))
+        return any(e.order() == n for e in self.elements())
 
-    def is_cyclic_of_prime_power_order(self, cap=DEFAULT_ELEMENT_CAP):
-        return is_prime_power(self.order()) and self.is_cyclic(cap)
-
-    def centralizer_of_subgroup(self, targets, cap=DEFAULT_ELEMENT_CAP):
+    def centralizer_of_subgroup(self, targets):
         """C_G(A) for A given as a PermGroup (or iterable of permutations)."""
         tgens = targets.gens if isinstance(targets, PermGroup) else tuple(targets)
-        kept = [g for g in self.elements(cap)
+        kept = [g for g in self.elements()
                 if all(g * t == t * g for t in tgens)]
         return group_from_elements(self.degree, kept)
 
@@ -598,13 +615,6 @@ def group_from_elements(degree, elems):
     return PermGroup(degree, tuple(gens), _chain=chain)
 
 
-def intersection(G, H, cap=DEFAULT_ELEMENT_CAP):
-    """G ∩ H by sweeping the smaller group's elements."""
-    small, big = (G, H) if G.order() <= H.order() else (H, G)
-    kept = [e for e in small.elements(cap) if e in big]
-    return group_from_elements(small.degree, kept)
-
-
 class Homomorphism:
     """A homomorphism given by images of the source group's generators.
 
@@ -614,8 +624,7 @@ class Homomorphism:
     `mapper` callback (used by quotient projections) bypasses the machinery.
     """
 
-    def __init__(self, source, target, images, mapper=None, section=None,
-                 kernel=None):
+    def __init__(self, source, target, images, mapper=None, section=None):
         images = tuple(images)
         if len(images) != len(source.gens):
             raise ValueError("need one image per source generator")
@@ -627,7 +636,6 @@ class Homomorphism:
         self.images = images
         self._mapper = mapper
         self._section = section
-        self.kernel_group = kernel
         self._pair_chain = None
 
     def _pairs(self):
@@ -667,14 +675,8 @@ class Homomorphism:
     def image_of_subgroup(self, H):
         return PermGroup(self.target.degree, tuple(self(h) for h in H.gens))
 
-    def preimage_of_subgroup(self, K):
-        if self.kernel_group is None or self._section is None:
-            raise GroupError("preimages need a stored kernel and section")
-        lifted = tuple(self._section(k) for k in K.gens)
-        return PermGroup(self.source.degree, self.kernel_group.gens + lifted)
 
-
-def quotient(G, N, cap=DEFAULT_ELEMENT_CAP):
+def quotient(G, N):
     """G/N as a permutation group on the right cosets, with the projection.
 
     Coset representatives are the first-found products of generators in
@@ -690,7 +692,7 @@ def quotient(G, N, cap=DEFAULT_ELEMENT_CAP):
     index = G.order() // N.order()
     if index > MAX_DEGREE:
         raise CapExceeded(f"quotient degree {index} exceeds {MAX_DEGREE}")
-    n_elems = N.elements(cap)
+    n_elems = N.elements()
     ident = G.identity()
 
     def coset_key(rep):
@@ -729,5 +731,5 @@ def quotient(G, N, cap=DEFAULT_ELEMENT_CAP):
     def section(q):
         return reps[q.images[0]]
 
-    proj = Homomorphism(G, Q, qgens, mapper=mapper, section=section, kernel=N)
+    proj = Homomorphism(G, Q, qgens, mapper=mapper, section=section)
     return Q, proj

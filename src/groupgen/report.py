@@ -7,21 +7,31 @@ sizes, a per-factor summary of a chief series, and the verdicts of the three
 structure checks.  Reports are plain dicts shaped for JSON with stable key
 names (``schema`` is bumped if they ever change).
 
+Knobs: ``max_order`` bounds the group the expression may build;
+``lattice_cap`` and ``time_budget`` become the one ``perm.Limits`` value
+every stage runs under, its deadline starting after the build and the cache
+lookup;
+``seed`` drives the randomized generation probes; ``ex3_action`` picks the
+EX3 family's action.  The other caps are fixed module constants.
+
 Determinism: the same expression with the same knobs yields byte-identical
 canonical JSON, except for the ``timings`` entry, which holds wall clock data
 and a cache marker and is excluded from :func:`canonical_json`.
 
-Degradation: stages that hit an order cap or the time budget are skipped, the
+Degradation: stages that hit a cap or the time budget are skipped, the
 reason is recorded under ``skipped``, and the remaining stages still run when
-they can.  A report carries ``error`` only when the group itself could not be
-built.  This keeps one oversized or broken expression from poisoning a corpus
-run.
+they can.  The budget is checked before each stage starts, so a spent budget
+skips the rest at once.  A report carries ``error`` only when the group
+itself could not be built.  This keeps one oversized or broken expression
+from poisoning a corpus run.
 
 Cache: a JSONL file mapping group fingerprints to finished reports.  Appends
 happen under an exclusive advisory lock so concurrent runs may share one
 cache; unreadable lines are skipped with a warning.  A cache hit replays the
 stored invariants (the id is taken from the current expression, since two
-different expressions can build the same group).
+different expressions can build the same group).  A report with ``skipped``
+stages depends on the limits it ran under, so it is never cached, and a
+cached record with ``skipped`` counts as a miss.
 """
 
 import concurrent.futures
@@ -33,8 +43,8 @@ from . import builder
 from . import genset
 from . import structure
 from . import verify
-from .perm import (Budget, CapExceeded, GroupError, TimeBudgetExceeded,
-                   DEFAULT_ELEMENT_CAP)
+from .perm import (DEFAULT_LATTICE_CAP, CapExceeded, GroupError, Limits,
+                   TimeBudgetExceeded)
 
 try:
     import fcntl
@@ -63,11 +73,8 @@ def _normalize(text):
 
 
 def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
-                   lattice_cap=structure.DEFAULT_LATTICE_CAP,
-                   element_cap=DEFAULT_ELEMENT_CAP,
-                   search_order_cap=genset.DEFAULT_SEARCH_ORDER_CAP,
-                   time_budget=None, seed=0, ex3_action="shipped",
-                   cache=None):
+                   lattice_cap=DEFAULT_LATTICE_CAP, time_budget=None, seed=0,
+                   ex3_action="shipped", cache=None):
     """Build the group for one expression and report its invariants.
 
     Parse and construction failures produce a report whose only substance is
@@ -79,8 +86,7 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
     timings = {}
     start = time.perf_counter()
     try:
-        G = builder.build(text, order_cap=max_order, ex3_action=ex3_action,
-                          element_cap=element_cap)
+        G = builder.build(text, order_cap=max_order, ex3_action=ex3_action)
     except GroupError as exc:
         rep["error"] = str(exc)
         rep["error_kind"] = _error_kind(exc)
@@ -95,18 +101,19 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
 
     if cache is not None:
         hit = load_cache(cache).get(rep["fingerprint"])
-        if hit is not None:
+        if hit is not None and "skipped" not in hit:
             out = {k: hit[k] for k in hit if k not in ("id", "timings")}
             out["id"] = rep["id"]
             out["timings"] = dict(timings, cached=True)
             return out
 
-    budget = Budget(time_budget) if time_budget is not None else None
+    limits = Limits(lattice_cap, time_budget)
     skipped = {}
 
     def stage(name, fn):
         t0 = time.perf_counter()
         try:
+            limits.check()
             return fn()
         except (CapExceeded, TimeBudgetExceeded) as exc:
             skipped[name] = str(exc)
@@ -120,27 +127,24 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
         factors = [
             {"order": f.order, "abelian": f.is_abelian,
              "frattini": f.is_frattini, "prime": f.prime, "dim": f.dim}
-            for f in structure.chief_series(G, lattice_cap, element_cap,
-                                            budget)]
+            for f in structure.chief_series(G, limits=limits)]
         return (sum(1 for f in factors if not f["frattini"]),
                 sum(1 for f in factors if not f["abelian"]), factors)
 
     chief = stage("chief_series", chief_data)
     rep["a"], rep["b"], rep["chief_factors"] = chief or (None, None, None)
 
-    rep["d"] = stage("d", lambda: genset.d(
-        G, element_cap, budget, seed, search_order_cap, lattice_cap))
-    rep["m"] = stage("m", lambda: genset.m(
-        G, False, lattice_cap, element_cap, budget, search_order_cap))
+    rep["d"] = stage("d", lambda: genset.d(G, limits=limits, seed=seed))
+    rep["m"] = stage("m", lambda: genset.m(G, limits=limits))
 
     if rep["d"] is not None and rep["m"] is not None:
-        if G.is_soluble() or G.order() <= search_order_cap:
+        if G.is_soluble() or G.order() <= genset.SEARCH_ORDER_CAP:
             spec = stage("spectrum", lambda: genset.spectrum(
-                G, lattice_cap, element_cap, budget, seed, search_order_cap))
+                G, limits=limits, seed=seed))
             rep["spectrum"] = sorted(spec) if spec is not None else None
         else:
             skipped["spectrum"] = (
-                f"spectrum search needs order <= {search_order_cap}, "
+                f"spectrum search needs order <= {genset.SEARCH_ORDER_CAP}, "
                 f"group has order {G.order()}")
             rep["spectrum"] = None
     else:
@@ -149,8 +153,7 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
 
     if rep["d"] is not None and rep["m"] is not None:
         verdicts = stage("verdicts", lambda: verify.verify_all(
-            G, d=rep["d"], m=rep["m"], lattice_cap=lattice_cap,
-            element_cap=element_cap, budget=budget))
+            G, d=rep["d"], m=rep["m"], limits=limits))
         if verdicts is not None:
             rep["verdicts"] = [
                 {"theorem": v.theorem, "applicable": v.applicable,
@@ -165,7 +168,7 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
     if skipped:
         rep["skipped"] = skipped
     rep["timings"] = timings
-    if cache is not None and "error" not in rep:
+    if cache is not None and not skipped:
         append_cache(cache, rep)
     return rep
 

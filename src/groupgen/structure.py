@@ -29,12 +29,11 @@ import numpy as np
 
 from . import gfp
 from .perm import (
-    DEFAULT_ELEMENT_CAP,
+    DEFAULT_LIMITS,
     CapExceeded,
     GroupError,
     Homomorphism,
     NotInGroup,
-    Perm,
     PermGroup,
     factorint,
     group_from_elements,
@@ -42,20 +41,18 @@ from .perm import (
     quotient,
 )
 
-DEFAULT_LATTICE_CAP = 2000
-DEFAULT_COMBO_CAP = 20_000
+COMBO_CAP = 20_000
 
 
 def identity_homomorphism(G):
-    return Homomorphism(G, G, G.gens, mapper=lambda g: g, section=lambda q: q,
-                        kernel=PermGroup(G.degree, ()))
+    return Homomorphism(G, G, G.gens, mapper=lambda g: g, section=lambda q: q)
 
 
-def _quotient(G, N, cap=DEFAULT_ELEMENT_CAP):
+def _quotient(G, N):
     """G/N, but G itself (with the identity map) when N is trivial."""
     if N.order() == 1:
         return G, identity_homomorphism(G)
-    return quotient(G, N, cap)
+    return quotient(G, N)
 
 
 class SubgroupLattice:
@@ -147,19 +144,16 @@ class SubgroupLattice:
         return row
 
 
-def subgroup_lattice(G, cap=DEFAULT_LATTICE_CAP, element_cap=DEFAULT_ELEMENT_CAP,
-                     budget=None):
+def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
+    cap, check = limits.lattice_cap, limits.check
     cached = getattr(G, "_lattice_cache", None)
     if cached is not None:
-        # replay the cap checks so a stricter caller still gets its error
+        # replay the cap check so a stricter caller still gets its error
         if len(cached) > cap:
             raise CapExceeded(f"subgroup lattice exceeds {cap} subgroups")
-        if element_cap is not None and G.order() > element_cap:
-            raise CapExceeded(
-                f"element sweep needs {G.order()} elements, cap is {element_cap}")
         return cached
     n = G.order()
-    elems = G.elements(element_cap)
+    elems = G.elements()
     ids = {e.images: k for k, e in enumerate(elems)}
     # conj[j][x] is the id of x^g for the j-th generator g of G
     conj = []
@@ -208,8 +202,7 @@ def subgroup_lattice(G, cap=DEFAULT_LATTICE_CAP, element_cap=DEFAULT_ELEMENT_CAP
             h_set, h_gens = sets_list[k], gens_list[k]
             k += 1
             for c in conj:
-                if budget is not None:
-                    budget.check()
+                check()
                 image = frozenset(map(c.__getitem__, h_set))
                 if image not in found:
                     add(image, tuple(map(c.__getitem__, h_gens)))
@@ -224,8 +217,7 @@ def subgroup_lattice(G, cap=DEFAULT_LATTICE_CAP, element_cap=DEFAULT_ELEMENT_CAP
         h_set, h_gens = sets_list[i], gens_list[i]
         h_rows = [right_row(g) for g in h_gens]
         for z_set, z in zuppo_list:
-            if budget is not None:
-                budget.check()
+            check()
             if z in h_set:
                 continue
             # both factors are already closed, so the walk only has
@@ -259,26 +251,25 @@ def subgroup_lattice(G, cap=DEFAULT_LATTICE_CAP, element_cap=DEFAULT_ELEMENT_CAP
     return lattice
 
 
-def frattini(G, lattice=None, cap=DEFAULT_LATTICE_CAP,
-             element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def frattini(G, lattice=None, *, limits=DEFAULT_LIMITS):
     """The Frattini subgroup: intersection of all maximal subgroups."""
     if G.order() == 1:
         return PermGroup(G.degree, ())
     if lattice is None:
-        lattice = subgroup_lattice(G, cap, element_cap, budget)
+        lattice = subgroup_lattice(G, limits=limits)
     maximal_sets = [lattice.id_set(i) for i in lattice.maximal_indices()]
     inter = frozenset.intersection(*maximal_sets)
     elems = G.elements(None)
     return group_from_elements(G.degree, [elems[k] for k in sorted(inter)])
 
 
-def minimal_normal_subgroups(G, element_cap=DEFAULT_ELEMENT_CAP):
+def minimal_normal_subgroups(G):
     """All minimal normal subgroups, sorted by order (ties keep the order in
     which conjugacy class representatives produced them)."""
     if G.order() == 1:
         return ()
     closures = []
-    for rep in G.class_representatives(element_cap):
+    for rep in G.class_representatives():
         if rep.is_identity():
             continue
         N = G.normal_closure([rep])
@@ -293,25 +284,25 @@ def minimal_normal_subgroups(G, element_cap=DEFAULT_ELEMENT_CAP):
     return tuple(sorted(minimal, key=lambda M: M.order()))
 
 
-def socle(G, element_cap=DEFAULT_ELEMENT_CAP):
+def socle(G):
     gens = []
-    for N in minimal_normal_subgroups(G, element_cap):
+    for N in minimal_normal_subgroups(G):
         gens.extend(N.gens)
     return PermGroup(G.degree, tuple(gens))
 
 
-def unique_minimal_normal(G, element_cap=DEFAULT_ELEMENT_CAP):
-    mins = minimal_normal_subgroups(G, element_cap)
+def unique_minimal_normal(G):
+    mins = minimal_normal_subgroups(G)
     return mins[0] if len(mins) == 1 else None
 
 
-def is_simple(G, element_cap=DEFAULT_ELEMENT_CAP):
+def is_simple(G):
     """Whether G is simple: nontrivial, and every nonidentity conjugacy
     class generates the whole group as a normal subgroup."""
     n = G.order()
     if n == 1:
         return False
-    for rep in G.class_representatives(element_cap):
+    for rep in G.class_representatives():
         if rep.is_identity():
             continue
         if G.normal_closure((rep,)).order() != n:
@@ -331,64 +322,56 @@ def is_elementary_abelian(G):
     return all(g.is_identity() or g.order() == p for g in G.gens)
 
 
-def monolithic_primitive(G, element_cap=DEFAULT_ELEMENT_CAP,
-                         combo_cap=DEFAULT_COMBO_CAP):
+def monolithic_primitive(G, *, limits=DEFAULT_LIMITS):
     """True when G has a unique minimal normal subgroup not inside Frat(G).
 
     A non-abelian minimal normal subgroup is never in the Frattini subgroup
     (which is nilpotent), and an abelian one avoids it exactly when it has a
     complement, so no lattice is needed here.
     """
-    A = unique_minimal_normal(G, element_cap)
+    A = unique_minimal_normal(G)
     if A is None:
         return False
     if not A.is_abelian():
         return True
-    return _complement_of_normal_exists(G, A, element_cap=element_cap,
-                                        combo_cap=combo_cap)
+    return _complement_of_normal_exists(G, A, limits=limits)
 
 
-def _complement_of_normal_exists(G, N, lattice_cap=DEFAULT_LATTICE_CAP,
-                                 element_cap=DEFAULT_ELEMENT_CAP,
-                                 combo_cap=DEFAULT_COMBO_CAP, budget=None):
+def _complement_of_normal_exists(G, N, *, limits=DEFAULT_LIMITS):
     """Whether the normal subgroup N has a complement in G."""
     if N.order() == 1 or N.same_group_as(G):
         return True
     target = G.order() // N.order()
     try:
-        lattice = subgroup_lattice(G, lattice_cap, element_cap, budget)
-        n_set = N.element_set(element_cap)
+        lattice = subgroup_lattice(G, limits=limits)
+        n_set = N.element_set()
         for i, fs in enumerate(lattice.elem_sets):
             if len(fs) == target and len(fs & n_set) == 1:
                 return True
         return False
     except CapExceeded:
         pass
-    Q, proj = quotient(G, N, element_cap)
-    small = group_from_elements(Q.degree, Q.elements(element_cap))
+    Q, proj = quotient(G, N)
+    small = group_from_elements(Q.degree, Q.elements())
     lifts = [proj.section(q) for q in small.gens]
-    n_elems = N.elements(element_cap)
+    n_elems = N.elements()
     total = len(n_elems) ** len(lifts)
-    if total > combo_cap:
+    if total > COMBO_CAP:
         raise CapExceeded(
-            f"complement search needs {total} candidates, cap is {combo_cap}")
+            f"complement search needs {total} candidates, cap is {COMBO_CAP}")
     for combo in itertools.product(n_elems, repeat=len(lifts)):
-        if budget is not None:
-            budget.check()
+        limits.check()
         K = PermGroup(G.degree, tuple(l * a for l, a in zip(lifts, combo)))
         if K.order() == target:
             return True
     return False
 
 
-def has_complement(G, X, Y, lattice_cap=DEFAULT_LATTICE_CAP,
-                   element_cap=DEFAULT_ELEMENT_CAP,
-                   combo_cap=DEFAULT_COMBO_CAP, budget=None):
+def has_complement(G, X, Y, *, limits=DEFAULT_LIMITS):
     """Whether the chief factor X/Y has a complement in G/Y."""
-    Qb, proj = _quotient(G, Y, element_cap)
+    Qb, proj = _quotient(G, Y)
     Xb = PermGroup(Qb.degree, tuple(proj(x) for x in X.gens))
-    return _complement_of_normal_exists(Qb, Xb, lattice_cap, element_cap,
-                                        combo_cap, budget)
+    return _complement_of_normal_exists(Qb, Xb, limits=limits)
 
 
 class FactorModule:
@@ -400,7 +383,7 @@ class FactorModule:
     the conjugate (b_j)^g.
     """
 
-    def __init__(self, group, above, below, element_cap=DEFAULT_ELEMENT_CAP):
+    def __init__(self, group, above, below):
         self.group = group
         self.above = above
         self.below = below
@@ -410,10 +393,10 @@ class FactorModule:
             raise GroupError("factor is not of prime power order")
         (self.prime, self.dim), = fact.items()
         p, n = self.prime, self.dim
-        self._y_elems = below.elements(element_cap) if below.order() > 1 else None
+        self._y_elems = below.elements() if below.order() > 1 else None
         basis = []
         self._span(basis)
-        for e in above.elements(element_cap):
+        for e in above.elements():
             if len(self._coords) == order:
                 break
             if self._key(e) in self._coords:
@@ -425,7 +408,6 @@ class FactorModule:
         self.basis = tuple(basis)
         self.matrices = tuple(self._action_matrix(g) for g in group.gens)
         self._centralizer = None
-        self._element_cap = element_cap
 
     def _key(self, e):
         if self._y_elems is None:
@@ -464,7 +446,7 @@ class FactorModule:
         if self._centralizer is None:
             below = self.below
             kept = []
-            for g in self.group.elements(self._element_cap):
+            for g in self.group.elements():
                 ok = True
                 for b in self.basis:
                     w = b.conj(g) * b.inverse()
@@ -484,15 +466,14 @@ def _unit(n, j):
 
 
 class ChiefFactor:
-    """One factor X/Y of a chief series of G; details computed on demand."""
+    """One factor X/Y of a chief series of G; details computed on demand,
+    under the limits the factor was made with."""
 
-    def __init__(self, group, below, above, lattice_cap=DEFAULT_LATTICE_CAP,
-                 element_cap=DEFAULT_ELEMENT_CAP):
+    def __init__(self, group, below, above, limits=DEFAULT_LIMITS):
         self.group = group
         self.below = below
         self.above = above
-        self.lattice_cap = lattice_cap
-        self.element_cap = element_cap
+        self.limits = limits
 
     @functools.cached_property
     def order(self):
@@ -528,29 +509,27 @@ class ChiefFactor:
         """Whether X/Y lies inside the Frattini subgroup of G/Y."""
         if not self.is_abelian:
             return False
-        Qb, proj = _quotient(self.group, self.below, self.element_cap)
+        Qb, proj = _quotient(self.group, self.below)
         xb_gens = [proj(x) for x in self.above.gens]
-        frat = frattini(Qb, cap=self.lattice_cap, element_cap=self.element_cap)
+        frat = frattini(Qb, limits=self.limits)
         return all(x in frat for x in xb_gens)
 
     @functools.cached_property
     def module(self):
         if not self.is_abelian:
             raise GroupError("only abelian factors carry a module structure")
-        return FactorModule(self.group, self.above, self.below, self.element_cap)
+        return FactorModule(self.group, self.above, self.below)
 
-    def has_complement(self, combo_cap=DEFAULT_COMBO_CAP, budget=None):
+    def has_complement(self):
         return has_complement(self.group, self.above, self.below,
-                              self.lattice_cap, self.element_cap, combo_cap,
-                              budget)
+                              limits=self.limits)
 
     def __repr__(self):
         kind = "abelian" if self.is_abelian else "non-abelian"
         return f"ChiefFactor(order={self.order}, {kind})"
 
 
-def chief_series(G, lattice_cap=DEFAULT_LATTICE_CAP,
-                 element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def chief_series(G, *, limits=DEFAULT_LIMITS):
     """An ascending chief series of G, as a tuple of ChiefFactor.
 
     At each step the next term is an inclusion-minimal normal closure of the
@@ -559,13 +538,12 @@ def chief_series(G, lattice_cap=DEFAULT_LATTICE_CAP,
     """
     if G.order() == 1:
         return ()
-    reps = [r for r in G.class_representatives(element_cap)
+    reps = [r for r in G.class_representatives(limits=limits)
             if not r.is_identity()]
     factors = []
     Y = PermGroup(G.degree, ())
     while Y.order() < G.order():
-        if budget is not None:
-            budget.check()
+        limits.check()
         minimal = []
         for rep in reps:
             if rep in Y:
@@ -584,8 +562,8 @@ def chief_series(G, lattice_cap=DEFAULT_LATTICE_CAP,
             X = pool[0]
         else:
             X = min(pool,
-                    key=lambda H: tuple(e.images for e in H.elements(element_cap)))
-        factors.append(ChiefFactor(G, Y, X, lattice_cap, element_cap))
+                    key=lambda H: tuple(e.images for e in H.elements()))
+        factors.append(ChiefFactor(G, Y, X, limits))
         Y = X
     return tuple(factors)
 
@@ -615,8 +593,7 @@ def gequivalent_abelian(f1, f2):
     return True
 
 
-def delta(G, factor, series=None, lattice_cap=DEFAULT_LATTICE_CAP,
-          element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def delta(G, factor, series=None, *, limits=DEFAULT_LIMITS):
     """Number of non-Frattini chief factors of G that are G-equivalent
     to the given abelian factor.
 
@@ -626,7 +603,7 @@ def delta(G, factor, series=None, lattice_cap=DEFAULT_LATTICE_CAP,
     if not factor.is_abelian:
         raise GroupError("delta is defined here for abelian factors")
     if series is None:
-        series = chief_series(G, lattice_cap, element_cap, budget)
+        series = chief_series(G, limits=limits)
     count = 0
     for f in series:
         if f.is_abelian and not f.is_frattini and gequivalent_abelian(f, factor):

@@ -29,9 +29,8 @@ the intended witness for case 2 with an abelian complement.
 from dataclasses import dataclass, field
 
 from . import genset, structure
-from .perm import (DEFAULT_ELEMENT_CAP, GroupError, PermGroup, factorint,
-                   is_prime_power, quotient)
-from .structure import DEFAULT_LATTICE_CAP
+from .perm import (DEFAULT_LIMITS, PermGroup, factorint, is_prime_power,
+                   quotient)
 
 MD_EQUAL = "MD_EQUAL"
 NONSOLUBLE_MONOLITHIC = "NONSOLUBLE_MONOLITHIC"
@@ -66,12 +65,11 @@ def _red_flag(theorem, reason, **extra):
     return TheoremVerdict(theorem, True, False, None, evidence)
 
 
-def _dm(G, d, m, lattice_cap, element_cap, budget):
+def _dm(G, d, m, limits):
     if d is None:
-        d = genset.d(G, element_cap, budget, lattice_cap=lattice_cap)
+        d = genset.d(G, limits=limits)
     if m is None:
-        m = genset.m(G, lattice_cap=lattice_cap, element_cap=element_cap,
-                     budget=budget)
+        m = genset.m(G, limits=limits)
     return d, m
 
 
@@ -79,30 +77,27 @@ def _trivial(G):
     return PermGroup(G.degree, ())
 
 
-def _frattini_order(G, frat, lattice_cap, element_cap, budget):
+def _frattini_order(G, frat, limits):
     if frat is not None:
         return frat.order()
-    lattice = structure.subgroup_lattice(G, lattice_cap, element_cap, budget)
-    return structure.frattini(G, lattice=lattice).order()
+    return structure.frattini(G, limits=limits).order()
 
 
-def _find_complement(G, N, lattice=None, lattice_cap=DEFAULT_LATTICE_CAP,
-                     element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def _find_complement(G, N, lattice=None, *, limits=DEFAULT_LIMITS):
     """A subgroup H with HN = G and H meeting N trivially, or None."""
     target = G.order() // N.order()
     if target == G.order():
         return G
     if lattice is None:
-        lattice = structure.subgroup_lattice(G, lattice_cap, element_cap,
-                                             budget)
-    n_set = N.element_set(element_cap)
+        lattice = structure.subgroup_lattice(G, limits=limits)
+    n_set = N.element_set()
     for i, fs in enumerate(lattice.elem_sets):
         if len(fs) == target and len(fs & n_set) == 1:
             return lattice.subgroups[i]
     return None
 
 
-def _socle_components(G, lattice_cap, element_cap, budget=None):
+def _socle_components(G, limits):
     """Homogeneous pieces of the abelian part of the socle.
 
     Minimal normal abelian subgroups are grouped by module equivalence;
@@ -111,10 +106,10 @@ def _socle_components(G, lattice_cap, element_cap, budget=None):
     """
     triv = _trivial(G)
     classes = []
-    for N in structure.minimal_normal_subgroups(G, element_cap):
+    for N in structure.minimal_normal_subgroups(G):
         if not N.is_abelian():
             continue
-        f = structure.ChiefFactor(G, triv, N, lattice_cap, element_cap)
+        f = structure.ChiefFactor(G, triv, N, limits)
         for cls in classes:
             if structure.gequivalent_abelian(cls[0], f):
                 cls[1].append(N)
@@ -135,14 +130,12 @@ def _socle_components(G, lattice_cap, element_cap, budget=None):
 # ------------------------------------------------------------- gap zero
 
 
-def verify_md_equal(G, d=None, m=None, frat=None,
-                    lattice_cap=DEFAULT_LATTICE_CAP,
-                    element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def verify_md_equal(G, *, d=None, m=None, frat=None, limits=DEFAULT_LIMITS):
     """Check the classification of groups with d(G) = m(G)."""
-    fo = _frattini_order(G, frat, lattice_cap, element_cap, budget)
+    fo = _frattini_order(G, frat, limits)
     if fo != 1:
         return _not_applicable(MD_EQUAL, f"Frattini subgroup has order {fo}")
-    d, m = _dm(G, d, m, lattice_cap, element_cap, budget)
+    d, m = _dm(G, d, m, limits)
     if m != d:
         return _not_applicable(MD_EQUAL, f"m - d = {m - d}, not 0", d=d, m=m)
     evidence = {"d": d, "m": m}
@@ -156,12 +149,12 @@ def verify_md_equal(G, d=None, m=None, frat=None,
         evidence.update(shape="elementary abelian", prime=p)
         return TheoremVerdict(MD_EQUAL, True, True, 1, evidence)
 
-    P = structure.socle(G, element_cap)
+    P = structure.socle(G)
     if not structure.is_elementary_abelian(P):
         return _red_flag(MD_EQUAL, "socle is not elementary abelian",
                          **evidence)
     (p, _), = factorint(P.order()).items()
-    Q, _ = quotient(G, P, element_cap)
+    Q, _ = quotient(G, P)
     qo = Q.order()
     if qo == 1 or not is_prime_power(qo) or not Q.is_cyclic():
         return _red_flag(MD_EQUAL,
@@ -171,11 +164,11 @@ def verify_md_equal(G, d=None, m=None, frat=None,
     if q == p:
         return _red_flag(MD_EQUAL, "socle and quotient share a prime",
                          **evidence)
-    module = structure.FactorModule(G, P, _trivial(G), element_cap)
+    module = structure.FactorModule(G, P, _trivial(G))
     if not module.centralizer().same_group_as(P):
         return _red_flag(MD_EQUAL, "the cyclic quotient does not act"
                          " faithfully on the socle", **evidence)
-    series = structure.chief_series(G, lattice_cap, element_cap, budget)
+    series = structure.chief_series(G, limits=limits)
     copies = [f for f in series if f.is_abelian and f.prime == p]
     sizes = 1
     for f in copies:
@@ -201,28 +194,27 @@ def verify_md_equal(G, d=None, m=None, frat=None,
 # ------------------------------------------------------ gap one, not soluble
 
 
-def verify_nonsoluble(G, d=None, m=None, frat=None,
-                      lattice_cap=DEFAULT_LATTICE_CAP,
-                      element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def verify_nonsoluble(G, *, d=None, m=None, frat=None,
+                      limits=DEFAULT_LIMITS):
     """Check the monolithic classification of non-soluble gap-one groups."""
-    fo = _frattini_order(G, frat, lattice_cap, element_cap, budget)
+    fo = _frattini_order(G, frat, limits)
     if fo != 1:
         return _not_applicable(NONSOLUBLE_MONOLITHIC,
                                f"Frattini subgroup has order {fo}")
     if G.is_soluble():
         return _not_applicable(NONSOLUBLE_MONOLITHIC, "group is soluble")
-    d, m = _dm(G, d, m, lattice_cap, element_cap, budget)
+    d, m = _dm(G, d, m, limits)
     if m - d != 1:
         return _not_applicable(NONSOLUBLE_MONOLITHIC,
                                f"m - d = {m - d}, not 1", d=d, m=m)
     evidence = {"d": d, "m": m}
     if d != 2:
         return _red_flag(NONSOLUBLE_MONOLITHIC, f"d = {d}, not 2", **evidence)
-    if not structure.monolithic_primitive(G, element_cap):
+    if not structure.monolithic_primitive(G, limits=limits):
         return _red_flag(NONSOLUBLE_MONOLITHIC,
                          "group is not monolithic primitive", **evidence)
-    S = structure.socle(G, element_cap)
-    Q, _ = quotient(G, S, element_cap)
+    S = structure.socle(G)
+    Q, _ = quotient(G, S)
     qo = Q.order()
     evidence.update(socle_order=S.order(), quotient_order=qo)
     if qo > 1 and not (Q.is_cyclic() and is_prime_power(qo)):
@@ -235,19 +227,18 @@ def verify_nonsoluble(G, d=None, m=None, frat=None,
 # -------------------------------------------------------- gap one, soluble
 
 
-def _match_case2(G, d, lattice, lattice_cap, element_cap, budget):
+def _match_case2(G, d, lattice, limits):
     """G = V^t : H with m(H) = 2 and t = 1 or H abelian; d = t + 1."""
     candidates = []
-    for W, factor, t in _socle_components(G, lattice_cap, element_cap, budget):
+    for W, factor, t in _socle_components(G, limits):
         if t != d - 1:
             continue
-        H = _find_complement(G, W, lattice, lattice_cap, element_cap, budget)
+        H = _find_complement(G, W, lattice, limits=limits)
         if H is None:
             continue
         if not (t == 1 or H.is_abelian()):
             continue
-        if genset.m(H, lattice_cap=lattice_cap, element_cap=element_cap,
-                    budget=budget) != 2:
+        if genset.m(H, limits=limits) != 2:
             continue
         candidates.append((W, factor, t, H))
     if not candidates:
@@ -261,13 +252,13 @@ def _match_case2(G, d, lattice, lattice_cap, element_cap, budget):
             "complement_abelian": H.is_abelian(), "m_of_complement": 2}
 
 
-def _match_case1(G, d, lattice, lattice_cap, element_cap, budget):
+def _match_case1(G, d, lattice, limits):
     """G = V : P with P a non-cyclic p-group, V of different prime
     characteristic; d = d(P)."""
-    for V in structure.minimal_normal_subgroups(G, element_cap):
+    for V in structure.minimal_normal_subgroups(G):
         if not V.is_abelian():
             continue
-        Q, _ = quotient(G, V, element_cap)
+        Q, _ = quotient(G, V)
         qo = Q.order()
         if qo == 1 or not is_prime_power(qo) or Q.is_cyclic():
             continue
@@ -275,17 +266,16 @@ def _match_case1(G, d, lattice, lattice_cap, element_cap, budget):
         (r, _), = factorint(V.order()).items()
         if p == r:
             continue
-        if genset.d(Q, element_cap, budget, lattice_cap=lattice_cap) != d:
+        if genset.d(Q, limits=limits) != d:
             continue
-        if _find_complement(G, V, lattice, lattice_cap, element_cap,
-                            budget) is None:
+        if _find_complement(G, V, lattice, limits=limits) is None:
             continue
         return {"module_order": V.order(), "module_prime": r,
                 "p_group_order": qo, "p_group_prime": p, "d_of_p_group": d}
     return None
 
 
-def _match_quotient_shape(Q, d, lattice_cap, element_cap, budget):
+def _match_quotient_shape(Q, d, limits):
     """Q = V^t : H with H non-trivial cyclic of prime power order and
     t = d - 1 (t = 0 when d = 1 and Q itself is such an H)."""
     qo = Q.order()
@@ -293,10 +283,10 @@ def _match_quotient_shape(Q, d, lattice_cap, element_cap, budget):
         if qo > 1 and is_prime_power(qo) and Q.is_cyclic():
             return {"t": 0, "complement_order": qo}
         return None
-    for W, factor, t in _socle_components(Q, lattice_cap, element_cap, budget):
+    for W, factor, t in _socle_components(Q, limits):
         if t != d - 1:
             continue
-        H = _find_complement(Q, W, None, lattice_cap, element_cap, budget)
+        H = _find_complement(Q, W, limits=limits)
         if H is None:
             continue
         ho = H.order()
@@ -307,15 +297,14 @@ def _match_quotient_shape(Q, d, lattice_cap, element_cap, budget):
     return None
 
 
-def _match_case3(G, d, lattice_cap, element_cap, budget):
+def _match_case3(G, d, limits):
     """Normal 1 < N1 <= N2 with N1 abelian minimal normal, N2/N1 inside
     Frat(G/N1) and G/N2 of the cyclic-complement shape; d = t + 1."""
-    for N1 in structure.minimal_normal_subgroups(G, element_cap):
+    for N1 in structure.minimal_normal_subgroups(G):
         if not N1.is_abelian():
             continue
-        Q1, _ = quotient(G, N1, element_cap)
-        frat1 = structure.frattini(Q1, cap=lattice_cap,
-                                   element_cap=element_cap)
+        Q1, _ = quotient(G, N1)
+        frat1 = structure.frattini(Q1, limits=limits)
         tops = [frat1]
         if frat1.order() > 1:
             tops.append(_trivial(Q1))
@@ -323,9 +312,8 @@ def _match_case3(G, d, lattice_cap, element_cap, budget):
             if F.order() == 1:
                 Q = Q1
             else:
-                Q, _ = quotient(Q1, F, element_cap)
-            info = _match_quotient_shape(Q, d, lattice_cap, element_cap,
-                                         budget)
+                Q, _ = quotient(Q1, F)
+            info = _match_quotient_shape(Q, d, limits)
             if info is not None:
                 info.update(n1_order=N1.order(),
                             n2_order=N1.order() * F.order(),
@@ -334,11 +322,10 @@ def _match_case3(G, d, lattice_cap, element_cap, budget):
     return None
 
 
-def verify_soluble_cases(G, d=None, m=None, frat=None,
-                         lattice_cap=DEFAULT_LATTICE_CAP,
-                         element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def verify_soluble_cases(G, *, d=None, m=None, frat=None,
+                         limits=DEFAULT_LIMITS):
     """Check the three-shape classification of soluble gap-one groups."""
-    lattice = structure.subgroup_lattice(G, lattice_cap, element_cap, budget)
+    lattice = structure.subgroup_lattice(G, limits=limits)
     fo = (frat.order() if frat is not None
           else structure.frattini(G, lattice=lattice).order())
     if fo != 1:
@@ -346,31 +333,28 @@ def verify_soluble_cases(G, d=None, m=None, frat=None,
                                f"Frattini subgroup has order {fo}")
     if not G.is_soluble():
         return _not_applicable(SOLUBLE_CASES, "group is not soluble")
-    d, m = _dm(G, d, m, lattice_cap, element_cap, budget)
+    d, m = _dm(G, d, m, limits)
     if m - d != 1:
         return _not_applicable(SOLUBLE_CASES, f"m - d = {m - d}, not 1",
                                d=d, m=m)
     base = {"d": d, "m": m}
-    info = _match_case2(G, d, lattice, lattice_cap, element_cap, budget)
+    info = _match_case2(G, d, lattice, limits)
     if info is not None:
         return TheoremVerdict(SOLUBLE_CASES, True, True, 2, {**base, **info})
-    info = _match_case1(G, d, lattice, lattice_cap, element_cap, budget)
+    info = _match_case1(G, d, lattice, limits)
     if info is not None:
         return TheoremVerdict(SOLUBLE_CASES, True, True, 1, {**base, **info})
-    info = _match_case3(G, d, lattice_cap, element_cap, budget)
+    info = _match_case3(G, d, limits)
     if info is not None:
         return TheoremVerdict(SOLUBLE_CASES, True, True, 3, {**base, **info})
     return _red_flag(SOLUBLE_CASES, "no case matched", **base)
 
 
-def verify_all(G, d=None, m=None, lattice_cap=DEFAULT_LATTICE_CAP,
-               element_cap=DEFAULT_ELEMENT_CAP, budget=None):
+def verify_all(G, *, d=None, m=None, limits=DEFAULT_LIMITS):
     """All three verdicts, sharing one (d, m) computation."""
-    d, m = _dm(G, d, m, lattice_cap, element_cap, budget)
-    lattice = structure.subgroup_lattice(G, lattice_cap, element_cap, budget)
-    frat = structure.frattini(G, lattice=lattice)
-    common = dict(d=d, m=m, frat=frat, lattice_cap=lattice_cap,
-                  element_cap=element_cap, budget=budget)
+    d, m = _dm(G, d, m, limits)
+    frat = structure.frattini(G, limits=limits)
+    common = dict(d=d, m=m, frat=frat, limits=limits)
     return (verify_md_equal(G, **common),
             verify_nonsoluble(G, **common),
             verify_soluble_cases(G, **common))

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from groupgen.perm import CapExceeded, Perm, PermGroup, omega
-from groupgen import builder, genset
+from groupgen.perm import CapExceeded, Limits, Perm, PermGroup, omega
+from groupgen import builder, genset, structure, verify
 
 
 def _sym(n):
@@ -159,8 +159,17 @@ def test_d_honours_lattice_cap():
     # EX2B(2) needs the exhaustive phase; over the cap it runs on
     # stabilizer-chain spans and builds no lattice
     G = builder.build("EX2B(2)")
-    assert genset.d(G, lattice_cap=3) == 3
+    assert genset.d(G, limits=Limits(lattice_cap=3)) == 3
     assert G._lattice_cache is None
+
+
+def test_limits_are_keyword_only():
+    # a positional Limits could land in another parameter's slot
+    G = _sym(3)
+    for fn in (genset.d, genset.m, genset.spectrum, structure.chief_series,
+               structure.subgroup_lattice, verify.verify_all):
+        with pytest.raises(TypeError):
+            fn(G, Limits())
 
 
 def test_lower_bound_d():
@@ -285,12 +294,11 @@ def test_prime_power_restriction_cross_validation():
 
 def _engine_results(G, oracle):
     """The engine's maximum and its witness for every spectrum size."""
-    cap = genset.DEFAULT_ELEMENT_CAP
-    elems, reps = genset._search_candidates(G, cap)
+    elems, reps = genset._search_candidates(G)
     top = omega(G.order())
-    out = {"max": genset._search(oracle, elems, reps, 1, top, None)}
+    out = {"max": genset._search(oracle, elems, reps, 1, top)}
     for k in genset.spectrum(G):
-        out[k] = genset._search(oracle, elems, reps, k, k, None)
+        out[k] = genset._search(oracle, elems, reps, k, k)
     return out
 
 
@@ -298,7 +306,7 @@ def test_search_fallback_without_lattice():
     # a lattice cap of one leaves the oracle on stabilizer chains; the
     # engine must then find exactly what it finds over the lattice
     for G in [_sym(4), _alt(4), _cyclic(12), _alt(5)]:
-        chains = genset.GenOracle(G, lattice_cap=1)
+        chains = genset.GenOracle(G, limits=Limits(lattice_cap=1))
         assert chains.lattice is None
         lattice = genset.GenOracle(G)
         assert lattice.lattice is not None
@@ -316,7 +324,7 @@ def test_oracle_fallback_matches_lattice():
     for G in [_sym(4), _alt(5)]:
         with_lat = genset.GenOracle(G)
         assert with_lat.lattice is not None
-        without = genset.GenOracle(G, lattice_cap=1)
+        without = genset.GenOracle(G, limits=Limits(lattice_cap=1))
         assert without.lattice is None
         rng = random.Random(9)
         elems = G.elements()

@@ -72,22 +72,6 @@ def test_null_right():
                 assert gfp.rank(ns, p) == ns.shape[0]
 
 
-def test_solve_right():
-    rng = random.Random(11)
-    for p in (2, 3, 5):
-        for _ in range(25):
-            rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
-            m = _random_matrix(rng, rows, cols, p)
-            x0 = np.array([rng.randrange(p) for _ in range(cols)], dtype=np.int64)
-            b = np.mod(m @ x0, p)
-            x = gfp.solve_right(m, b, p)
-            assert x is not None
-            assert np.array_equal(np.mod(m @ x, p), b)
-    # an inconsistent system
-    m = np.array([[1, 0], [1, 0]], dtype=np.int64)
-    assert gfp.solve_right(m, np.array([1, 2]), 3) is None
-
-
 def test_inverse():
     rng = random.Random(13)
     for p in (2, 3, 7):

@@ -140,6 +140,26 @@ def test_errors_never_cached(tmp_path):
     assert not cache.exists()
 
 
+def test_skipped_reports_are_never_cached(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    starved = compute_report("S5", time_budget=0.0, cache=str(cache))
+    assert starved["d"] is None and starved["m"] is None
+    assert len(starved["skipped"]) == 5
+    assert not cache.exists()
+    rep = compute_report("S5", cache=str(cache))
+    assert (rep["d"], rep["m"]) == (2, 4)
+    assert "cached" not in rep["timings"]
+    # a record with skips left by an older run is a miss, and the full
+    # report appended after it is the one replayed from then on
+    cache.write_text(canonical_json(starved) + "\n")
+    rep = compute_report("S5", cache=str(cache))
+    assert (rep["d"], rep["m"]) == (2, 4)
+    assert "cached" not in rep["timings"]
+    hit = compute_report("S5", cache=str(cache))
+    assert hit["timings"]["cached"] is True
+    assert canonical_json(hit) == canonical_json(rep)
+
+
 def _write_corpus(tmp_path):
     d = tmp_path / "corpus"
     d.mkdir()
@@ -202,6 +222,20 @@ def test_budget_degrades_to_skips():
     assert rep["order"] == 48
     assert rep["skipped"]
     assert rep["d"] is None or rep["m"] is None or rep["verdicts"] is None
+
+
+def test_spent_budget_skips_stages_without_running_them(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a stage ran after the budget was spent")
+
+    for name in ("d", "m", "spectrum"):
+        monkeypatch.setattr(report.genset, name, never)
+    monkeypatch.setattr(report.structure, "chief_series", never)
+    rep = compute_report("S5", time_budget=0.0)
+    for name in ("chief_series", "d", "m"):
+        assert "time budget" in rep["skipped"][name]
+    assert set(rep["skipped"]) == {"chief_series", "d", "m", "spectrum",
+                                   "verdicts"}
 
 
 def test_lattice_cap_in_frattini_flags_is_a_skip(tmp_path):

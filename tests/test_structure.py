@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from groupgen.perm import (Budget, CapExceeded, Perm, PermGroup,
+from groupgen.perm import (CapExceeded, Limits, Perm, PermGroup,
                            TimeBudgetExceeded, quotient)
 from groupgen import builder, genset, structure
 
@@ -162,16 +162,40 @@ def test_lattice_cap():
     G = _sym(4)
     for cap in range(30):
         with pytest.raises(CapExceeded):
-            structure.subgroup_lattice(G, cap=cap)
+            structure.subgroup_lattice(G, limits=Limits(lattice_cap=cap))
         assert G._lattice_cache is None
-    assert len(structure.subgroup_lattice(G, cap=30)) == 30
+    assert len(structure.subgroup_lattice(
+        G, limits=Limits(lattice_cap=30))) == 30
 
 
 def test_lattice_budget():
     G = builder.build("S5")
     with pytest.raises(TimeBudgetExceeded):
-        structure.subgroup_lattice(G, budget=Budget(0.0))
+        structure.subgroup_lattice(G, limits=Limits(seconds=0.0))
     assert G._lattice_cache is None
+
+
+def test_chief_series_budget_stops_the_class_sweep():
+    G = builder.build("S5")
+    with pytest.raises(TimeBudgetExceeded):
+        structure.chief_series(G, limits=Limits(seconds=0.0))
+    assert G._classes is None
+
+
+def test_frattini_flag_runs_under_the_factor_limits():
+    # V4/1 in S4 is abelian, and its Frattini flag needs the lattice of
+    # S4/1 = S4, which a fresh S4 has not built yet
+    G = _sym(4)
+    V = PermGroup(4, [Perm.from_cycles(4, [(0, 1), (2, 3)]),
+                      Perm.from_cycles(4, [(0, 2), (1, 3)])])
+    f = structure.ChiefFactor(G, PermGroup(4, ()), V, Limits(seconds=0.0))
+    assert f.is_abelian
+    with pytest.raises(TimeBudgetExceeded):
+        f.is_frattini
+    assert G._lattice_cache is None
+    f = structure.ChiefFactor(G, PermGroup(4, ()), V, Limits(lattice_cap=29))
+    with pytest.raises(CapExceeded):
+        f.is_frattini
 
 
 def test_maximal_subgroups_of_s4():
