@@ -248,7 +248,7 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
             f"group has order {n}")
     if n == 1:
         return 1
-    elems = S.sorted_by_search_order()
+    elems = S.sorted_by_search_order(limits=limits)
     word = []
     prefix_orders = []
     current = PermGroup(S.degree, ())

@@ -180,11 +180,13 @@ def lower_bound_d(G):
     return lower
 
 
-def _search_candidates(G, prime_power_only=False):
+def _search_candidates(G, prime_power_only=False, *, limits=DEFAULT_LIMITS):
     """Candidate elements in search order and first-slot class
     representatives, the identity left out of both."""
-    elems = [e for e in G.sorted_by_search_order() if not e.is_identity()]
-    reps = [r for r in G.class_representatives() if not r.is_identity()]
+    elems = [e for e in G.sorted_by_search_order(limits=limits)
+             if not e.is_identity()]
+    reps = [r for r in G.class_representatives(limits=limits)
+            if not r.is_identity()]
     if prime_power_only:
         elems = [e for e in elems if len(factorint(e.order())) == 1]
         reps = [r for r in reps if len(factorint(r.order())) == 1]
@@ -286,7 +288,7 @@ def d_with_witness(G, *, limits=DEFAULT_LIMITS, seed=0):
                 f"group has order {n}")
         if oracle is None:
             oracle = GenOracle(G, limits=limits)
-            candidates, reps = _search_candidates(G)
+            candidates, reps = _search_candidates(G, limits=limits)
         witness = _search(oracle, candidates, reps, k, k, limits=limits)
         if witness is not None:
             return k, witness
@@ -329,7 +331,7 @@ def m(G, *, limits=DEFAULT_LIMITS, force_search=False, prime_power_only=True):
             f"m search needs order <= {SEARCH_ORDER_CAP}, group has order {n}")
     a, b = chief_counts(G, limits=limits)
     oracle = GenOracle(G, limits=limits)
-    elems, reps = _search_candidates(G, prime_power_only)
+    elems, reps = _search_candidates(G, prime_power_only, limits=limits)
     best = _search(oracle, elems, reps, a + b, omega(n), limits=limits)
     if best is None:
         raise GroupError(
@@ -351,7 +353,7 @@ def spectrum(G, *, limits=DEFAULT_LIMITS, seed=0):
             f"spectrum search needs order <= {SEARCH_ORDER_CAP}, "
             f"group has order {n}")
     oracle = GenOracle(G, limits=limits)
-    elems, reps = _search_candidates(G)
+    elems, reps = _search_candidates(G, limits=limits)
     out = {}
     for k in range(d_val, m_val + 1):
         if k == d_val and is_independent(G, d_wit, oracle):

@@ -11,6 +11,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from math import gcd
+from operator import attrgetter
 
 ELEMENT_CAP = 200_000
 MAX_DEGREE = 1 << 16
@@ -445,13 +446,23 @@ class PermGroup:
     def identity(self):
         return Perm.identity(self.degree)
 
-    def elements(self, cap=ELEMENT_CAP):
-        """All elements sorted by image tuple; refuses above the cap."""
+    def elements(self, cap=ELEMENT_CAP, *, limits=DEFAULT_LIMITS):
+        """All elements sorted by image tuple; refuses above the cap.
+
+        The time budget of ``limits`` is checked every 1024 elements of the
+        sweep."""
         if self._elements is None:
             n = self.order()
             if cap is not None and n > cap:
                 raise CapExceeded(f"element sweep needs {n} elements, cap is {cap}")
-            self._elements = tuple(sorted(self.chain.iter_elements()))
+            check = limits.check
+            elems = []
+            for k, e in enumerate(self.chain.iter_elements()):
+                if not k % 1024:
+                    check()
+                elems.append(e)
+            elems.sort(key=attrgetter("images"))
+            self._elements = tuple(elems)
         return self._elements
 
     def element_set(self):
@@ -459,17 +470,30 @@ class PermGroup:
             self._elemset = frozenset(p.images for p in self.elements())
         return self._elemset
 
-    def sorted_by_search_order(self):
-        """Elements under the search total order (element order, then images)."""
-        return sorted(self.elements(), key=_sort_key)
+    def sorted_by_search_order(self, *, limits=DEFAULT_LIMITS):
+        """Elements under the search total order (element order, then images).
+
+        The time budget of ``limits`` is checked during the element sweep
+        and before the sort."""
+        elems = self.elements(limits=limits)
+        limits.check()
+        return sorted(elems, key=_sort_key)
 
     def conjugacy_classes(self, *, limits=DEFAULT_LIMITS):
-        """List of (representative, class size); reps minimal in search order.
+        """List of (representative, class size), sorted by representative in
+        search order; each representative is its class's least element in
+        search order.
 
-        The time budget of ``limits`` is checked once per class."""
+        The classes are swept in image order on image tuples, where x^g =
+        g^-1 * x * g has images g[x[g^-1[p]]].  Conjugates have the same
+        order, so the first element of a class met in image order is also
+        its least in search order.  The time budget of ``limits`` is
+        checked during the element sweep and once per class."""
         if self._classes is None:
             check = limits.check
-            elems = self.sorted_by_search_order()
+            elems = self.elements(limits=limits)
+            acts = [(g.images.__getitem__, g.inverse().images)
+                    for g in self.gens]
             seen = set()
             classes = []
             for e in elems:
@@ -477,21 +501,41 @@ class PermGroup:
                     continue
                 check()
                 cls_elems = {e.images}
-                queue = [e]
-                while queue:
-                    x = queue.pop(0)
-                    for g in self.gens:
-                        c = x.conj(g)
-                        if c.images not in cls_elems:
-                            cls_elems.add(c.images)
+                queue = [e.images]
+                for x in queue:  # grows while it is read: breadth first
+                    xget = x.__getitem__
+                    for gget, ginv in acts:
+                        c = tuple(map(gget, map(xget, ginv)))
+                        if c not in cls_elems:
+                            cls_elems.add(c)
                             queue.append(c)
                 seen |= cls_elems
                 classes.append((e, len(cls_elems)))
+            classes.sort(key=lambda c: _sort_key(c[0]))
             self._classes = tuple(classes)
         return self._classes
 
     def class_representatives(self, *, limits=DEFAULT_LIMITS):
         return tuple(rep for rep, _ in self.conjugacy_classes(limits=limits))
+
+    def coset_key(self, g):
+        """A key for the right coset self * g, the same for every element of
+        the coset and different for different cosets: the images of the
+        coset's element with the least base images.
+
+        Each level of the stabilizer chain picks the orbit point q whose
+        image under the current element t is least and moves on to u_q * t,
+        with u_q the level's transversal element taking the base point to q;
+        that fixes one more base image, so the cost is one pass over each
+        basic orbit and one composition per level."""
+        t = g.images
+        lvl = self.chain
+        while lvl.base is not None:
+            tree = lvl.tree
+            q = min(tree, key=t.__getitem__)
+            t = tuple(map(t.__getitem__, tree[q][0].images))
+            lvl = lvl.down
+        return t
 
     def random_element(self, rng):
         return self.chain.random_element(rng)
@@ -680,8 +724,8 @@ def quotient(G, N):
     """G/N as a permutation group on the right cosets, with the projection.
 
     Coset representatives are the first-found products of generators in
-    breadth-first order; cosets are identified by their minimal element, so
-    the output is deterministic.
+    breadth-first order, so the output is deterministic; cosets are told
+    apart by ``N.coset_key``, read off N's stabilizer chain.
     """
     for n in N.gens:
         if n not in G:
@@ -692,12 +736,8 @@ def quotient(G, N):
     index = G.order() // N.order()
     if index > MAX_DEGREE:
         raise CapExceeded(f"quotient degree {index} exceeds {MAX_DEGREE}")
-    n_elems = N.elements()
+    coset_key = N.coset_key
     ident = G.identity()
-
-    def coset_key(rep):
-        return min((n * rep).images for n in n_elems)
-
     reps = [ident]
     index_of = {coset_key(ident): 0}
     images = [[] for _ in G.gens]

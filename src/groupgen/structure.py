@@ -393,7 +393,7 @@ class FactorModule:
             raise GroupError("factor is not of prime power order")
         (self.prime, self.dim), = fact.items()
         p, n = self.prime, self.dim
-        self._y_elems = below.elements() if below.order() > 1 else None
+        self._key = below.coset_key
         basis = []
         self._span(basis)
         for e in above.elements():
@@ -408,11 +408,6 @@ class FactorModule:
         self.basis = tuple(basis)
         self.matrices = tuple(self._action_matrix(g) for g in group.gens)
         self._centralizer = None
-
-    def _key(self, e):
-        if self._y_elems is None:
-            return e.images
-        return min((y * e).images for y in self._y_elems)
 
     def _span(self, basis):
         """Coordinates for every coset spanned by the current basis."""

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from groupgen import builder, structure
 from groupgen.perm import (
     CapExceeded,
     DegreeMismatch,
@@ -285,6 +286,114 @@ def test_quotient_order_law():
         assert Q.order() * N.order() == 24
         g = S4.random_element(rng)
         assert (proj(g).is_identity()) == (g in N)
+
+
+def _coset_pairs():
+    """(name, G, N) with N normal in G, for the coset key and quotient pins."""
+    S4 = _sym(4)
+    crown = builder.build("CROWN(S4, 2)")
+    d = builder.build("D(A5, C2)")
+    return [("S4/V4", S4, _klein()),
+            ("S4/A4", S4, S4.derived_subgroup()),
+            ("CROWN(S4, 2)/socle", crown, structure.socle(crown)),
+            ("D(A5, C2)/A5", d, d.derived_subgroup())]
+
+
+def test_coset_key_is_canonical():
+    for name, G, N in _coset_pairs():
+        n_elems = _brute_closure(G.degree, N.gens)
+        keys_of = {}
+        for g in _brute_closure(G.degree, G.gens):
+            coset = frozenset(_compose(n, g) for n in n_elems)
+            key = N.coset_key(Perm(g))
+            assert key in coset, name
+            keys_of.setdefault(coset, set()).add(key)
+        assert len(keys_of) * N.order() == G.order(), name
+        assert all(len(keys) == 1 for keys in keys_of.values()), name
+        assert len(set.union(*keys_of.values())) == len(keys_of), name
+
+
+# [q.images for q in Q.gens] of quotient(G, N), pinned to values captured
+# from a minimum over all of N as the coset key: cosets are numbered in
+# discovery order, so no choice of canonical key may change them.
+_WREATH_QUOTIENT_GENS = [(0, 1, 2, 3)] * 4 + [(1, 2, 3, 0)]
+QUOTIENT_GENS = {
+    "S4/V4": [(1, 0, 4, 5, 2, 3), (2, 3, 0, 1, 5, 4)],
+    "S4/A4": [(1, 0), (1, 0)],
+    "CROWN(S4, 2)/socle": [(1, 0, 4, 5, 2, 3), (2, 3, 0, 1, 5, 4),
+                           (0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)],
+    "D(A5, C2)/A5": [(0, 1), (0, 1), (0, 1), (1, 0)],
+    "WREATH(1)/N": _WREATH_QUOTIENT_GENS,
+    "WREATH(1)/G'": _WREATH_QUOTIENT_GENS,
+}
+
+
+def test_quotient_generators_pinned():
+    W = builder.build("WREATH(1)")
+    pairs = _coset_pairs() + [
+        ("WREATH(1)/N", W, W.normal_closure(W.gens[:4])),
+        ("WREATH(1)/G'", W, W.derived_subgroup())]
+    for name, G, N in pairs:
+        Q, proj = quotient(G, N)
+        assert len(Q.gens) == len(G.gens), name
+        assert [q.images for q in Q.gens] == QUOTIENT_GENS[name], name
+        for q in Q.elements():
+            assert proj(proj.section(q)) == q, name
+
+
+def _order_of(x):
+    ident = tuple(range(len(x)))
+    y, k = x, 1
+    while y != ident:
+        y = _compose(y, x)
+        k += 1
+    return k
+
+
+def _inverse_of(x):
+    inv = [0] * len(x)
+    for i, j in enumerate(x):
+        inv[j] = i
+    return tuple(inv)
+
+
+def test_conjugacy_classes_against_brute_force():
+    # the classes are recomputed by conjugating with every element, in
+    # plain tuple arithmetic, and the class equation checked through
+    # centralizers
+    for G in (_sym(4), _sym(5), builder.build("CROWN(S4, 2)")):
+        n = G.order()
+        elems = _brute_closure(G.degree, G.gens)
+        conjugators = [(_inverse_of(g), g) for g in elems]
+        classes = G.conjugacy_classes()
+        assert sum(size for _, size in classes) == n
+        covered = set()
+        for rep, size in classes:
+            assert size * G.centralizer_of_subgroup([rep]).order() == n
+            cls = {_compose(_compose(ginv, rep.images), g)
+                   for ginv, g in conjugators}
+            assert len(cls) == size
+            assert min(cls, key=lambda x: (_order_of(x), x)) == rep.images
+            covered |= cls
+        assert len(covered) == n
+
+
+# conjugacy_classes() as (representative images, class size), pinned to
+# values captured from a sweep in search order through Perm.conj.
+CLASSES = {
+    "S5": [((0, 1, 2, 3, 4), 1), ((0, 1, 2, 4, 3), 10), ((0, 2, 1, 4, 3), 15),
+           ((0, 1, 3, 4, 2), 20), ((0, 2, 3, 4, 1), 30), ((1, 2, 3, 4, 0), 24),
+           ((1, 0, 3, 4, 2), 20)],
+    "PSL2(7)": [((0, 1, 2, 3, 4, 5, 6, 7), 1), ((1, 0, 3, 2, 6, 7, 4, 5), 21),
+                ((0, 1, 6, 5, 3, 4, 7, 2), 56), ((1, 2, 7, 5, 6, 4, 3, 0), 42),
+                ((0, 2, 7, 1, 3, 6, 4, 5), 24), ((0, 3, 1, 4, 6, 7, 5, 2), 24)],
+}
+
+
+def test_conjugacy_classes_pinned():
+    for name, expected in CLASSES.items():
+        classes = builder.build(name).conjugacy_classes()
+        assert [(rep.images, size) for rep, size in classes] == expected
 
 
 def test_homomorphism_sign_map():

@@ -255,5 +255,11 @@ def test_big_wreath_report_skips_m_with_reason():
     assert rep["order"] == 112896
     assert rep["m"] is None
     assert "m" in rep["skipped"]
-    assert rep["a"] is not None
+    assert (rep["a"], rep["b"], rep["d"]) == (2, 1, 2)
+    assert rep["chief_factors"] == [
+        {"order": 28224, "abelian": False, "prime": None, "dim": None,
+         "frattini": False},
+        {"order": 2, "abelian": True, "prime": 2, "dim": 1, "frattini": True},
+        {"order": 2, "abelian": True, "prime": 2, "dim": 1,
+         "frattini": False}]
     assert "error" not in rep

@@ -182,6 +182,20 @@ def test_chief_series_budget_stops_the_class_sweep():
     assert G._classes is None
 
 
+def test_chief_series_budget_stops_the_element_sweep():
+    G = builder.build("S5")
+    with pytest.raises(TimeBudgetExceeded):
+        structure.chief_series(G, limits=Limits(seconds=0.0))
+    assert G._elements is None
+    with pytest.raises(TimeBudgetExceeded):
+        G.elements(limits=Limits(seconds=0.0))
+    assert G._elements is None
+    # with the elements swept, the budget still stops the search-order sort
+    G.elements()
+    with pytest.raises(TimeBudgetExceeded):
+        G.sorted_by_search_order(limits=Limits(seconds=0.0))
+
+
 def test_frattini_flag_runs_under_the_factor_limits():
     # V4/1 in S4 is abelian, and its Frattini flag needs the lattice of
     # S4/1 = S4, which a fresh S4 has not built yet
