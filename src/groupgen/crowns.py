@@ -18,7 +18,6 @@ sides of the threshold.
 """
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +26,8 @@ from . import gfp
 from .perm import (DEFAULT_LIMITS, MAX_DEGREE, CapExceeded, GroupError,
                    Homomorphism, Perm, PermGroup, build_chain,
                    group_from_elements, quotient)
-from .structure import (chief_series, is_simple, minimal_normal_subgroups,
-                        subgroup_lattice)
+from .structure import (chief_series, cocycle_system, is_simple,
+                        minimal_normal_subgroups, subgroup_lattice)
 
 AUT_CAP = 500
 COHOMOLOGY_CAP = 500
@@ -309,12 +308,10 @@ def crown_generation_check(L, A, m, k, *, limits=DEFAULT_LIMITS):
 def h1_dimension(G, M, *, limits=DEFAULT_LIMITS):
     """The GF(p) dimension of the first cohomology group H^1(G, M).
 
-    Derivations are solved for on generator values only: a spanning tree
-    of the Cayley graph expresses delta(x) linearly in the delta(s_i) for
-    every element x, and each non-tree edge contributes the equation of
-    its relator.  Inner derivations are then subtracted off as the rank
-    of the stacked rho(s_i) - 1.  The walk also verifies, edge by edge,
-    that the matrices are consistent with the group's multiplication.
+    Derivations are solved for on generator values only, as the
+    homogeneous `structure.cocycle_system` of a walk over the cosets of the
+    trivial subgroup; inner derivations are then subtracted off as the rank
+    of the stacked rho(s_i) - 1.
     """
     order = G.order()
     if order > COHOMOLOGY_CAP:
@@ -325,42 +322,10 @@ def h1_dimension(G, M, *, limits=DEFAULT_LIMITS):
     r = len(G.gens)
     if order == 1 or r == 0:
         return 0
-    rho = list(M.matrices)
-    eye = gfp.identity(n)
-    ident = G.identity()
-    coeff = {ident: np.zeros((r, n, n), dtype=np.int64)}
-    matval = {ident: eye}
-    equations = []
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        cx, mx = coeff[x], matval[x]
-        for i, g in enumerate(G.gens):
-            limits.check()
-            y = x * g
-            cy = np.mod(cx @ rho[i], p)
-            cy[i] = (cy[i] + eye) % p
-            my = (mx @ rho[i]) % p
-            if y not in coeff:
-                coeff[y] = cy
-                matval[y] = my
-                queue.append(y)
-                continue
-            if not np.array_equal(matval[y], my):
-                raise GroupError(
-                    "matrices are inconsistent with the group's relations")
-            diff = (cy - coeff[y]) % p
-            if np.any(diff):
-                # delta(x) rho(g) + delta(g) = delta(xg): one equation per
-                # module coordinate, in the r*n generator-value unknowns
-                for c in range(n):
-                    equations.append(diff[:, :, c].reshape(r * n))
-    if len(coeff) != order:
-        raise GroupError("the generators do not generate the group")
-    z_rank = gfp.rank(np.array(equations), p) if equations else 0
-    z_dim = r * n - z_rank
-    b_dim = gfp.rank(np.hstack([(mat - eye) % p for mat in rho]), p)
-    return z_dim - b_dim
+    A, _ = cocycle_system(G, PermGroup(G.degree, ()), M.matrices, p,
+                          limits=limits)
+    inner = np.hstack([(mat - gfp.identity(n)) % p for mat in M.matrices])
+    return r * n - gfp.rank(A, p) - gfp.rank(inner, p)
 
 
 @dataclass(frozen=True)

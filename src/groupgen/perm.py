@@ -48,8 +48,8 @@ class Limits:
     subgroup lattice may have, and a wall clock budget in seconds (None for
     no budget) whose deadline starts when the value is made.
 
-    Every other cap (element sweeps, search order, complement and
-    automorphism candidates, cohomology order) is a fixed module constant.
+    Every other cap (element sweeps, search order, automorphism
+    candidates, cohomology order) is a fixed module constant.
     """
 
     lattice_cap: int = DEFAULT_LATTICE_CAP
@@ -720,12 +720,13 @@ class Homomorphism:
         return PermGroup(self.target.degree, tuple(self(h) for h in H.gens))
 
 
-def quotient(G, N):
+def quotient(G, N, *, limits=DEFAULT_LIMITS):
     """G/N as a permutation group on the right cosets, with the projection.
 
     Coset representatives are the first-found products of generators in
     breadth-first order, so the output is deterministic; cosets are told
-    apart by ``N.coset_key``, read off N's stabilizer chain.
+    apart by ``N.coset_key``, read off N's stabilizer chain.  The time
+    budget of ``limits`` is checked once per coset row of the enumeration.
     """
     for n in N.gens:
         if n not in G:
@@ -743,6 +744,7 @@ def quotient(G, N):
     images = [[] for _ in G.gens]
     i = 0
     while i < len(reps):
+        limits.check()
         rep = reps[i]
         for j, g in enumerate(G.gens):
             x = rep * g

@@ -122,8 +122,8 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
             timings[name] = time.perf_counter() - t0
 
     def chief_data():
-        # the Frattini flags build lattices, so they run inside the stage
-        # and a cap they hit is recorded like any other
+        # the Frattini flags run inside the stage, so a time budget they
+        # exhaust is recorded like any other
         factors = [
             {"order": f.order, "abelian": f.is_abelian,
              "frattini": f.is_frattini, "prime": f.prime, "dim": f.dim}

@@ -23,7 +23,6 @@ so every join of a conjugate is the conjugate of a join that was computed.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -41,18 +40,16 @@ from .perm import (
     quotient,
 )
 
-COMBO_CAP = 20_000
-
 
 def identity_homomorphism(G):
     return Homomorphism(G, G, G.gens, mapper=lambda g: g, section=lambda q: q)
 
 
-def _quotient(G, N):
+def _quotient(G, N, *, limits=DEFAULT_LIMITS):
     """G/N, but G itself (with the identity map) when N is trivial."""
     if N.order() == 1:
         return G, identity_homomorphism(G)
-    return quotient(G, N)
+    return quotient(G, N, limits=limits)
 
 
 class SubgroupLattice:
@@ -334,44 +331,74 @@ def monolithic_primitive(G, *, limits=DEFAULT_LIMITS):
         return False
     if not A.is_abelian():
         return True
-    return _complement_of_normal_exists(G, A, limits=limits)
+    return has_complement(G, A, PermGroup(G.degree, ()), limits=limits)
 
 
-def _complement_of_normal_exists(G, N, *, limits=DEFAULT_LIMITS):
-    """Whether the normal subgroup N has a complement in G."""
-    if N.order() == 1 or N.same_group_as(G):
-        return True
-    target = G.order() // N.order()
-    try:
-        lattice = subgroup_lattice(G, limits=limits)
-        n_set = N.element_set()
-        for i, fs in enumerate(lattice.elem_sets):
-            if len(fs) == target and len(fs & n_set) == 1:
-                return True
-        return False
-    except CapExceeded:
-        pass
-    Q, proj = quotient(G, N)
-    small = group_from_elements(Q.degree, Q.elements())
-    lifts = [proj.section(q) for q in small.gens]
-    n_elems = N.elements()
-    total = len(n_elems) ** len(lifts)
-    if total > COMBO_CAP:
-        raise CapExceeded(
-            f"complement search needs {total} candidates, cap is {COMBO_CAP}")
-    for combo in itertools.product(n_elems, repeat=len(lifts)):
-        limits.check()
-        K = PermGroup(G.degree, tuple(l * a for l, a in zip(lifts, combo)))
-        if K.order() == target:
-            return True
-    return False
+def cocycle_system(G, N, matrices, p, coords_of=None, *,
+                   limits=DEFAULT_LIMITS):
+    """The linear system A u = b over GF(p) in the values u_i, on the
+    generators g_i of G, of a map into the module with rho(g_i) =
+    matrices[i], on which the normal subgroup N acts trivially.
+
+    A breadth-first walk over the right cosets of N, keyed by
+    ``N.coset_key``, spans a tree on which c(x g_i) = c(x) rho(g_i) + u_i;
+    each non-tree edge x -> y gives n equations c(y) - c(x) rho(g_i) - u_i
+    = z.  Without ``coords_of``, z = 0 and the solutions are the cocycles
+    of G/N.  With ``coords_of`` (coordinates in an elementary abelian N),
+    z is the relator rep(y)^-1 * rep(x) * g_i, and the solutions are the
+    t_i in N for which the g_i * t_i generate a complement of N.  The walk
+    also checks the matrices against the group's multiplication.
+    """
+    r, n = len(G.gens), matrices[0].shape[0]
+    eye = gfp.identity(n)
+    zero = np.zeros(n, dtype=np.int64)
+    ident = G.identity()
+    # a coset's state: the coefficient matrices of u_1..u_r in its value,
+    # then rho of its representative
+    state = np.zeros((r + 1, n, n), dtype=np.int64)
+    state[r] = eye
+    queue = [(ident, state)]
+    index = {N.coset_key(ident): 0}
+    diffs, consts = [], []
+    for x, sx in queue:
+        for i, g in enumerate(G.gens):
+            limits.check()
+            xg = x * g
+            sy = sx @ matrices[i]
+            sy[i] += eye
+            sy %= p
+            k = index.setdefault(N.coset_key(xg), len(queue))
+            if k == len(queue):
+                queue.append((xg, sy))
+                continue
+            y, s = queue[k]
+            if (s[r] != sy[r]).any():
+                raise GroupError(
+                    "matrices are inconsistent with the group's relations")
+            diffs.append(s[:r] - sy[:r])
+            consts.append(zero if coords_of is None
+                          else coords_of(y.inverse() * xg))
+    if len(queue) != G.order() // N.order():
+        raise GroupError("the generators do not generate the group")
+    # row (edge, c) holds coordinate c of the edge's n equations
+    A = np.array(diffs, dtype=np.int64).reshape(-1, r, n, n)
+    A = np.mod(A.transpose(0, 3, 1, 2), p)
+    A = A.reshape(-1, r * n)
+    b = np.array(consts, dtype=np.int64).reshape(-1)
+    keep = A.any(axis=1) | (b != 0)
+    return A[keep], b[keep]
 
 
 def has_complement(G, X, Y, *, limits=DEFAULT_LIMITS):
-    """Whether the chief factor X/Y has a complement in G/Y."""
-    Qb, proj = _quotient(G, Y)
-    Xb = PermGroup(Qb.degree, tuple(proj(x) for x in X.gens))
-    return _complement_of_normal_exists(Qb, Xb, limits=limits)
+    """Whether the abelian chief factor X/Y has a complement in G/Y: whether
+    the splitting system of the module Xb = X/Y in Qb = G/Y is solvable."""
+    Qb, proj = _quotient(G, Y, limits=limits)
+    Xb = X if Qb is G else PermGroup(Qb.degree, tuple(map(proj, X.gens)))
+    M = FactorModule(Qb, Xb, PermGroup(Qb.degree, ()))
+    A, b = cocycle_system(Qb, Xb, M.matrices, M.prime, M.coords_of,
+                          limits=limits)
+    # solvable exactly when b adds no pivot to A
+    return A.shape[1] not in gfp.rref(np.column_stack([A, b]), M.prime)[1]
 
 
 class FactorModule:
@@ -501,13 +528,11 @@ class ChiefFactor:
 
     @functools.cached_property
     def is_frattini(self):
-        """Whether X/Y lies inside the Frattini subgroup of G/Y."""
-        if not self.is_abelian:
-            return False
-        Qb, proj = _quotient(self.group, self.below)
-        xb_gens = [proj(x) for x in self.above.gens]
-        frat = frattini(Qb, limits=self.limits)
-        return all(x in frat for x in xb_gens)
+        """Whether X/Y lies inside the Frattini subgroup of G/Y: never for
+        a non-abelian factor, and for an abelian one exactly when it has no
+        complement in G/Y (if X/Y avoids a maximal M/Y, X meets M in Y, so
+        M/Y is a complement).  No subgroup lattice is built."""
+        return self.is_abelian and not self.has_complement()
 
     @functools.cached_property
     def module(self):

@@ -13,10 +13,12 @@ from groupgen.perm import (
     CapExceeded,
     DegreeMismatch,
     Homomorphism,
+    Limits,
     NotInGroup,
     NotNormal,
     Perm,
     PermGroup,
+    TimeBudgetExceeded,
     factorint,
     group_from_elements,
     is_prime_power,
@@ -275,6 +277,13 @@ def test_quotient_errors():
         quotient(S4, PermGroup(4, [Perm.from_cycles(4, [(0, 1)])]))
     with pytest.raises(NotInGroup):
         quotient(_alt(4), PermGroup(4, [Perm.from_cycles(4, [(0, 1)])]))
+
+
+def test_quotient_checks_the_time_budget():
+    with pytest.raises(TimeBudgetExceeded):
+        quotient(_sym(4), _klein(), limits=Limits(seconds=0.0))
+    Q, _ = quotient(_sym(4), _klein(), limits=Limits(seconds=60.0))
+    assert Q.order() == 6
 
 
 def test_quotient_order_law():

@@ -239,14 +239,32 @@ def test_spent_budget_skips_stages_without_running_them(monkeypatch):
 
 
 def test_lattice_cap_in_frattini_flags_is_a_skip(tmp_path):
-    # S3's chief series needs no lattice, its Frattini flags do
+    # S3's chief series and its Frattini flags need no lattice (the flags
+    # are a linear splitting test); only the verdicts do
     rep = compute_report("S3", lattice_cap=3)
     assert "error" not in rep
-    assert "subgroup lattice exceeds 3" in rep["skipped"]["chief_series"]
-    assert rep["a"] is None and rep["chief_factors"] is None
-    assert rep["d"] == 2
+    assert (rep["a"], rep["d"], rep["m"]) == (2, 2, 2)
+    assert rep["spectrum"] == [2]
+    assert [f["frattini"] for f in rep["chief_factors"]] == [False, False]
+    assert set(rep["skipped"]) == {"verdicts"}
+    assert "subgroup lattice exceeds 3" in rep["skipped"]["verdicts"]
+    assert rep["verdicts"] is None
     reps = run_corpus(str(_write_corpus(tmp_path)), lattice_cap=3)
     assert sorted(r["id"] for r in reps) == ["C6", "D(C2", "S3"]
+
+
+@pytest.mark.slow
+def test_reports_whose_lattice_is_over_the_cap():
+    # their chief series, m and spectrum need no lattice of G; the
+    # verdicts need G's lattice, which is over the default cap
+    for text, m, spectrum in [("D(S4, S4)", 6, [2, 3, 4, 5, 6]),
+                              ("W(S4, 2)", 4, [2, 3, 4])]:
+        rep = compute_report(text)
+        assert "error" not in rep, text
+        assert (rep["d"], rep["m"], rep["a"]) == (2, m, m), text
+        assert rep["spectrum"] == spectrum, text
+        assert set(rep["skipped"]) == {"verdicts"}, text
+        assert "subgroup lattice exceeds" in rep["skipped"]["verdicts"]
 
 
 @pytest.mark.slow

@@ -4,14 +4,17 @@ The lattice is checked against a brute-force enumeration of all closed
 subsets for groups of order at most 16, plus classical subgroup counts.
 """
 
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
-from groupgen.perm import (CapExceeded, Limits, Perm, PermGroup,
+from groupgen.perm import (CapExceeded, GroupError, Limits, Perm, PermGroup,
                            TimeBudgetExceeded, quotient)
-from groupgen import builder, genset, structure
+from groupgen import builder, genset, report, structure
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _sym(n):
@@ -197,8 +200,8 @@ def test_chief_series_budget_stops_the_element_sweep():
 
 
 def test_frattini_flag_runs_under_the_factor_limits():
-    # V4/1 in S4 is abelian, and its Frattini flag needs the lattice of
-    # S4/1 = S4, which a fresh S4 has not built yet
+    # V4/1 in S4 is abelian; its Frattini flag runs under the factor's
+    # time budget, and builds no subgroup lattice whatever the lattice cap
     G = _sym(4)
     V = PermGroup(4, [Perm.from_cycles(4, [(0, 1), (2, 3)]),
                       Perm.from_cycles(4, [(0, 2), (1, 3)])])
@@ -207,9 +210,28 @@ def test_frattini_flag_runs_under_the_factor_limits():
     with pytest.raises(TimeBudgetExceeded):
         f.is_frattini
     assert G._lattice_cache is None
-    f = structure.ChiefFactor(G, PermGroup(4, ()), V, Limits(lattice_cap=29))
-    with pytest.raises(CapExceeded):
-        f.is_frattini
+    series = structure.chief_series(G, limits=Limits(lattice_cap=1))
+    assert [f.is_frattini for f in series] == [False, False, False]
+    assert G._lattice_cache is None
+
+
+def test_frattini_flags_of_unlocked_products(monkeypatch):
+    # Frat(A x B) = Frat(A) x Frat(B), and Frat(S4) = 1, so D(S4, S4) has
+    # no Frattini factor; in W(S4, 2) the only one is the centre of the
+    # top C2 wr C2 = D8.  Neither flag builds a subgroup lattice.
+    def never(*args, **kwargs):
+        raise AssertionError("a Frattini flag built a subgroup lattice")
+
+    monkeypatch.setattr(structure, "subgroup_lattice", never)
+    for text, orders, flags in [
+            ("D(S4, S4)", [4, 3, 2, 4, 3, 2], [False] * 6),
+            ("W(S4, 2)", [16, 9, 2, 2, 2],
+             [False, False, True, False, False])]:
+        G = builder.build(text)
+        series = structure.chief_series(G)
+        assert [f.order for f in series] == orders, text
+        assert [f.is_frattini for f in series] == flags, text
+        assert G._lattice_cache is None
 
 
 def test_maximal_subgroups_of_s4():
@@ -293,6 +315,9 @@ def test_monolithic_primitive():
     assert not structure.monolithic_primitive(_dihedral4())
     assert not structure.monolithic_primitive(_cyclic(6))
     assert not structure.monolithic_primitive(_cyclic(4))
+    # the centre of SL(2, 3) is its unique minimal normal subgroup, and
+    # it has no complement
+    assert not structure.monolithic_primitive(_sl23())
 
 
 def test_chief_series_s4():
@@ -320,6 +345,9 @@ def test_chief_series_various():
     assert structure.chief_series(PermGroup(2, [])) == ()
     series = structure.chief_series(_dihedral4())
     assert [f.order for f in series] == [2, 2, 2]
+    assert [f.is_frattini for f in series] == [True, False, False]
+    series = structure.chief_series(_sl23())
+    assert [f.order for f in series] == [2, 4, 3]
     assert [f.is_frattini for f in series] == [True, False, False]
 
 
@@ -368,12 +396,49 @@ def test_factor_module_trivial_action():
     assert all(np.array_equal(m, np.eye(1, dtype=np.int64)) for m in mod.matrices)
 
 
+def _sl23():
+    """SL(2, 3) acting on the 8 nonzero vectors of GF(3)^2."""
+    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def perm(m):
+        return Perm(tuple(index[((a * m[0][0] + b * m[1][0]) % 3,
+                                 (a * m[0][1] + b * m[1][1]) % 3)]
+                          for a, b in vectors))
+
+    return PermGroup(8, [perm([[1, 1], [0, 1]]), perm([[1, 0], [1, 1]])])
+
+
+def _corpus_groups():
+    """Every group of the quick corpus."""
+    for path in report.corpus_files(CORPUS_DIR):
+        for text in report.read_expressions(path):
+            yield builder.build(text)
+
+
 def test_has_complement_matches_frattini_flag():
-    for G in [_sym(4), _cyclic(4), _cyclic(6), _dihedral4(), _c2xc4(),
-              _alt(4), _cyclic(12), _product_with_c2(_sym(3))]:
+    # the lattice oracle: X/Y is Frattini exactly when Xb lies in Frat(G/Y)
+    groups = [_sym(4), _cyclic(4), _cyclic(6), _dihedral4(), _c2xc4(),
+              _alt(4), _cyclic(12), _product_with_c2(_sym(3)), _sl23()]
+    checked = 0
+    for G in groups + list(_corpus_groups()):
         for f in structure.chief_series(G):
-            if f.is_abelian:
-                assert f.has_complement() == (not f.is_frattini)
+            if not f.is_abelian:
+                continue
+            Qb, proj = structure._quotient(G, f.below)
+            frat = structure.frattini(Qb)
+            oracle = all(proj(x) in frat for x in f.above.gens)
+            assert f.is_frattini == oracle, (G, f)
+            assert f.has_complement() == (not oracle), (G, f)
+            checked += 1
+    assert checked >= 90
+
+
+def test_cocycle_system_checks_the_matrices():
+    # a C2 generator cannot act with multiplicative order four
+    with pytest.raises(GroupError):
+        structure.cocycle_system(_cyclic(2), PermGroup(2, ()),
+                                 [np.array([[2]])], 5)
 
 
 def test_gequivalent():
