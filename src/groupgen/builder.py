@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from . import crowns, structure
 from .perm import (MAX_DEGREE, CapExceeded, GroupError, Homomorphism, Perm,
-                   PermGroup, quotient)
+                   PermGroup, is_prime, quotient)
 
 DEFAULT_ORDER_CAP = 10_000_000
 
@@ -329,22 +329,11 @@ def _klein():
                          Perm.from_cycles(4, [(0, 2), (1, 3)])))
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _projective(q, full):
     """PSL2(q) or PGL2(q) on the q+1 points of the projective line,
     generated by x -> x+1, x -> -1/x and (for PGL2, q odd) x -> lambda x
     with lambda the least non-residue."""
-    if not _is_prime(q) or q > 23:
+    if not is_prime(q) or q > 23:
         raise GroupError(f"projective atoms need a prime field size"
                          f" at most 23, got {q}")
     inf = q

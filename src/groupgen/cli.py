@@ -145,11 +145,9 @@ def cmd_verify(args):
     fn = {"md-equal": verify.verify_md_equal,
           "nonsoluble": verify.verify_nonsoluble,
           "soluble": verify.verify_soluble_cases}[args.check]
-    G = _build(args, args.expr)
-    limits = _limits(args)
-    d = genset.d(G, limits=limits, seed=args.seed)
-    m = genset.m(G, limits=limits)
-    v = fn(G, d=d, m=m, limits=limits)
+    an = genset.Analysis(_build(args, args.expr), _limits(args), args.seed)
+    d, m = an.d, an.m
+    v = fn(an)
     applies = "applicable" if v.applicable else "not applicable"
     case = f" case {v.case}" if v.case is not None else ""
     state = "ok" if v.ok else "RED FLAG"
@@ -160,8 +158,8 @@ def cmd_verify(args):
 
 
 def cmd_spectrum(args):
-    G = _build(args, args.expr)
-    wits = genset.spectrum(G, limits=_limits(args), seed=args.seed)
+    an = genset.Analysis(_build(args, args.expr), _limits(args), args.seed)
+    wits = an.spectrum
     for k in sorted(wits):
         shown = " ".join(p.cycle_string() for p in wits[k]) or "()"
         print(f"{k}: {shown}")

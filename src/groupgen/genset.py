@@ -22,10 +22,13 @@ Spans come from a GenOracle as integer handles with element-id membership
 and join rows.  The oracle reads them off the subgroup lattice when the
 group has one within the limits; otherwise it builds each span once from a
 stabilizer chain and interns it.  The engine cannot tell the two apart.
+d(), m() and spectrum() take an Analysis, which computes what they share
+once: the chief series with a and b, d with its witness, m, the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import structure
@@ -41,6 +44,57 @@ from .perm import (
 
 SEARCH_ORDER_CAP = 2000
 DEFAULT_RANDOM_TRIES = 400
+
+
+class Analysis:
+    """One group's invariants under one Limits value and one seed, each
+    computed on first use and then shared.  A property that raises stays
+    unset; one assigned before first use is taken as given.  Properties
+    call the module functions by their global names, so a wrapper on those
+    names sees the work.  The caller owns the analysis; G never refers
+    to it."""
+
+    def __init__(self, G, limits=DEFAULT_LIMITS, seed=0):
+        self.G = G
+        self.limits = limits
+        self.seed = seed
+
+    @functools.cached_property
+    def series(self):
+        return structure.chief_series(self.G, limits=self.limits)
+
+    # a and b count the non-Frattini and the non-abelian chief factors
+    @functools.cached_property
+    def a(self):
+        return sum(1 for f in self.series if not f.is_frattini)
+
+    @functools.cached_property
+    def b(self):
+        return sum(1 for f in self.series if not f.is_abelian)
+
+    @functools.cached_property
+    def d_witness(self):
+        return d_with_witness(self)
+
+    @functools.cached_property
+    def d(self):
+        return d(self)
+
+    @functools.cached_property
+    def m(self):
+        return m(self)
+
+    @functools.cached_property
+    def spectrum(self):
+        return spectrum(self)
+
+    @functools.cached_property
+    def frattini(self):
+        return structure.frattini(self.G, limits=self.limits)
+
+    @functools.cached_property
+    def oracle(self):
+        return GenOracle(self.G, limits=self.limits)
 
 
 class GenOracle:
@@ -132,25 +186,20 @@ class _ChainRow(dict):
         return got
 
 
-def is_independent(G, perms, oracle=None):
+def is_independent(A, perms):
     """No member of the set lies in the subgroup the others generate."""
-    perms = list(perms)
-    if oracle is None:
-        oracle = GenOracle(G)
     images = [p.images for p in perms]
     for i in range(len(images)):
         others = images[:i] + images[i + 1:]
-        if oracle.member(others, images[i]):
+        if A.oracle.member(others, images[i]):
             return False
     return True
 
 
-def is_independent_generating_set(G, perms, oracle=None):
+def is_independent_generating_set(A, perms):
     perms = list(perms)
-    if oracle is None:
-        oracle = GenOracle(G)
-    return (oracle.generates([p.images for p in perms])
-            and is_independent(G, perms, oracle))
+    return (A.oracle.generates([p.images for p in perms])
+            and is_independent(A, perms))
 
 
 def lower_bound_d(G):
@@ -252,17 +301,18 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS):
     return best
 
 
-def d(G, *, limits=DEFAULT_LIMITS, seed=0):
-    return d_with_witness(G, limits=limits, seed=seed)[0]
+def d(A):
+    return A.d_witness[0]
 
 
-def d_with_witness(G, *, limits=DEFAULT_LIMITS, seed=0):
+def d_with_witness(A):
     """(d(G), one generating set of that size).
 
     The exhaustive phase asks the engine for an independent generating set
     of exactly k elements, which loses nothing: no generating set exists
     below k, so one of size k is independent.
     """
+    G, limits = A.G, A.limits
     n = G.order()
     if n == 1:
         return 0, ()
@@ -273,8 +323,8 @@ def d_with_witness(G, *, limits=DEFAULT_LIMITS, seed=0):
                 return 1, (r,)
         lower = 2
     elems = G.elements()
-    rng = random.Random(seed)
-    oracle = None
+    rng = random.Random(A.seed)
+    candidates = None
     for k in range(lower, omega(n) + 1):
         limits.check()
         # randomized probe first; any hit is enough since k-1 was refuted
@@ -286,30 +336,21 @@ def d_with_witness(G, *, limits=DEFAULT_LIMITS, seed=0):
             raise CapExceeded(
                 f"exhaustive d search needs order <= {SEARCH_ORDER_CAP}, "
                 f"group has order {n}")
-        if oracle is None:
-            oracle = GenOracle(G, limits=limits)
+        if candidates is None:
             candidates, reps = _search_candidates(G, limits=limits)
-        witness = _search(oracle, candidates, reps, k, k, limits=limits)
+        witness = _search(A.oracle, candidates, reps, k, k, limits=limits)
         if witness is not None:
             return k, witness
     raise GroupError("no generating set up to the chief length bound")
 
 
-def chief_counts(G, *, limits=DEFAULT_LIMITS):
-    """(a, b): non-Frattini and non-abelian factor counts of a chief series."""
-    series = structure.chief_series(G, limits=limits)
-    a = sum(1 for f in series if not f.is_frattini)
-    b = sum(1 for f in series if not f.is_abelian)
-    return a, b
-
-
-def bounds(G, *, limits=DEFAULT_LIMITS):
+def bounds(A):
     """Lower and upper bounds for m(G): a + b <= m(G) <= Omega(|G|)."""
-    a, b = chief_counts(G, limits=limits)
-    return {"a": a, "b": b, "lower": a + b, "upper": omega(G.order())}
+    return {"a": A.a, "b": A.b, "lower": A.a + A.b,
+            "upper": omega(A.G.order())}
 
 
-def m(G, *, limits=DEFAULT_LIMITS, force_search=False, prime_power_only=True):
+def m(A, *, force_search=False, prime_power_only=True):
     """Largest size of an independent generating set.
 
     For soluble groups this equals the number of non-Frattini factors in a
@@ -320,46 +361,44 @@ def m(G, *, limits=DEFAULT_LIMITS, force_search=False, prime_power_only=True):
     some maximum set consists of prime power elements.  Pass
     prime_power_only=False to search over every element.
     """
+    G, limits = A.G, A.limits
     n = G.order()
     if n == 1:
         return 0
     if G.is_soluble() and not force_search:
-        a, _ = chief_counts(G, limits=limits)
-        return a
+        return A.a
     if n > SEARCH_ORDER_CAP:
         raise CapExceeded(
             f"m search needs order <= {SEARCH_ORDER_CAP}, group has order {n}")
-    a, b = chief_counts(G, limits=limits)
-    oracle = GenOracle(G, limits=limits)
     elems, reps = _search_candidates(G, prime_power_only, limits=limits)
-    best = _search(oracle, elems, reps, a + b, omega(n), limits=limits)
+    best = _search(A.oracle, elems, reps, A.a + A.b, omega(n), limits=limits)
     if best is None:
         raise GroupError(
             "no independent generating set reached the lower bound a + b")
     return len(best)
 
 
-def spectrum(G, *, limits=DEFAULT_LIMITS, seed=0):
+def spectrum(A):
     """Witnesses for every size of independent generating set, as a dict
     size -> tuple of permutations.  The sizes always form the full interval
     [d(G), m(G)]."""
+    G, limits = A.G, A.limits
     n = G.order()
     if n == 1:
         return {0: ()}
-    d_val, d_wit = d_with_witness(G, limits=limits, seed=seed)
-    m_val = m(G, limits=limits)
+    d_val, d_wit = A.d_witness
+    m_val = A.m
     if n > SEARCH_ORDER_CAP:
         raise CapExceeded(
             f"spectrum search needs order <= {SEARCH_ORDER_CAP}, "
             f"group has order {n}")
-    oracle = GenOracle(G, limits=limits)
     elems, reps = _search_candidates(G, limits=limits)
     out = {}
     for k in range(d_val, m_val + 1):
-        if k == d_val and is_independent(G, d_wit, oracle):
+        if k == d_val and is_independent(A, d_wit):
             out[k] = tuple(d_wit)
             continue
-        witness = _search(oracle, elems, reps, k, k, limits=limits)
+        witness = _search(A.oracle, elems, reps, k, k, limits=limits)
         if witness is None:
             raise GroupError(
                 f"no independent generating set of size {k} although "

@@ -555,10 +555,6 @@ class PermGroup:
         return (self.degree == other.degree and self.order() == other.order()
                 and self.is_subgroup_of(other))
 
-    def normalizes(self, other):
-        """True if every generator of self normalizes `other`."""
-        return all(n.conj(g) in other for g in self.gens for n in other.gens)
-
     def normal_closure(self, seeds):
         """Smallest normal subgroup of self containing the seed permutations."""
         chain = _Stabilizer(self.degree)
@@ -715,9 +711,6 @@ class Homomorphism:
 
     def image_group(self):
         return PermGroup(self.target.degree, self.images)
-
-    def image_of_subgroup(self, H):
-        return PermGroup(self.target.degree, tuple(self(h) for h in H.gens))
 
 
 def quotient(G, N, *, limits=DEFAULT_LIMITS):

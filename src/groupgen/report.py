@@ -14,6 +14,10 @@ lookup;
 ``seed`` drives the randomized generation probes; ``ex3_action`` picks the
 EX3 family's action.  The other caps are fixed module constants.
 
+Sharing: the stages read one ``genset.Analysis`` made under the report's
+limits and seed, so each invariant is computed once per report.  Only the
+subgroup lattice, which no limit changes, stays memoized on the group.
+
 Determinism: the same expression with the same knobs yields byte-identical
 canonical JSON, except for the ``timings`` entry, which holds wall clock data
 and a cache marker and is excluded from :func:`canonical_json`.
@@ -41,7 +45,6 @@ import warnings
 
 from . import builder
 from . import genset
-from . import structure
 from . import verify
 from .perm import (DEFAULT_LATTICE_CAP, CapExceeded, GroupError, Limits,
                    TimeBudgetExceeded)
@@ -108,6 +111,7 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
             return out
 
     limits = Limits(lattice_cap, time_budget)
+    an = genset.Analysis(G, limits, seed)
     skipped = {}
 
     def stage(name, fn):
@@ -127,43 +131,29 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
         factors = [
             {"order": f.order, "abelian": f.is_abelian,
              "frattini": f.is_frattini, "prime": f.prime, "dim": f.dim}
-            for f in structure.chief_series(G, limits=limits)]
-        return (sum(1 for f in factors if not f["frattini"]),
-                sum(1 for f in factors if not f["abelian"]), factors)
+            for f in an.series]
+        return an.a, an.b, factors
 
     chief = stage("chief_series", chief_data)
     rep["a"], rep["b"], rep["chief_factors"] = chief or (None, None, None)
 
-    rep["d"] = stage("d", lambda: genset.d(G, limits=limits, seed=seed))
-    rep["m"] = stage("m", lambda: genset.m(G, limits=limits))
+    rep["d"] = stage("d", lambda: an.d)
+    rep["m"] = stage("m", lambda: an.m)
 
+    rep["spectrum"] = rep["verdicts"] = None
     if rep["d"] is not None and rep["m"] is not None:
-        if G.is_soluble() or G.order() <= genset.SEARCH_ORDER_CAP:
-            spec = stage("spectrum", lambda: genset.spectrum(
-                G, limits=limits, seed=seed))
-            rep["spectrum"] = sorted(spec) if spec is not None else None
-        else:
-            skipped["spectrum"] = (
-                f"spectrum search needs order <= {genset.SEARCH_ORDER_CAP}, "
-                f"group has order {G.order()}")
-            rep["spectrum"] = None
-    else:
-        skipped["spectrum"] = "spectrum needs both d and m"
-        rep["spectrum"] = None
-
-    if rep["d"] is not None and rep["m"] is not None:
-        verdicts = stage("verdicts", lambda: verify.verify_all(
-            G, d=rep["d"], m=rep["m"], limits=limits))
+        spec = stage("spectrum", lambda: an.spectrum)
+        if spec is not None:
+            rep["spectrum"] = sorted(spec)
+        verdicts = stage("verdicts", lambda: verify.verify_all(an))
         if verdicts is not None:
             rep["verdicts"] = [
                 {"theorem": v.theorem, "applicable": v.applicable,
                  "case": v.case, "ok": v.ok}
                 for v in verdicts]
-        else:
-            rep["verdicts"] = None
     else:
+        skipped["spectrum"] = "spectrum needs both d and m"
         skipped["verdicts"] = "verdicts need both d and m"
-        rep["verdicts"] = None
 
     if skipped:
         rep["skipped"] = skipped

@@ -248,12 +248,11 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
     return lattice
 
 
-def frattini(G, lattice=None, *, limits=DEFAULT_LIMITS):
+def frattini(G, *, limits=DEFAULT_LIMITS):
     """The Frattini subgroup: intersection of all maximal subgroups."""
     if G.order() == 1:
         return PermGroup(G.degree, ())
-    if lattice is None:
-        lattice = subgroup_lattice(G, limits=limits)
+    lattice = subgroup_lattice(G, limits=limits)
     maximal_sets = [lattice.id_set(i) for i in lattice.maximal_indices()]
     inter = frozenset.intersection(*maximal_sets)
     elems = G.elements(None)

@@ -13,10 +13,11 @@ Three statements are covered, keyed by the gap m(G) - d(G) and solubility:
   structurally (orders, normality, complements, module equivalences),
   never by general isomorphism testing.
 
-Each verifier reports a TheoremVerdict.  Failed hypotheses make a verdict
-inapplicable; a structural mismatch on an applicable group is an explicit
-red flag (ok=False), never silently reconciled.  The statements are
-treated as oracles under test.
+Each verifier reads d, m, Frat(G) and the chief series from one
+genset.Analysis and reports a TheoremVerdict.  Failed hypotheses make a
+verdict inapplicable; a structural mismatch on an applicable group is an
+explicit red flag (ok=False), never silently reconciled.  The statements
+are treated as oracles under test.
 
 The SOLUBLE_CASES matcher tries case 2, then case 1, then case 3, so a
 group admitting several decompositions gets a deterministic answer.  Case
@@ -29,8 +30,7 @@ the intended witness for case 2 with an abelian complement.
 from dataclasses import dataclass, field
 
 from . import genset, structure
-from .perm import (DEFAULT_LIMITS, PermGroup, factorint, is_prime_power,
-                   quotient)
+from .perm import PermGroup, factorint, is_prime_power, quotient
 
 MD_EQUAL = "MD_EQUAL"
 NONSOLUBLE_MONOLITHIC = "NONSOLUBLE_MONOLITHIC"
@@ -65,31 +65,16 @@ def _red_flag(theorem, reason, **extra):
     return TheoremVerdict(theorem, True, False, None, evidence)
 
 
-def _dm(G, d, m, limits):
-    if d is None:
-        d = genset.d(G, limits=limits)
-    if m is None:
-        m = genset.m(G, limits=limits)
-    return d, m
-
-
 def _trivial(G):
     return PermGroup(G.degree, ())
 
 
-def _frattini_order(G, frat, limits):
-    if frat is not None:
-        return frat.order()
-    return structure.frattini(G, limits=limits).order()
-
-
-def _find_complement(G, N, lattice=None, *, limits=DEFAULT_LIMITS):
+def _find_complement(G, N, limits):
     """A subgroup H with HN = G and H meeting N trivially, or None."""
     target = G.order() // N.order()
     if target == G.order():
         return G
-    if lattice is None:
-        lattice = structure.subgroup_lattice(G, limits=limits)
+    lattice = structure.subgroup_lattice(G, limits=limits)
     n_set = N.element_set()
     for i, fs in enumerate(lattice.elem_sets):
         if len(fs) == target and len(fs & n_set) == 1:
@@ -130,12 +115,13 @@ def _socle_components(G, limits):
 # ------------------------------------------------------------- gap zero
 
 
-def verify_md_equal(G, *, d=None, m=None, frat=None, limits=DEFAULT_LIMITS):
+def verify_md_equal(A):
     """Check the classification of groups with d(G) = m(G)."""
-    fo = _frattini_order(G, frat, limits)
+    G = A.G
+    fo = A.frattini.order()
     if fo != 1:
         return _not_applicable(MD_EQUAL, f"Frattini subgroup has order {fo}")
-    d, m = _dm(G, d, m, limits)
+    d, m = A.d, A.m
     if m != d:
         return _not_applicable(MD_EQUAL, f"m - d = {m - d}, not 0", d=d, m=m)
     evidence = {"d": d, "m": m}
@@ -168,8 +154,7 @@ def verify_md_equal(G, *, d=None, m=None, frat=None, limits=DEFAULT_LIMITS):
     if not module.centralizer().same_group_as(P):
         return _red_flag(MD_EQUAL, "the cyclic quotient does not act"
                          " faithfully on the socle", **evidence)
-    series = structure.chief_series(G, limits=limits)
-    copies = [f for f in series if f.is_abelian and f.prime == p]
+    copies = [f for f in A.series if f.is_abelian and f.prime == p]
     sizes = 1
     for f in copies:
         sizes *= f.order
@@ -194,23 +179,23 @@ def verify_md_equal(G, *, d=None, m=None, frat=None, limits=DEFAULT_LIMITS):
 # ------------------------------------------------------ gap one, not soluble
 
 
-def verify_nonsoluble(G, *, d=None, m=None, frat=None,
-                      limits=DEFAULT_LIMITS):
+def verify_nonsoluble(A):
     """Check the monolithic classification of non-soluble gap-one groups."""
-    fo = _frattini_order(G, frat, limits)
+    G = A.G
+    fo = A.frattini.order()
     if fo != 1:
         return _not_applicable(NONSOLUBLE_MONOLITHIC,
                                f"Frattini subgroup has order {fo}")
     if G.is_soluble():
         return _not_applicable(NONSOLUBLE_MONOLITHIC, "group is soluble")
-    d, m = _dm(G, d, m, limits)
+    d, m = A.d, A.m
     if m - d != 1:
         return _not_applicable(NONSOLUBLE_MONOLITHIC,
                                f"m - d = {m - d}, not 1", d=d, m=m)
     evidence = {"d": d, "m": m}
     if d != 2:
         return _red_flag(NONSOLUBLE_MONOLITHIC, f"d = {d}, not 2", **evidence)
-    if not structure.monolithic_primitive(G, limits=limits):
+    if not structure.monolithic_primitive(G, limits=A.limits):
         return _red_flag(NONSOLUBLE_MONOLITHIC,
                          "group is not monolithic primitive", **evidence)
     S = structure.socle(G)
@@ -227,18 +212,18 @@ def verify_nonsoluble(G, *, d=None, m=None, frat=None,
 # -------------------------------------------------------- gap one, soluble
 
 
-def _match_case2(G, d, lattice, limits):
+def _match_case2(G, d, limits):
     """G = V^t : H with m(H) = 2 and t = 1 or H abelian; d = t + 1."""
     candidates = []
     for W, factor, t in _socle_components(G, limits):
         if t != d - 1:
             continue
-        H = _find_complement(G, W, lattice, limits=limits)
+        H = _find_complement(G, W, limits)
         if H is None:
             continue
         if not (t == 1 or H.is_abelian()):
             continue
-        if genset.m(H, limits=limits) != 2:
+        if genset.Analysis(H, limits).m != 2:
             continue
         candidates.append((W, factor, t, H))
     if not candidates:
@@ -252,7 +237,7 @@ def _match_case2(G, d, lattice, limits):
             "complement_abelian": H.is_abelian(), "m_of_complement": 2}
 
 
-def _match_case1(G, d, lattice, limits):
+def _match_case1(G, d, limits):
     """G = V : P with P a non-cyclic p-group, V of different prime
     characteristic; d = d(P)."""
     for V in structure.minimal_normal_subgroups(G):
@@ -266,9 +251,9 @@ def _match_case1(G, d, lattice, limits):
         (r, _), = factorint(V.order()).items()
         if p == r:
             continue
-        if genset.d(Q, limits=limits) != d:
+        if genset.Analysis(Q, limits).d != d:
             continue
-        if _find_complement(G, V, lattice, limits=limits) is None:
+        if _find_complement(G, V, limits) is None:
             continue
         return {"module_order": V.order(), "module_prime": r,
                 "p_group_order": qo, "p_group_prime": p, "d_of_p_group": d}
@@ -286,7 +271,7 @@ def _match_quotient_shape(Q, d, limits):
     for W, factor, t in _socle_components(Q, limits):
         if t != d - 1:
             continue
-        H = _find_complement(Q, W, limits=limits)
+        H = _find_complement(Q, W, limits)
         if H is None:
             continue
         ho = H.order()
@@ -322,26 +307,24 @@ def _match_case3(G, d, limits):
     return None
 
 
-def verify_soluble_cases(G, *, d=None, m=None, frat=None,
-                         limits=DEFAULT_LIMITS):
+def verify_soluble_cases(A):
     """Check the three-shape classification of soluble gap-one groups."""
-    lattice = structure.subgroup_lattice(G, limits=limits)
-    fo = (frat.order() if frat is not None
-          else structure.frattini(G, lattice=lattice).order())
+    G, limits = A.G, A.limits
+    fo = A.frattini.order()
     if fo != 1:
         return _not_applicable(SOLUBLE_CASES,
                                f"Frattini subgroup has order {fo}")
     if not G.is_soluble():
         return _not_applicable(SOLUBLE_CASES, "group is not soluble")
-    d, m = _dm(G, d, m, limits)
+    d, m = A.d, A.m
     if m - d != 1:
         return _not_applicable(SOLUBLE_CASES, f"m - d = {m - d}, not 1",
                                d=d, m=m)
     base = {"d": d, "m": m}
-    info = _match_case2(G, d, lattice, limits)
+    info = _match_case2(G, d, limits)
     if info is not None:
         return TheoremVerdict(SOLUBLE_CASES, True, True, 2, {**base, **info})
-    info = _match_case1(G, d, lattice, limits)
+    info = _match_case1(G, d, limits)
     if info is not None:
         return TheoremVerdict(SOLUBLE_CASES, True, True, 1, {**base, **info})
     info = _match_case3(G, d, limits)
@@ -350,11 +333,7 @@ def verify_soluble_cases(G, *, d=None, m=None, frat=None,
     return _red_flag(SOLUBLE_CASES, "no case matched", **base)
 
 
-def verify_all(G, *, d=None, m=None, limits=DEFAULT_LIMITS):
-    """All three verdicts, sharing one (d, m) computation."""
-    d, m = _dm(G, d, m, limits)
-    frat = structure.frattini(G, limits=limits)
-    common = dict(d=d, m=m, frat=frat, limits=limits)
-    return (verify_md_equal(G, **common),
-            verify_nonsoluble(G, **common),
-            verify_soluble_cases(G, **common))
+def verify_all(A):
+    """All three verdicts on one Analysis, which computes d, m and the
+    Frattini subgroup once for the three."""
+    return verify_md_equal(A), verify_nonsoluble(A), verify_soluble_cases(A)

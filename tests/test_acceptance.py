@@ -35,20 +35,18 @@ def corpus_groups():
 def test_criterion_01_ex1_family():
     t0 = time.monotonic()
     for t in (1, 2, 3):
-        G = builder.paper_family("EX1", t)
-        assert genset.d(G) == t + 1, f"EX1({t})"
-        assert genset.m(G) == t + 2, f"EX1({t})"
+        an = genset.Analysis(builder.paper_family("EX1", t))
+        assert genset.d(an) == t + 1, f"EX1({t})"
+        assert genset.m(an) == t + 2, f"EX1({t})"
     assert time.monotonic() - t0 < 30
     _line(1, t0, "EX1(t): d = t+1, m = t+2 for t = 1, 2, 3")
 
 
 def test_criterion_02_ex2a():
     t0 = time.monotonic()
-    G = builder.paper_family("EX2A", 1)
-    d = genset.d(G)
-    m = genset.m(G)
-    assert (d, m) == (2, 3)
-    v = verify.verify_soluble_cases(G, d=d, m=m)
+    an = genset.Analysis(builder.paper_family("EX2A", 1))
+    assert (an.d, an.m) == (2, 3)
+    v = verify.verify_soluble_cases(an)
     assert v.applicable and v.ok and v.case == 2
     assert v.evidence["t"] == 1
     assert v.evidence["complement_order"] == 6
@@ -59,11 +57,9 @@ def test_criterion_02_ex2a():
 def test_criterion_03_ex2b_family():
     t0 = time.monotonic()
     for t in (1, 2):
-        G = builder.paper_family("EX2B", t)
-        d = genset.d(G)
-        m = genset.m(G)
-        assert d == t + 1 and m - d == 1, f"EX2B({t})"
-        v = verify.verify_soluble_cases(G, d=d, m=m)
+        an = genset.Analysis(builder.paper_family("EX2B", t))
+        assert an.d == t + 1 and an.m - an.d == 1, f"EX2B({t})"
+        v = verify.verify_soluble_cases(an)
         assert v.applicable and v.ok and v.case == 2, f"EX2B({t})"
         assert v.evidence["complement_abelian"] is True, f"EX2B({t})"
     assert time.monotonic() - t0 < 60
@@ -103,10 +99,9 @@ def test_criterion_04_ex3_both_actions():
 
 def test_criterion_05_a5_nonsoluble():
     t0 = time.monotonic()
-    G = builder.build("A5")
-    m = genset.m(G)
-    assert m == 3
-    v = verify.verify_nonsoluble(G, d=genset.d(G), m=m)
+    an = genset.Analysis(builder.build("A5"))
+    assert an.m == 3
+    v = verify.verify_nonsoluble(an)
     assert v.applicable and v.ok
     assert time.monotonic() - t0 < 60
     _line(5, t0, "m(A5) = 3 and the nonsoluble gap-one check passes")
@@ -115,12 +110,11 @@ def test_criterion_05_a5_nonsoluble():
 @pytest.mark.slow
 def test_criterion_05_slow_pgl27():
     t0 = time.monotonic()
-    G = builder.build("PGL2(7)")
-    m = genset.m(G)
-    d = genset.d(G)
+    an = genset.Analysis(builder.build("PGL2(7)"))
+    m = an.m
     detail = f"m(PGL2(7)) = {m}"
     if m == 3:
-        v = verify.verify_nonsoluble(G, d=d, m=m)
+        v = verify.verify_nonsoluble(an)
         assert v.applicable and v.ok
         detail += ", nonsoluble gap-one check passes"
     _line(5, t0, detail + " (slow)")
@@ -152,13 +146,12 @@ def test_criterion_07_crown_powers():
     for k in range(1, 5):
         assert crowns.crown_power(L, A, k).order() == 3 ** (k - 1) * 6
     C = crowns.crown_power(L, A, 2)
-    d = genset.d(C)
-    assert d == 3
+    an = genset.Analysis(C)
+    assert an.d == 3
     assert crowns.soluble_d(C) == 3
-    m = genset.m(C)
-    v = verify.verify_md_equal(C, d=d, m=m)
+    v = verify.verify_md_equal(an)
     assert v.applicable and v.ok and v.case == 2
-    assert v.evidence["copies"] == m - 1 == 2
+    assert v.evidence["copies"] == an.m - 1 == 2
     assert time.monotonic() - t0 < 60
     _line(7, t0, "crown powers of S3 have the expected orders; at k = 2 "
                  "d = 3 = h and the d = m check sees m-1 = 2 copies")
@@ -188,7 +181,7 @@ def test_criterion_08_eulerian_and_direct_power():
     assert crowns.crown_generation_check(A5, A5, 2, 20) is False
     square = builder.build("D(A5, A5)")
     assert square.degree == 10
-    assert genset.d(square) == 2
+    assert genset.d(genset.Analysis(square)) == 2
     assert time.monotonic() - t0 < 600
     _line(8, t0, "generating pair counts match by brute force and Moebius "
                  "inversion; 2280/120 = 19 bounds the 2-generated direct "
@@ -209,7 +202,8 @@ def test_criterion_09_module_invariants_across_corpus(corpus_groups):
             assert inv.h <= inv.delta + 1, (text, factor.order)
             checked += 1
         if G.is_soluble():
-            assert genset.d(G) == max(inv.h for _, inv in pairs), text
+            assert (genset.d(genset.Analysis(G))
+                    == max(inv.h for _, inv in pairs)), text
     assert time.monotonic() - t0 < 1200
     _line(9, t0, f"s = t + delta, t < r, h <= delta + 1 on {checked} "
                  f"factors across {len(corpus_groups)} groups; d = max h "
@@ -220,19 +214,20 @@ def test_criterion_10_generation_bounds_across_corpus(corpus_groups):
     t0 = time.monotonic()
     for text, G in corpus_groups:
         assert G.order() <= 500, text
-        b = genset.bounds(G)
-        m = genset.m(G)
+        an = genset.Analysis(G)
+        b = genset.bounds(an)
+        m = genset.m(an)
         assert b["lower"] <= m <= b["upper"], text
         if G.is_soluble():
             assert m == b["a"], text
             if G.order() <= 200:
-                assert genset.m(G, force_search=True) == m, text
-        wits = genset.spectrum(G)
-        d = genset.d(G)
+                assert genset.m(an, force_search=True) == m, text
+        wits = genset.spectrum(an)
+        d = genset.d(an)
         assert sorted(wits) == list(range(d, m + 1)), text
         for k, wit in wits.items():
             assert len(wit) == k, text
-            assert genset.is_independent_generating_set(G, wit), (text, k)
+            assert genset.is_independent_generating_set(an, wit), (text, k)
         soc = structure.unique_minimal_normal(G)
         if soc is not None and not soc.is_abelian():
             assert m >= 3, text

@@ -419,7 +419,7 @@ def test_module_invariants_s3_natural():
     inv = crowns.module_invariants(G, M)
     assert (inv.r, inv.s, inv.t, inv.delta, inv.h) == (1, 1, 0, 1, 2)
     assert inv.end_dim == 1
-    assert crowns.soluble_d(G) == 2 == genset.d(G)
+    assert crowns.soluble_d(G) == 2 == genset.d(genset.Analysis(G))
 
 
 def test_module_invariants_crown_of_s3():
@@ -431,7 +431,7 @@ def test_module_invariants_crown_of_s3():
     assert len(threes) == 2
     for inv in threes:
         assert (inv.r, inv.s, inv.t, inv.delta, inv.h) == (1, 2, 0, 2, 3)
-    assert crowns.soluble_d(G) == 3 == genset.d(G)
+    assert crowns.soluble_d(G) == 3 == genset.d(genset.Analysis(G))
 
 
 def test_module_invariants_trivial_modules():
@@ -467,7 +467,7 @@ def test_soluble_d_matches_search():
            _elementary(2, 3), _elementary(3, 2), _product_with_c2(_sym(3)),
            _product_with_c2(_cyclic(4))]
     for G in zoo:
-        assert crowns.soluble_d(G) == genset.d(G), G
+        assert crowns.soluble_d(G) == genset.d(genset.Analysis(G)), G
     assert crowns.soluble_d(PermGroup(2, ())) == 0
     with pytest.raises(GroupError):
         crowns.soluble_d(_alt(5))

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from groupgen.perm import CapExceeded, Limits, Perm, PermGroup, omega
+from groupgen.perm import (CapExceeded, Limits, Perm, PermGroup,
+                           TimeBudgetExceeded, omega)
 from groupgen import builder, genset, structure, verify
+from groupgen.genset import Analysis
 
 
 def _sym(n):
@@ -90,17 +92,17 @@ def _brute_m(G):
 
 
 def test_d_known_values():
-    assert genset.d(PermGroup(2, [])) == 0
-    assert genset.d(_cyclic(6)) == 1
-    assert genset.d(_cyclic(12)) == 1
-    assert genset.d(_klein()) == 2
-    assert genset.d(_sym(3)) == 2
-    assert genset.d(_sym(4)) == 2
-    assert genset.d(_alt(4)) == 2
-    assert genset.d(_alt(5)) == 2
-    assert genset.d(_dihedral4()) == 2
-    assert genset.d(_elementary(2, 3)) == 3
-    assert genset.d(_s3xc2()) == 2
+    assert genset.d(Analysis(PermGroup(2, []))) == 0
+    assert genset.d(Analysis(_cyclic(6))) == 1
+    assert genset.d(Analysis(_cyclic(12))) == 1
+    assert genset.d(Analysis(_klein())) == 2
+    assert genset.d(Analysis(_sym(3))) == 2
+    assert genset.d(Analysis(_sym(4))) == 2
+    assert genset.d(Analysis(_alt(4))) == 2
+    assert genset.d(Analysis(_alt(5))) == 2
+    assert genset.d(Analysis(_dihedral4())) == 2
+    assert genset.d(Analysis(_elementary(2, 3))) == 3
+    assert genset.d(Analysis(_s3xc2())) == 2
 
 
 def test_d_matches_brute_force():
@@ -112,12 +114,12 @@ def test_d_matches_brute_force():
         cases.append(PermGroup(5, [a, b]))
     for G in cases:
         if G.order() <= 60:
-            assert genset.d(G) == _brute_d(G)
+            assert genset.d(Analysis(G)) == _brute_d(G)
 
 
 def test_d_witness_generates():
     for G in [_sym(4), _elementary(2, 3), _cyclic(12), _alt(5)]:
-        k, witness = genset.d_with_witness(G)
+        k, witness = genset.d_with_witness(Analysis(G))
         assert len(witness) == k
         assert PermGroup(G.degree, witness).order() == G.order()
 
@@ -143,7 +145,7 @@ def test_d_witnesses_pinned(monkeypatch):
     # phase refutes d - 1; with the random probes off, every witness comes
     # from the exhaustive phase
     def shown(expr):
-        k, witness = genset.d_with_witness(builder.build(expr))
+        k, witness = genset.d_with_witness(Analysis(builder.build(expr)))
         assert k == len(witness)
         return [p.cycle_string() for p in witness]
 
@@ -159,17 +161,58 @@ def test_d_honours_lattice_cap():
     # EX2B(2) needs the exhaustive phase; over the cap it runs on
     # stabilizer-chain spans and builds no lattice
     G = builder.build("EX2B(2)")
-    assert genset.d(G, limits=Limits(lattice_cap=3)) == 3
+    assert genset.d(Analysis(G, Limits(lattice_cap=3))) == 3
     assert G._lattice_cache is None
 
 
 def test_limits_are_keyword_only():
-    # a positional Limits could land in another parameter's slot
+    # a positional Limits could land in another parameter's slot; the
+    # searches and the verdicts take theirs from the analysis
     G = _sym(3)
-    for fn in (genset.d, genset.m, genset.spectrum, structure.chief_series,
-               structure.subgroup_lattice, verify.verify_all):
+    for fn in (structure.chief_series, structure.subgroup_lattice):
         with pytest.raises(TypeError):
             fn(G, Limits())
+    for fn in (genset.d, genset.m, genset.spectrum, verify.verify_all):
+        with pytest.raises(TypeError):
+            fn(Analysis(G), Limits())
+
+
+def test_analysis_raises_a_spent_budget_on_every_access():
+    # a failure is never stored, so a later access cannot read a stale None
+    an = Analysis(_sym(4), Limits(seconds=0.0))
+    for _ in range(2):
+        with pytest.raises(TimeBudgetExceeded):
+            an.series
+        with pytest.raises(TimeBudgetExceeded):
+            an.m
+    assert "series" not in vars(an) and "m" not in vars(an)
+
+
+def test_analyses_under_different_limits_share_no_factor():
+    G = _sym(4)
+    loose, tight = Limits(), Limits(lattice_cap=5)
+    first, second = Analysis(G, loose), Analysis(G, tight)
+    assert first.series is not second.series
+    assert all(f.limits is loose for f in first.series)
+    assert all(f.limits is tight for f in second.series)
+    assert (first.m, second.m) == (3, 3)
+
+
+def test_analysis_computes_through_the_module_functions(monkeypatch):
+    # a wrapper installed on a module name, as the benchmark's tracer
+    # installs one, sees the computation the property makes
+    seen = []
+    for name in ("d", "d_with_witness", "m", "spectrum"):
+        def wrapped(an, *args, _real=getattr(genset, name), _name=name,
+                    **kwargs):
+            seen.append(_name)
+            return _real(an, *args, **kwargs)
+        monkeypatch.setattr(genset, name, wrapped)
+    an = Analysis(_sym(4))
+    assert sorted(an.spectrum) == [2, 3]
+    assert an.d == 2
+    assert seen == ["spectrum", "d_with_witness", "m", "d"]
+    assert an.spectrum is an.spectrum and len(seen) == 4
 
 
 def test_lower_bound_d():
@@ -181,93 +224,93 @@ def test_lower_bound_d():
 
 
 def test_m_known_values():
-    assert genset.m(PermGroup(2, [])) == 0
-    assert genset.m(_cyclic(6)) == 2
-    assert genset.m(_sym(3)) == 2
-    assert genset.m(_sym(4)) == 3
-    assert genset.m(_alt(4)) == 2
-    assert genset.m(_dihedral4()) == 2
-    assert genset.m(_elementary(2, 3)) == 3
-    assert genset.m(_cyclic(8)) == 1
-    assert genset.m(_s3xc2()) == 3
-    assert genset.m(_alt(5)) == 3
+    assert genset.m(Analysis(PermGroup(2, []))) == 0
+    assert genset.m(Analysis(_cyclic(6))) == 2
+    assert genset.m(Analysis(_sym(3))) == 2
+    assert genset.m(Analysis(_sym(4))) == 3
+    assert genset.m(Analysis(_alt(4))) == 2
+    assert genset.m(Analysis(_dihedral4())) == 2
+    assert genset.m(Analysis(_elementary(2, 3))) == 3
+    assert genset.m(Analysis(_cyclic(8))) == 1
+    assert genset.m(Analysis(_s3xc2())) == 3
+    assert genset.m(Analysis(_alt(5))) == 3
 
 
 @pytest.mark.slow
 def test_m_of_s6():
     # m(S_n) = n - 1 (Whiston 2000)
-    assert genset.m(_sym(6)) == 5
+    assert genset.m(Analysis(_sym(6))) == 5
 
 
 def test_m_soluble_fast_path_matches_search():
     for G in [_sym(3), _sym(4), _cyclic(6), _cyclic(12), _dihedral4(),
               _klein(), _elementary(2, 3), _alt(4), _s3xc2(), _cyclic(8)]:
-        fast = genset.m(G)
-        searched = genset.m(G, force_search=True)
+        fast = genset.m(Analysis(G))
+        searched = genset.m(Analysis(G), force_search=True)
         assert fast == searched, G
 
 
 def test_m_matches_brute_force():
     for G in [_sym(3), _cyclic(6), _klein(), _cyclic(8), _alt(4)]:
-        assert genset.m(G, force_search=True) == _brute_m(G)
+        assert genset.m(Analysis(G), force_search=True) == _brute_m(G)
 
 
 def test_m_order_cap():
     big = _elementary(2, 12)
     with pytest.raises(CapExceeded):
-        genset.m(big, force_search=True)
+        genset.m(Analysis(big), force_search=True)
 
 
 def test_bounds():
-    b = genset.bounds(_sym(4))
+    b = genset.bounds(Analysis(_sym(4)))
     assert b == {"a": 3, "b": 0, "lower": 3, "upper": 4}
-    b = genset.bounds(_alt(5))
+    b = genset.bounds(Analysis(_alt(5)))
     assert b == {"a": 1, "b": 1, "lower": 2, "upper": 4}
-    b = genset.bounds(_cyclic(8))
+    b = genset.bounds(Analysis(_cyclic(8)))
     assert b == {"a": 1, "b": 0, "lower": 1, "upper": 3}
     for G in [_sym(4), _alt(5), _cyclic(8), _s3xc2()]:
-        b = genset.bounds(G)
-        mm = genset.m(G, force_search=not G.is_soluble())
+        b = genset.bounds(Analysis(G))
+        mm = genset.m(Analysis(G), force_search=not G.is_soluble())
         assert b["lower"] <= mm <= b["upper"]
 
 
 def test_spectrum():
-    spec = genset.spectrum(_sym(4))
+    spec = genset.spectrum(Analysis(_sym(4)))
     assert sorted(spec) == [2, 3]
-    spec = genset.spectrum(_elementary(2, 3))
+    spec = genset.spectrum(Analysis(_elementary(2, 3)))
     assert sorted(spec) == [3]
-    spec = genset.spectrum(_cyclic(6))
+    spec = genset.spectrum(Analysis(_cyclic(6)))
     assert sorted(spec) == [1, 2]
-    spec = genset.spectrum(_alt(5))
+    spec = genset.spectrum(Analysis(_alt(5)))
     assert sorted(spec) == [2, 3]
-    spec = genset.spectrum(PermGroup(3, []))
+    spec = genset.spectrum(Analysis(PermGroup(3, [])))
     assert sorted(spec) == [0]
 
 
 def test_spectrum_witnesses_validate():
     for G in [_sym(4), _cyclic(6), _alt(5), _dihedral4(), _s3xc2()]:
-        oracle = genset.GenOracle(G)
-        for k, witness in genset.spectrum(G).items():
+        check = Analysis(G)
+        for k, witness in genset.spectrum(Analysis(G)).items():
             assert len(witness) == k
-            assert genset.is_independent_generating_set(G, witness, oracle)
+            assert genset.is_independent_generating_set(check, witness)
 
 
 def test_spectrum_is_an_interval():
     for G in [_sym(4), _cyclic(12), _alt(4), _alt(5), _s3xc2(),
               _elementary(3, 2)]:
-        sizes = sorted(genset.spectrum(G))
+        sizes = sorted(genset.spectrum(Analysis(G)))
         assert sizes == list(range(sizes[0], sizes[-1] + 1))
-        assert sizes[0] == genset.d(G)
+        assert sizes[0] == genset.d(Analysis(G))
 
 
 def test_is_independent():
-    S4 = _sym(4)
+    S4 = Analysis(_sym(4))
     a = Perm.from_cycles(4, [(0, 1, 2, 3)])
     b = Perm.from_cycles(4, [(0, 1)])
     assert genset.is_independent(S4, [a, b])
     assert genset.is_independent_generating_set(S4, [a, b])
     assert not genset.is_independent(S4, [a, b, a * a])
-    assert not genset.is_independent(S4, [S4.identity()])
+    assert not genset.is_independent(S4, [S4.G.identity()])
     assert genset.is_independent(S4, [a])
     assert not genset.is_independent_generating_set(S4, [a])
 
@@ -275,21 +318,22 @@ def test_is_independent():
 def test_independence_is_hereditary():
     rng = random.Random(3)
     for G in [_sym(4), _alt(5), _cyclic(12)]:
-        oracle = genset.GenOracle(G)
-        for k, witness in genset.spectrum(G).items():
+        check = Analysis(G)
+        for k, witness in genset.spectrum(Analysis(G)).items():
             if k < 2:
                 continue
             drop = rng.randrange(k)
             subset = witness[:drop] + witness[drop + 1:]
-            assert genset.is_independent(G, subset, oracle)
+            assert genset.is_independent(check, subset)
 
 
 def test_prime_power_restriction_cross_validation():
     # the default search runs over prime power elements only; the
     # unrestricted search must agree
     for G in [_sym(4), _cyclic(6), _cyclic(12), _alt(4), _alt(5), _s3xc2()]:
-        assert (genset.m(G, force_search=True, prime_power_only=False)
-                == genset.m(G, force_search=True))
+        an = Analysis(G)
+        assert (genset.m(an, force_search=True, prime_power_only=False)
+                == genset.m(an, force_search=True))
 
 
 def _engine_results(G, oracle):
@@ -297,7 +341,7 @@ def _engine_results(G, oracle):
     elems, reps = genset._search_candidates(G)
     top = omega(G.order())
     out = {"max": genset._search(oracle, elems, reps, 1, top)}
-    for k in genset.spectrum(G):
+    for k in genset.spectrum(Analysis(G)):
         out[k] = genset._search(oracle, elems, reps, k, k)
     return out
 
@@ -312,10 +356,11 @@ def test_search_fallback_without_lattice():
         assert lattice.lattice is not None
         got = _engine_results(G, chains)
         assert got == _engine_results(G, lattice)
-        assert len(got["max"]) == genset.m(G, force_search=True,
+        assert len(got["max"]) == genset.m(Analysis(G), force_search=True,
                                            prime_power_only=False)
+        check = Analysis(G)
         for k, witness in got.items():
-            assert genset.is_independent_generating_set(G, witness)
+            assert genset.is_independent_generating_set(check, witness)
             if k != "max":
                 assert len(witness) == k
 
@@ -346,4 +391,4 @@ def test_d_random_phase_on_large_group():
     G = PermGroup(10, gens)
     sq = G.normal_closure([gens[0]])
     assert sq.order() == 3600
-    assert genset.d(sq) == 2
+    assert genset.d(Analysis(sq)) == 2

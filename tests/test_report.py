@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from groupgen import report
+from groupgen import builder, genset, report, structure
 from groupgen.report import (canonical_json, compute_report, load_cache,
                              run_corpus, INVARIANT_KEYS, SCHEMA)
 
@@ -229,13 +229,44 @@ def test_spent_budget_skips_stages_without_running_them(monkeypatch):
         raise AssertionError("a stage ran after the budget was spent")
 
     for name in ("d", "m", "spectrum"):
-        monkeypatch.setattr(report.genset, name, never)
-    monkeypatch.setattr(report.structure, "chief_series", never)
+        monkeypatch.setattr(genset, name, never)
+    monkeypatch.setattr(structure, "chief_series", never)
     rep = compute_report("S5", time_budget=0.0)
     for name in ("chief_series", "d", "m"):
         assert "time budget" in rep["skipped"][name]
     assert set(rep["skipped"]) == {"chief_series", "d", "m", "spectrum",
                                    "verdicts"}
+
+
+def test_one_report_computes_each_invariant_of_g_once(monkeypatch):
+    # every stage reads one analysis: the series feeds a, b, m and the
+    # verdicts, the d search feeds d and the spectrum, and d, m and the
+    # spectrum share one oracle
+    built = []
+    calls = {}
+    real_build = builder.build
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def count(owner, name, group_of):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if group_of(args[0]) is built[0]:
+                calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    monkeypatch.setattr(builder, "build", build)
+    count(structure, "chief_series", lambda G: G)
+    count(genset, "d_with_witness", lambda an: an.G)
+    count(genset, "GenOracle", lambda G: G)
+    rep = compute_report("S4")
+    assert len(built) == 1 and "skipped" not in rep
+    assert (rep["d"], rep["m"], rep["spectrum"]) == (2, 3, [2, 3])
+    assert calls == {"chief_series": 1, "d_with_witness": 1, "GenOracle": 1}
 
 
 def test_lattice_cap_in_frattini_flags_is_a_skip(tmp_path):
