@@ -17,7 +17,6 @@ from .perm import (
     Perm,
     PermGroup,
     TimeBudgetExceeded,
-    closure,
     group_from_elements,
     quotient,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "Perm",
     "PermGroup",
     "TimeBudgetExceeded",
-    "closure",
     "group_from_elements",
     "quotient",
 ]

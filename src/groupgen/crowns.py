@@ -26,8 +26,8 @@ from . import gfp
 from .perm import (DEFAULT_LIMITS, MAX_DEGREE, CapExceeded, GroupError,
                    Homomorphism, Perm, PermGroup, build_chain,
                    group_from_elements, quotient)
-from .structure import (chief_series, cocycle_system, is_simple,
-                        minimal_normal_subgroups, subgroup_lattice)
+from .structure import (chief_series, cocycle_system, factor_centralizer,
+                        is_simple, minimal_normal_subgroups, subgroup_lattice)
 
 AUT_CAP = 500
 COHOMOLOGY_CAP = 500
@@ -132,8 +132,9 @@ class GfpModule:
 def module_of_factor(factor):
     """The GfpModule carried by an abelian chief factor."""
     fm = factor.module
-    return GfpModule(factor.group, fm.prime, fm.matrices,
-                     centralizer_kernel=fm.centralizer())
+    C = factor_centralizer(factor.group, factor.above, factor.below,
+                           limits=factor.limits)
+    return GfpModule(factor.group, fm.prime, fm.matrices, centralizer_kernel=C)
 
 
 def trivial_module(G, p, dim=1):
@@ -169,17 +170,7 @@ def monolithic_of(G, F, *, limits=DEFAULT_LIMITS):
             gens.append(Perm(tuple(index[tuple(int(c) for c in row)]
                                    for row in moved)))
         return PermGroup(points, tuple(gens))
-    kept = []
-    below = F.below
-    for g in G.elements():
-        limits.check()
-        for x in F.above.gens:
-            w = x.conj(g) * x.inverse()
-            if not (w.is_identity() or w in below):
-                break
-        else:
-            kept.append(g)
-    C = group_from_elements(G.degree, kept)
+    C = factor_centralizer(G, F.above, F.below, limits=limits)
     Q, _ = quotient(G, C)
     return Q
 
@@ -226,7 +217,7 @@ def eulerian(X, m, *, limits=DEFAULT_LIMITS):
         raise GroupError("tuple length must be nonnegative")
     lat = subgroup_lattice(X, limits=limits)
     mu = lat.moebius()
-    return sum(mu[i] * len(lat.elem_sets[i]) ** m for i in range(len(lat)))
+    return sum(mu[i] * len(lat.id_set(i)) ** m for i in range(len(lat)))
 
 
 def aut_order(S, *, limits=DEFAULT_LIMITS):

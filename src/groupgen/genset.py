@@ -23,7 +23,9 @@ and join rows.  The oracle reads them off the subgroup lattice when the
 group has one within the limits; otherwise it builds each span once from a
 stabilizer chain and interns it.  The engine cannot tell the two apart.
 d(), m() and spectrum() take an Analysis, which computes what they share
-once: the chief series with a and b, d with its witness, m, the oracle.
+once: the chief series with a and b, d with its witness, m, the oracle;
+the verifiers also read its Frattini subgroup, minimal normal subgroups
+and socle.
 """
 
 from __future__ import annotations
@@ -91,6 +93,15 @@ class Analysis:
     @functools.cached_property
     def frattini(self):
         return structure.frattini(self.G, limits=self.limits)
+
+    @functools.cached_property
+    def minimal_normal(self):
+        return structure.minimal_normal_subgroups(self.G, limits=self.limits)
+
+    @functools.cached_property
+    def socle(self):
+        gens = tuple(g for N in self.minimal_normal for g in N.gens)
+        return PermGroup(self.G.degree, gens)
 
     @functools.cached_property
     def oracle(self):

@@ -413,10 +413,6 @@ class PermGroup:
         self._fingerprint = None
         self._lattice_cache = None
 
-    @classmethod
-    def trivial(cls, degree):
-        return cls(degree, ())
-
     @property
     def chain(self):
         if self._chain is None:
@@ -435,13 +431,6 @@ class PermGroup:
         if perm.degree != self.degree:
             return False
         return self.chain.contains(perm)
-
-    def contains(self, perm):
-        return perm in self
-
-    def sift(self, perm):
-        residue, _ = self.chain.sift(perm)
-        return residue
 
     def identity(self):
         return Perm.identity(self.degree)
@@ -635,11 +624,6 @@ class PermGroup:
     def __repr__(self):
         tag = f" {self.label}" if self.label else ""
         return f"PermGroup(degree={self.degree}, gens={len(self.gens)}{tag})"
-
-
-def closure(degree, perms):
-    """The group generated by the given permutations; closure of [] is trivial."""
-    return PermGroup(degree, tuple(perms))
 
 
 def group_from_elements(degree, elems):

@@ -1,5 +1,13 @@
 """Structural analysis: subgroup lattices, Frattini subgroups, minimal
-normal subgroups, socle and chief series.
+normal subgroups, socle, chief series and the centralizers of chief
+factors.
+
+Minimal normal subgroups and chief series come from one walk: the
+inclusion-minimal normal closures of a normal subgroup Y plus one
+conjugacy class representative, each listed at the first representative
+that gives it.  With Y trivial these are the minimal normal subgroups;
+a chief series takes the least of them as its next term.  The centralizer
+C_G(X/Y) of a chief factor is one sweep over G's elements.
 
 The subgroup lattice is built by closing the zuppos (cyclic subgroups of
 prime power order) under joins with one another.  Every subgroup is the
@@ -31,7 +39,6 @@ from .perm import (
     DEFAULT_LIMITS,
     CapExceeded,
     GroupError,
-    Homomorphism,
     NotInGroup,
     PermGroup,
     factorint,
@@ -39,17 +46,6 @@ from .perm import (
     is_prime_power,
     quotient,
 )
-
-
-def identity_homomorphism(G):
-    return Homomorphism(G, G, G.gens, mapper=lambda g: g, section=lambda q: q)
-
-
-def _quotient(G, N, *, limits=DEFAULT_LIMITS):
-    """G/N, but G itself (with the identity map) when N is trivial."""
-    if N.order() == 1:
-        return G, identity_homomorphism(G)
-    return quotient(G, N, limits=limits)
 
 
 class SubgroupLattice:
@@ -259,25 +255,33 @@ def frattini(G, *, limits=DEFAULT_LIMITS):
     return group_from_elements(G.degree, [elems[k] for k in sorted(inter)])
 
 
-def minimal_normal_subgroups(G):
+def _minimal_closures(G, Y, reps):
+    """The inclusion-minimal normal closures of Y plus one of ``reps``, each
+    listed at the first representative that gives it.  A closure is only
+    ever dropped for a smaller one, so a minimal one is never dropped."""
+    minimal = []
+    for rep in reps:
+        if rep in Y:
+            continue
+        X = G.normal_closure(tuple(Y.gens) + (rep,))
+        if any(M.order() <= X.order() and all(g in X for g in M.gens)
+               for M in minimal):
+            continue
+        minimal = [M for M in minimal
+                   if not (X.order() < M.order()
+                           and all(g in M for g in X.gens))]
+        minimal.append(X)
+    return minimal
+
+
+def minimal_normal_subgroups(G, *, limits=DEFAULT_LIMITS):
     """All minimal normal subgroups, sorted by order (ties keep the order in
     which conjugacy class representatives produced them)."""
     if G.order() == 1:
         return ()
-    closures = []
-    for rep in G.class_representatives():
-        if rep.is_identity():
-            continue
-        N = G.normal_closure([rep])
-        if not any(M.order() == N.order() and all(g in N for g in M.gens)
-                   for M in closures):
-            closures.append(N)
-    minimal = []
-    for N in closures:
-        if not any(M.order() < N.order() and all(g in N for g in M.gens)
-                   for M in closures):
-            minimal.append(N)
-    return tuple(sorted(minimal, key=lambda M: M.order()))
+    reps = G.class_representatives(limits=limits)
+    closures = _minimal_closures(G, PermGroup(G.degree, ()), reps)
+    return tuple(sorted(closures, key=PermGroup.order))
 
 
 def socle(G):
@@ -293,17 +297,9 @@ def unique_minimal_normal(G):
 
 
 def is_simple(G):
-    """Whether G is simple: nontrivial, and every nonidentity conjugacy
-    class generates the whole group as a normal subgroup."""
-    n = G.order()
-    if n == 1:
-        return False
-    for rep in G.class_representatives():
-        if rep.is_identity():
-            continue
-        if G.normal_closure((rep,)).order() != n:
-            return False
-    return True
+    """Whether G is simple: its only minimal normal subgroup is G."""
+    mins = minimal_normal_subgroups(G)
+    return len(mins) == 1 and mins[0].order() == G.order()
 
 
 def is_elementary_abelian(G):
@@ -391,8 +387,11 @@ def cocycle_system(G, N, matrices, p, coords_of=None, *,
 def has_complement(G, X, Y, *, limits=DEFAULT_LIMITS):
     """Whether the abelian chief factor X/Y has a complement in G/Y: whether
     the splitting system of the module Xb = X/Y in Qb = G/Y is solvable."""
-    Qb, proj = _quotient(G, Y, limits=limits)
-    Xb = X if Qb is G else PermGroup(Qb.degree, tuple(map(proj, X.gens)))
+    if Y.order() == 1:
+        Qb, Xb = G, X
+    else:
+        Qb, proj = quotient(G, Y, limits=limits)
+        Xb = PermGroup(Qb.degree, tuple(map(proj, X.gens)))
     M = FactorModule(Qb, Xb, PermGroup(Qb.degree, ()))
     A, b = cocycle_system(Qb, Xb, M.matrices, M.prime, M.coords_of,
                           limits=limits)
@@ -433,7 +432,6 @@ class FactorModule:
             raise GroupError("factor module construction failed")
         self.basis = tuple(basis)
         self.matrices = tuple(self._action_matrix(g) for g in group.gens)
-        self._centralizer = None
 
     def _span(self, basis):
         """Coordinates for every coset spanned by the current basis."""
@@ -462,28 +460,29 @@ class FactorModule:
         rows = [self.coords_of(b.conj(g)) for b in self.basis]
         return np.array(rows, dtype=np.int64)
 
-    def centralizer(self):
-        """C_G(X/Y): elements whose commutator with every basis vector is in Y."""
-        if self._centralizer is None:
-            below = self.below
-            kept = []
-            for g in self.group.elements():
-                ok = True
-                for b in self.basis:
-                    w = b.conj(g) * b.inverse()
-                    if not (w.is_identity() or w in below):
-                        ok = False
-                        break
-                if ok:
-                    kept.append(g)
-            self._centralizer = group_from_elements(self.group.degree, kept)
-        return self._centralizer
-
 
 def _unit(n, j):
     v = np.zeros(n, dtype=np.int64)
     v[j] = 1
     return v
+
+
+def factor_centralizer(G, X, Y, *, limits=DEFAULT_LIMITS):
+    """C_G(X/Y) for normal subgroups Y <= X of G: the elements g with
+    [x, g] in Y for every generator x of X outside Y.  One pass over G's
+    elements in their sorted order, checking the time budget of ``limits``
+    once per element."""
+    gens = [(x, x.inverse()) for x in X.gens if x not in Y]
+    kept = []
+    for g in G.elements(limits=limits):
+        limits.check()
+        for x, x_inv in gens:
+            w = x.conj(g) * x_inv
+            if not (w.is_identity() or w in Y):
+                break
+        else:
+            kept.append(g)
+    return group_from_elements(G.degree, kept)
 
 
 class ChiefFactor:
@@ -557,24 +556,12 @@ def chief_series(G, *, limits=DEFAULT_LIMITS):
     """
     if G.order() == 1:
         return ()
-    reps = [r for r in G.class_representatives(limits=limits)
-            if not r.is_identity()]
+    reps = G.class_representatives(limits=limits)
     factors = []
     Y = PermGroup(G.degree, ())
     while Y.order() < G.order():
         limits.check()
-        minimal = []
-        for rep in reps:
-            if rep in Y:
-                continue
-            X = G.normal_closure(tuple(Y.gens) + (rep,))
-            if any(M.order() <= X.order() and all(g in X for g in M.gens)
-                   for M in minimal):
-                continue
-            minimal = [M for M in minimal
-                       if not (X.order() < M.order()
-                               and all(g in M for g in X.gens))]
-            minimal.append(X)
+        minimal = _minimal_closures(G, Y, reps)
         best_order = min(X.order() for X in minimal)
         pool = [X for X in minimal if X.order() == best_order]
         if len(pool) == 1:

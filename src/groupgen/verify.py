@@ -13,8 +13,9 @@ Three statements are covered, keyed by the gap m(G) - d(G) and solubility:
   structurally (orders, normality, complements, module equivalences),
   never by general isomorphism testing.
 
-Each verifier reads d, m, Frat(G) and the chief series from one
-genset.Analysis and reports a TheoremVerdict.  Failed hypotheses make a
+Each verifier reads d, m, Frat(G), the chief series, the minimal normal
+subgroups and the socle from one genset.Analysis and reports a
+TheoremVerdict.  Failed hypotheses make a
 verdict inapplicable; a structural mismatch on an applicable group is an
 explicit red flag (ok=False), never silently reconciled.  The statements
 are treated as oracles under test.
@@ -75,26 +76,29 @@ def _find_complement(G, N, limits):
     if target == G.order():
         return G
     lattice = structure.subgroup_lattice(G, limits=limits)
-    n_set = N.element_set()
-    for i, fs in enumerate(lattice.elem_sets):
-        if len(fs) == target and len(fs & n_set) == 1:
+    ids = lattice.element_ids()
+    n_ids = frozenset(ids[e.images] for e in N.elements())
+    for i in range(len(lattice)):
+        fs = lattice.id_set(i)
+        if len(fs) == target and len(fs & n_ids) == 1:
             return lattice.subgroups[i]
     return None
 
 
-def _socle_components(G, limits):
-    """Homogeneous pieces of the abelian part of the socle.
+def _socle_components(A):
+    """Homogeneous pieces of the abelian part of the socle of A.G.
 
     Minimal normal abelian subgroups are grouped by module equivalence;
     each group yields (W, factor, t) with W the product of the class, a
     representative chief factor, and t the number of copies inside W.
     """
+    G = A.G
     triv = _trivial(G)
     classes = []
-    for N in structure.minimal_normal_subgroups(G):
+    for N in A.minimal_normal:
         if not N.is_abelian():
             continue
-        f = structure.ChiefFactor(G, triv, N, limits)
+        f = structure.ChiefFactor(G, triv, N, A.limits)
         for cls in classes:
             if structure.gequivalent_abelian(cls[0], f):
                 cls[1].append(N)
@@ -135,7 +139,7 @@ def verify_md_equal(A):
         evidence.update(shape="elementary abelian", prime=p)
         return TheoremVerdict(MD_EQUAL, True, True, 1, evidence)
 
-    P = structure.socle(G)
+    P = A.socle
     if not structure.is_elementary_abelian(P):
         return _red_flag(MD_EQUAL, "socle is not elementary abelian",
                          **evidence)
@@ -150,8 +154,8 @@ def verify_md_equal(A):
     if q == p:
         return _red_flag(MD_EQUAL, "socle and quotient share a prime",
                          **evidence)
-    module = structure.FactorModule(G, P, _trivial(G))
-    if not module.centralizer().same_group_as(P):
+    C = structure.factor_centralizer(G, P, _trivial(G), limits=A.limits)
+    if not C.same_group_as(P):
         return _red_flag(MD_EQUAL, "the cyclic quotient does not act"
                          " faithfully on the socle", **evidence)
     copies = [f for f in A.series if f.is_abelian and f.prime == p]
@@ -195,10 +199,11 @@ def verify_nonsoluble(A):
     evidence = {"d": d, "m": m}
     if d != 2:
         return _red_flag(NONSOLUBLE_MONOLITHIC, f"d = {d}, not 2", **evidence)
-    if not structure.monolithic_primitive(G, limits=A.limits):
+    # Frat(G) = 1, so a unique minimal normal subgroup avoids it
+    if len(A.minimal_normal) != 1:
         return _red_flag(NONSOLUBLE_MONOLITHIC,
                          "group is not monolithic primitive", **evidence)
-    S = structure.socle(G)
+    S = A.socle
     Q, _ = quotient(G, S)
     qo = Q.order()
     evidence.update(socle_order=S.order(), quotient_order=qo)
@@ -212,10 +217,11 @@ def verify_nonsoluble(A):
 # -------------------------------------------------------- gap one, soluble
 
 
-def _match_case2(G, d, limits):
+def _match_case2(A):
     """G = V^t : H with m(H) = 2 and t = 1 or H abelian; d = t + 1."""
+    G, d, limits = A.G, A.d, A.limits
     candidates = []
-    for W, factor, t in _socle_components(G, limits):
+    for W, factor, t in _socle_components(A):
         if t != d - 1:
             continue
         H = _find_complement(G, W, limits)
@@ -237,10 +243,11 @@ def _match_case2(G, d, limits):
             "complement_abelian": H.is_abelian(), "m_of_complement": 2}
 
 
-def _match_case1(G, d, limits):
+def _match_case1(A):
     """G = V : P with P a non-cyclic p-group, V of different prime
     characteristic; d = d(P)."""
-    for V in structure.minimal_normal_subgroups(G):
+    G, d, limits = A.G, A.d, A.limits
+    for V in A.minimal_normal:
         if not V.is_abelian():
             continue
         Q, _ = quotient(G, V)
@@ -268,7 +275,7 @@ def _match_quotient_shape(Q, d, limits):
         if qo > 1 and is_prime_power(qo) and Q.is_cyclic():
             return {"t": 0, "complement_order": qo}
         return None
-    for W, factor, t in _socle_components(Q, limits):
+    for W, factor, t in _socle_components(genset.Analysis(Q, limits)):
         if t != d - 1:
             continue
         H = _find_complement(Q, W, limits)
@@ -282,10 +289,11 @@ def _match_quotient_shape(Q, d, limits):
     return None
 
 
-def _match_case3(G, d, limits):
+def _match_case3(A):
     """Normal 1 < N1 <= N2 with N1 abelian minimal normal, N2/N1 inside
     Frat(G/N1) and G/N2 of the cyclic-complement shape; d = t + 1."""
-    for N1 in structure.minimal_normal_subgroups(G):
+    G, d, limits = A.G, A.d, A.limits
+    for N1 in A.minimal_normal:
         if not N1.is_abelian():
             continue
         Q1, _ = quotient(G, N1)
@@ -309,7 +317,7 @@ def _match_case3(G, d, limits):
 
 def verify_soluble_cases(A):
     """Check the three-shape classification of soluble gap-one groups."""
-    G, limits = A.G, A.limits
+    G = A.G
     fo = A.frattini.order()
     if fo != 1:
         return _not_applicable(SOLUBLE_CASES,
@@ -321,13 +329,13 @@ def verify_soluble_cases(A):
         return _not_applicable(SOLUBLE_CASES, f"m - d = {m - d}, not 1",
                                d=d, m=m)
     base = {"d": d, "m": m}
-    info = _match_case2(G, d, limits)
+    info = _match_case2(A)
     if info is not None:
         return TheoremVerdict(SOLUBLE_CASES, True, True, 2, {**base, **info})
-    info = _match_case1(G, d, limits)
+    info = _match_case1(A)
     if info is not None:
         return TheoremVerdict(SOLUBLE_CASES, True, True, 1, {**base, **info})
-    info = _match_case3(G, d, limits)
+    info = _match_case3(A)
     if info is not None:
         return TheoremVerdict(SOLUBLE_CASES, True, True, 3, {**base, **info})
     return _red_flag(SOLUBLE_CASES, "no case matched", **base)

@@ -284,6 +284,50 @@ def test_frattini():
     assert z.element_set() == _dihedral4().centralizer_of_subgroup(_dihedral4()).element_set()
     assert structure.frattini(PermGroup(3, [])).order() == 1
 
+# [generator images of each minimal normal subgroup] and is_simple, for
+# every quick-corpus group and four larger groups; the generators pin the
+# order in which the walk meets tied closures
+MINIMAL_NORMAL = {
+    'C2': ([[(1, 0)]], True),
+    'C3': ([[(1, 2, 0)]], True),
+    'C4': ([[(2, 3, 0, 1)]], False),
+    'C6': ([[(3, 4, 5, 0, 1, 2)], [(2, 3, 4, 5, 0, 1)]], False),
+    'C12': ([[(6, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5)], [(4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 3)]], False),
+    'C15': ([[(5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 1, 2, 3, 4)], [(3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 1, 2)]], False),
+    'K4': ([[(1, 0, 3, 2)], [(2, 3, 0, 1)], [(3, 2, 1, 0)]], False),
+    'D(C2, C2, C2)': ([[(0, 1, 2, 3, 5, 4)], [(0, 1, 3, 2, 4, 5)], [(0, 1, 3, 2, 5, 4)], [(1, 0, 2, 3, 4, 5)], [(1, 0, 2, 3, 5, 4)], [(1, 0, 3, 2, 4, 5)], [(1, 0, 3, 2, 5, 4)]], False),
+    'D(C4, C2)': ([[(0, 1, 2, 3, 5, 4)], [(2, 3, 0, 1, 4, 5)], [(2, 3, 0, 1, 5, 4)]], False),
+    'D(C3, C3)': ([[(0, 1, 2, 4, 5, 3)], [(1, 2, 0, 3, 4, 5)], [(1, 2, 0, 4, 5, 3)], [(1, 2, 0, 5, 3, 4)]], False),
+    'S3': ([[(1, 2, 0)]], False),
+    'Dih4': ([[(2, 3, 0, 1)]], False),
+    'Dih5': ([[(1, 2, 3, 4, 0)]], False),
+    'Dih6': ([[(3, 4, 5, 0, 1, 2)], [(2, 3, 4, 5, 0, 1)]], False),
+    'A4': ([[(1, 0, 3, 2), (3, 2, 1, 0)]], False),
+    'S4': ([[(1, 0, 3, 2), (3, 2, 1, 0)]], False),
+    'EX1(1)': ([[(0, 1, 2, 4, 3)], [(1, 2, 0, 3, 4)]], False),
+    'EX1(2)': ([[(0, 1, 2, 3, 4, 6, 5)], [(0, 1, 2, 4, 3, 5, 6)], [(0, 1, 2, 4, 3, 6, 5)], [(1, 2, 0, 3, 4, 5, 6)]], False),
+    'EX1(3)': ([[(0, 1, 2, 3, 4, 5, 6, 8, 7)], [(0, 1, 2, 3, 4, 6, 5, 7, 8)], [(0, 1, 2, 3, 4, 6, 5, 8, 7)], [(0, 1, 2, 4, 3, 5, 6, 7, 8)], [(0, 1, 2, 4, 3, 5, 6, 8, 7)], [(0, 1, 2, 4, 3, 6, 5, 7, 8)], [(0, 1, 2, 4, 3, 6, 5, 8, 7)], [(1, 2, 0, 3, 4, 5, 6, 7, 8)]], False),
+    'EX2B(1)': ([[(0, 1, 2, 4, 3)], [(1, 2, 0, 3, 4)]], False),
+    'EX2B(2)': ([[(0, 1, 2, 3, 4, 5, 7, 6)], [(0, 1, 2, 4, 5, 3, 6, 7)], [(1, 2, 0, 3, 4, 5, 6, 7)], [(1, 2, 0, 4, 5, 3, 6, 7)], [(1, 2, 0, 5, 3, 4, 6, 7)]], False),
+    'D(S3, C3)': ([[(0, 1, 2, 4, 5, 3)], [(1, 2, 0, 3, 4, 5)]], False),
+    'W(C2, 3)': ([[(1, 0, 3, 2, 5, 4)], [(0, 1, 3, 2, 5, 4), (1, 0, 2, 3, 5, 4)]], False),
+    'W(C3, 2)': ([[(1, 2, 0, 4, 5, 3)], [(1, 2, 0, 5, 3, 4)]], False),
+    'SD(D(C3, C3), C4, [g1 -> [g2, g1*g1]])': ([[(0, 1, 2, 4, 5, 3, 6, 7, 8, 9), (2, 0, 1, 3, 4, 5, 6, 7, 8, 9)]], False),
+    'SD(C5, C4, [g1 -> [g1*g1]])': ([[(1, 2, 3, 4, 0, 5, 6, 7, 8)]], False),
+    'Q(S4; g1*g2)': ([[(1, 0)]], True),
+    'SUB(S4; g1*g1, g2)': ([[(1, 0, 3, 2)]], False),
+    'CROWN(S3, 2)': ([[(0, 1, 2, 4, 5, 3)], [(1, 2, 0, 3, 4, 5)], [(1, 2, 0, 4, 5, 3)], [(1, 2, 0, 5, 3, 4)]], False),
+    'CROWN(S3, 3)': ([[(0, 1, 2, 3, 4, 5, 7, 8, 6)], [(0, 1, 2, 4, 5, 3, 6, 7, 8)], [(0, 1, 2, 4, 5, 3, 7, 8, 6)], [(0, 1, 2, 4, 5, 3, 8, 6, 7)], [(1, 2, 0, 3, 4, 5, 6, 7, 8)], [(1, 2, 0, 3, 4, 5, 7, 8, 6)], [(1, 2, 0, 3, 4, 5, 8, 6, 7)], [(1, 2, 0, 4, 5, 3, 6, 7, 8)], [(1, 2, 0, 4, 5, 3, 7, 8, 6)], [(1, 2, 0, 4, 5, 3, 8, 6, 7)], [(1, 2, 0, 5, 3, 4, 6, 7, 8)], [(1, 2, 0, 5, 3, 4, 7, 8, 6)], [(1, 2, 0, 5, 3, 4, 8, 6, 7)]], False),
+    'CROWN(S4, 2)': ([[(0, 1, 2, 3, 5, 4, 7, 6), (0, 1, 2, 3, 7, 6, 5, 4)], [(1, 0, 3, 2, 4, 5, 6, 7), (3, 2, 1, 0, 4, 5, 6, 7)], [(1, 0, 3, 2, 5, 4, 7, 6), (3, 2, 1, 0, 7, 6, 5, 4)]], False),
+    'A5': ([[(0, 2, 1, 4, 3), (2, 1, 0, 4, 3), (0, 4, 3, 2, 1)]], True),
+    'PSL2(5)': ([[(0, 1, 4, 5, 2, 3), (3, 1, 2, 0, 5, 4), (3, 2, 1, 0, 4, 5)]], True),
+    'S5': ([[(0, 2, 1, 4, 3), (4, 1, 3, 2, 0), (2, 1, 0, 4, 3)]], False),
+    'S6': ([[(0, 1, 3, 2, 5, 4), (5, 1, 2, 4, 3, 0), (1, 0, 2, 3, 5, 4), (0, 5, 2, 4, 3, 1)]], False),
+    'A6': ([[(0, 1, 3, 2, 5, 4), (3, 1, 2, 0, 5, 4), (0, 3, 2, 1, 5, 4), (0, 1, 5, 4, 3, 2)]], True),
+    'PSL2(11)': ([[(1, 0, 4, 7, 2, 9, 11, 3, 10, 5, 8, 6), (9, 2, 1, 5, 8, 3, 10, 11, 4, 0, 6, 7), (9, 4, 6, 7, 1, 8, 2, 3, 5, 0, 11, 10)]], True),
+    'PGL2(11)': ([[(1, 0, 4, 7, 2, 9, 11, 3, 10, 5, 8, 6), (9, 2, 1, 5, 8, 3, 10, 11, 4, 0, 6, 7), (9, 4, 6, 7, 1, 8, 2, 3, 5, 0, 11, 10)]], False),
+}
+
 
 def test_minimal_normal_subgroups():
     mins = structure.minimal_normal_subgroups(_sym(4))
@@ -297,6 +341,11 @@ def test_minimal_normal_subgroups():
     assert len(d4) == 1 and d4[0].order() == 2
     ex1 = structure.minimal_normal_subgroups(_product_with_c2(_sym(3)))
     assert sorted(N.order() for N in ex1) == [2, 3]
+    for text, (gens, simple) in MINIMAL_NORMAL.items():
+        G = builder.build(text)
+        mins = structure.minimal_normal_subgroups(G)
+        assert [[g.images for g in N.gens] for N in mins] == gens, text
+        assert structure.is_simple(G) == simple, text
 
 
 def test_socle():
@@ -372,7 +421,8 @@ def test_factor_module_of_klein_in_s4():
     series = structure.chief_series(_sym(4))
     mod = series[0].module
     assert (mod.prime, mod.dim) == (2, 2)
-    assert mod.centralizer().same_group_as(_klein())
+    C = structure.factor_centralizer(_sym(4), series[0].above, series[0].below)
+    assert C.same_group_as(_klein())
     for m in mod.matrices:
         assert m.shape == (2, 2)
     # the action map must be a homomorphism into GL(2, 2)
@@ -392,8 +442,16 @@ def test_factor_module_trivial_action():
     series = structure.chief_series(_cyclic(4))
     mod = series[0].module
     assert mod.prime == 2 and mod.dim == 1
-    assert mod.centralizer().order() == 4
+    C = structure.factor_centralizer(_cyclic(4), series[0].above,
+                                     series[0].below)
+    assert C.order() == 4
     assert all(np.array_equal(m, np.eye(1, dtype=np.int64)) for m in mod.matrices)
+
+
+def test_factor_centralizer_checks_the_budget():
+    with pytest.raises(TimeBudgetExceeded):
+        structure.factor_centralizer(_sym(4), _klein(), PermGroup(4, ()),
+                                     limits=Limits(seconds=0.0))
 
 
 def _sl23():
@@ -425,7 +483,10 @@ def test_has_complement_matches_frattini_flag():
         for f in structure.chief_series(G):
             if not f.is_abelian:
                 continue
-            Qb, proj = structure._quotient(G, f.below)
+            if f.below.order() == 1:
+                Qb, proj = G, (lambda x: x)
+            else:
+                Qb, proj = quotient(G, f.below)
             frat = structure.frattini(Qb)
             oracle = all(proj(x) in frat for x in f.above.gens)
             assert f.is_frattini == oracle, (G, f)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from groupgen import builder, verify
+from groupgen import builder, structure, verify
 from groupgen.builder import build, paper_family
 from groupgen.genset import Analysis
 from groupgen.perm import PermGroup
@@ -187,3 +187,19 @@ def test_verdict_is_a_small_value_object():
     assert v.theorem == MD_EQUAL
     assert not v.applicable
     assert v.ok and v.case is None
+
+
+@pytest.mark.parametrize("text", ["C6", "EX1(2)"])
+def test_verify_all_finds_minimal_normal_subgroups_once(monkeypatch, text):
+    G = build(text)
+    calls = []
+    real = structure.minimal_normal_subgroups
+
+    def counting(H, **kwargs):
+        if H is G:
+            calls.append(H)
+        return real(H, **kwargs)
+
+    monkeypatch.setattr(structure, "minimal_normal_subgroups", counting)
+    verify_all(Analysis(G))
+    assert len(calls) == 1
