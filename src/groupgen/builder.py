@@ -599,7 +599,7 @@ def evaluate(node, order_cap=DEFAULT_ORDER_CAP, ex3_action="shipped"):
         G = evaluate(node.expr, order_cap, ex3_action)
         seeds = tuple(_eval_word(w, G, "quotient") for w in node.words)
         N = G.normal_closure(seeds)
-        Q, _ = quotient(G, N)
+        Q = quotient(G, N)
         return Q
     if isinstance(node, Subgroup):
         G = evaluate(node.expr, order_cap, ex3_action)

@@ -3,8 +3,9 @@
 The abelian side of minimal generation is driven by a handful of numbers
 attached to an irreducible GF(p) module M of a group G: the dimension r
 over the endomorphism field, the first-cohomology dimensions s (of G) and
-t (of G modulo the kernel of the action), the multiplicity delta of the
-module among the non-Frattini chief factors, and the resulting bound
+t (of G modulo the kernel C of the action, read in G off the walk over the
+cosets of C), the multiplicity delta of the module among the non-Frattini
+chief factors, and the resulting bound
 h = floor((s - 1) / r) + 2 (or h = delta when the action is trivial).
 For a soluble group, d(G) is exactly the maximum of h over its chief
 factor classes, which this module exposes as `soluble_d`.
@@ -171,8 +172,7 @@ def monolithic_of(G, F, *, limits=DEFAULT_LIMITS):
                                    for row in moved)))
         return PermGroup(points, tuple(gens))
     C = factor_centralizer(G, F.above, F.below, limits=limits)
-    Q, _ = quotient(G, C)
-    return Q
+    return quotient(G, C)
 
 
 def crown_power(L, A, k):
@@ -296,27 +296,32 @@ def crown_generation_check(L, A, m, k, *, limits=DEFAULT_LIMITS):
     return k * gamma <= phi
 
 
-def h1_dimension(G, M, *, limits=DEFAULT_LIMITS):
-    """The GF(p) dimension of the first cohomology group H^1(G, M).
+def _h1(G, N, matrices, p, limits):
+    """The GF(p) dimension of H^1(G/N, M), for the module M of G with
+    rho(g_i) = matrices[i] on which the normal subgroup N acts trivially.
 
-    Derivations are solved for on generator values only, as the
-    homogeneous `structure.cocycle_system` of a walk over the cosets of the
-    trivial subgroup; inner derivations are then subtracted off as the rank
-    of the stacked rho(s_i) - 1.
+    Derivations of G/N are solved for on generator values only, as the
+    homogeneous `structure.cocycle_system` of the walk over the cosets of
+    N; inner derivations are then subtracted off as the rank of the
+    stacked rho(g_i) - 1.
     """
+    n = matrices[0].shape[0]
+    A, _ = cocycle_system(G, N, matrices, p, limits=limits)
+    inner = np.hstack([(mat - gfp.identity(n)) % p for mat in matrices])
+    return len(G.gens) * n - gfp.rank(A, p) - gfp.rank(inner, p)
+
+
+def h1_dimension(G, M, *, limits=DEFAULT_LIMITS):
+    """The GF(p) dimension of the first cohomology group H^1(G, M): the
+    walk over the cosets of the trivial subgroup."""
     order = G.order()
     if order > COHOMOLOGY_CAP:
         raise CapExceeded(
             f"cohomology needs order <= {COHOMOLOGY_CAP}, "
             f"group has order {order}")
-    p, n = M.prime, M.dim
-    r = len(G.gens)
-    if order == 1 or r == 0:
+    if order == 1 or not G.gens:
         return 0
-    A, _ = cocycle_system(G, PermGroup(G.degree, ()), M.matrices, p,
-                          limits=limits)
-    inner = np.hstack([(mat - gfp.identity(n)) % p for mat in M.matrices])
-    return r * n - gfp.rank(A, p) - gfp.rank(inner, p)
+    return _h1(G, PermGroup(G.degree, ()), M.matrices, M.prime, limits)
 
 
 @dataclass(frozen=True)
@@ -368,16 +373,12 @@ def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
     s, rem = divmod(h1_dimension(G, M, limits=limits), end_dim)
     if rem:
         raise GroupError("H^1 dimension is not a multiple of end_dim")
-    C = M.centralizer_kernel()
-    if C.order() == G.order():
-        t = 0
-    else:
-        Q, _ = quotient(G, C)
-        MQ = GfpModule(Q, p, M.matrices,
-                       centralizer_kernel=PermGroup(Q.degree, ()))
-        t, rem = divmod(h1_dimension(Q, MQ, limits=limits), end_dim)
-        if rem:
-            raise GroupError("H^1 dimension is not a multiple of end_dim")
+    # the walk over the cosets of C = C_G(M) is G/C's, so t needs no G/C;
+    # h1_dimension(G, M) has already bounded |G/C| by COHOMOLOGY_CAP
+    t, rem = divmod(_h1(G, M.centralizer_kernel(), M.matrices, p, limits),
+                    end_dim)
+    if rem:
+        raise GroupError("H^1 dimension is not a multiple of end_dim")
     if series is None:
         series = chief_series(G, limits=limits)
     delta = 0

@@ -224,7 +224,7 @@ def lower_bound_d(G):
     if derived.order() == 1:
         Q = G
     else:
-        Q, _ = quotient(G, derived)
+        Q = quotient(G, derived)
     rank = 0
     elems = Q.elements()
     for p in factorint(Q.order()):

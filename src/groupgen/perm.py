@@ -393,7 +393,8 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "gens", "label", "_chain", "_order", "_elements",
-                 "_elemset", "_classes", "_fingerprint", "_lattice_cache")
+                 "_elemset", "_classes", "_fingerprint", "_lattice_cache",
+                 "_soluble")
 
     def __init__(self, degree, gens=(), label=None, _chain=None):
         if not 1 <= degree <= MAX_DEGREE:
@@ -412,6 +413,7 @@ class PermGroup:
         self._classes = None
         self._fingerprint = None
         self._lattice_cache = None
+        self._soluble = None
 
     @property
     def chain(self):
@@ -439,7 +441,7 @@ class PermGroup:
         """All elements sorted by image tuple; refuses above the cap.
 
         The time budget of ``limits`` is checked every 1024 elements of the
-        sweep."""
+        sweep and once before the sort."""
         if self._elements is None:
             n = self.order()
             if cap is not None and n > cap:
@@ -450,6 +452,7 @@ class PermGroup:
                 if not k % 1024:
                     check()
                 elems.append(e)
+            check()
             elems.sort(key=attrgetter("images"))
             self._elements = tuple(elems)
         return self._elements
@@ -477,7 +480,8 @@ class PermGroup:
         g^-1 * x * g has images g[x[g^-1[p]]].  Conjugates have the same
         order, so the first element of a class met in image order is also
         its least in search order.  The time budget of ``limits`` is
-        checked during the element sweep and once per class."""
+        checked during the element sweep and every 1024 elements of each
+        class's walk, starting with its first."""
         if self._classes is None:
             check = limits.check
             elems = self.elements(limits=limits)
@@ -488,10 +492,12 @@ class PermGroup:
             for e in elems:
                 if e.images in seen:
                     continue
-                check()
                 cls_elems = {e.images}
                 queue = [e.images]
-                for x in queue:  # grows while it is read: breadth first
+                # grows while it is read: breadth first
+                for j, x in enumerate(queue):
+                    if not j % 1024:
+                        check()
                     xget = x.__getitem__
                     for gget, ginv in acts:
                         c = tuple(map(gget, map(xget, ginv)))
@@ -586,7 +592,9 @@ class PermGroup:
         return series
 
     def is_soluble(self):
-        return self.derived_series()[-1].is_trivial()
+        if self._soluble is None:
+            self._soluble = self.derived_series()[-1].is_trivial()
+        return self._soluble
 
     def is_abelian(self):
         gens = self.gens
@@ -644,11 +652,10 @@ class Homomorphism:
 
     Evaluation on arbitrary elements sifts the padded pair (g, id) through
     the chain of the graph subgroup of Sym(n_source + n_target); base points
-    land in the source component first, which makes that well defined.  A
-    `mapper` callback (used by quotient projections) bypasses the machinery.
+    land in the source component first, which makes that well defined.
     """
 
-    def __init__(self, source, target, images, mapper=None, section=None):
+    def __init__(self, source, target, images):
         images = tuple(images)
         if len(images) != len(source.gens):
             raise ValueError("need one image per source generator")
@@ -658,8 +665,6 @@ class Homomorphism:
         self.source = source
         self.target = target
         self.images = images
-        self._mapper = mapper
-        self._section = section
         self._pair_chain = None
 
     def _pairs(self):
@@ -677,8 +682,6 @@ class Homomorphism:
         return self._pairs().order() == self.source.order()
 
     def __call__(self, g):
-        if self._mapper is not None:
-            return self._mapper(g)
         ns, nt = self.source.degree, self.target.degree
         padded = Perm(g.images + tuple(range(ns, ns + nt)))
         residue, _ = self._pairs().sift(padded)
@@ -687,23 +690,44 @@ class Homomorphism:
         inv_image = Perm(tuple(residue.images[ns + i] - ns for i in range(nt)))
         return inv_image.inverse()
 
-    def section(self, q):
-        """A preimage of q (available on quotient projections)."""
-        if self._section is None:
-            raise GroupError("no section stored for this homomorphism")
-        return self._section(q)
-
     def image_group(self):
         return PermGroup(self.target.degree, self.images)
 
 
-def quotient(G, N, *, limits=DEFAULT_LIMITS):
-    """G/N as a permutation group on the right cosets, with the projection.
+def coset_walk(N, elems, *, limits=DEFAULT_LIMITS):
+    """A breadth-first walk over the right cosets of N that N reaches by
+    right multiplication with ``elems``, as ``(reps, index, rows)``.
 
-    Coset representatives are the first-found products of generators in
-    breadth-first order, so the output is deterministic; cosets are told
-    apart by ``N.coset_key``, read off N's stabilizer chain.  The time
-    budget of ``limits`` is checked once per coset row of the enumeration.
+    ``reps[k]`` is the first representative found for coset k, ``index``
+    maps ``N.coset_key`` to the coset number, and ``rows[j][k]`` is the
+    number of the coset that contains ``reps[k] * elems[j]``.  Cosets are
+    numbered in the order they are found, so coset c > 0 is first reached
+    by the first (k, j), in that order, with ``rows[j][k] == c``: the walk's
+    tree edge.  The time budget of ``limits`` is checked once per coset.
+    """
+    coset_key = N.coset_key
+    ident = N.identity()
+    reps = [ident]
+    index = {coset_key(ident): 0}
+    rows = [[] for _ in elems]
+    for rep in reps:  # grows while it is read: breadth first
+        limits.check()
+        for row, g in zip(rows, elems):
+            x = rep * g
+            k = index.setdefault(coset_key(x), len(reps))
+            if k == len(reps):
+                reps.append(x)
+            row.append(k)
+    return reps, index, rows
+
+
+def quotient(G, N, *, limits=DEFAULT_LIMITS):
+    """G/N as a permutation group on the right cosets of N.
+
+    Q's generators are the rows of ``coset_walk(N, G.gens)``: the image of
+    G's j-th generator sends coset k to the coset of ``reps[k] * g_j``, so
+    the output is deterministic.  The time budget of ``limits`` is checked
+    once per coset.
     """
     for n in N.gens:
         if n not in G:
@@ -714,41 +738,7 @@ def quotient(G, N, *, limits=DEFAULT_LIMITS):
     index = G.order() // N.order()
     if index > MAX_DEGREE:
         raise CapExceeded(f"quotient degree {index} exceeds {MAX_DEGREE}")
-    coset_key = N.coset_key
-    ident = G.identity()
-    reps = [ident]
-    index_of = {coset_key(ident): 0}
-    images = [[] for _ in G.gens]
-    i = 0
-    while i < len(reps):
-        limits.check()
-        rep = reps[i]
-        for j, g in enumerate(G.gens):
-            x = rep * g
-            key = coset_key(x)
-            k = index_of.get(key)
-            if k is None:
-                k = len(reps)
-                reps.append(x)
-                index_of[key] = k
-            images[j].append(k)
-        i += 1
+    reps, _, rows = coset_walk(N, G.gens, limits=limits)
     if len(reps) != index:
         raise GroupError("coset enumeration mismatch")  # pragma: no cover
-    qgens = tuple(Perm(tuple(img)) for img in images)
-    Q = PermGroup(index, qgens)
-
-    def mapper(g):
-        out = []
-        for i in range(index):
-            k = index_of.get(coset_key(reps[i] * g))
-            if k is None:
-                raise NotInGroup("element not in the source group")
-            out.append(k)
-        return Perm(tuple(out))
-
-    def section(q):
-        return reps[q.images[0]]
-
-    proj = Homomorphism(G, Q, qgens, mapper=mapper, section=section)
-    return Q, proj
+    return PermGroup(index, tuple(Perm(tuple(row)) for row in rows))

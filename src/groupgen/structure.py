@@ -9,6 +9,11 @@ that gives it.  With Y trivial these are the minimal normal subgroups;
 a chief series takes the least of them as its next term.  The centralizer
 C_G(X/Y) of a chief factor is one sweep over G's elements.
 
+An abelian chief factor X/Y is a GF(p) module of G itself, built once per
+factor; whether it has a complement in G/Y (so whether it is Frattini) is
+one linear system read off ``perm.coset_walk`` over the cosets of X in G.
+No quotient group is built.
+
 The subgroup lattice is built by closing the zuppos (cyclic subgroups of
 prime power order) under joins with one another.  Every subgroup is the
 join of the zuppos it contains, so the closure is complete.
@@ -41,10 +46,10 @@ from .perm import (
     GroupError,
     NotInGroup,
     PermGroup,
+    coset_walk,
     factorint,
     group_from_elements,
     is_prime_power,
-    quotient,
 )
 
 
@@ -326,7 +331,8 @@ def monolithic_primitive(G, *, limits=DEFAULT_LIMITS):
         return False
     if not A.is_abelian():
         return True
-    return has_complement(G, A, PermGroup(G.degree, ()), limits=limits)
+    return FactorModule(G, A, PermGroup(G.degree, ())).has_complement(
+        limits=limits)
 
 
 def cocycle_system(G, N, matrices, p, coords_of=None, *,
@@ -335,46 +341,45 @@ def cocycle_system(G, N, matrices, p, coords_of=None, *,
     generators g_i of G, of a map into the module with rho(g_i) =
     matrices[i], on which the normal subgroup N acts trivially.
 
-    A breadth-first walk over the right cosets of N, keyed by
-    ``N.coset_key``, spans a tree on which c(x g_i) = c(x) rho(g_i) + u_i;
-    each non-tree edge x -> y gives n equations c(y) - c(x) rho(g_i) - u_i
-    = z.  Without ``coords_of``, z = 0 and the solutions are the cocycles
-    of G/N.  With ``coords_of`` (coordinates in an elementary abelian N),
-    z is the relator rep(y)^-1 * rep(x) * g_i, and the solutions are the
-    t_i in N for which the g_i * t_i generate a complement of N.  The walk
-    also checks the matrices against the group's multiplication.
+    ``perm.coset_walk(N, G.gens)`` spans a tree on which c(x g_i) =
+    c(x) rho(g_i) + u_i; each later edge x -> y gives n equations c(y) -
+    c(x) rho(g_i) - u_i = z, in (coset, generator) order.  Without
+    ``coords_of``, z = 0 and the solutions are the cocycles of G/N.  With
+    ``coords_of`` (coordinates of N modulo a normal Y of G, with N/Y
+    elementary abelian), z is the relator rep(y)^-1 * rep(x) * g_i, and the
+    solutions are the t_i for which the g_i * t_i generate a complement of
+    N/Y in G/Y.  The edges also check the matrices against the group's
+    multiplication.
     """
+    reps, _, rows = coset_walk(N, G.gens, limits=limits)
+    if len(reps) != G.order() // N.order():
+        raise GroupError("the generators do not generate the group")
     r, n = len(G.gens), matrices[0].shape[0]
     eye = gfp.identity(n)
     zero = np.zeros(n, dtype=np.int64)
-    ident = G.identity()
     # a coset's state: the coefficient matrices of u_1..u_r in its value,
-    # then rho of its representative
+    # then rho of its representative; it comes from the tree edge
     state = np.zeros((r + 1, n, n), dtype=np.int64)
     state[r] = eye
-    queue = [(ident, state)]
-    index = {N.coset_key(ident): 0}
+    states = [state]
     diffs, consts = [], []
-    for x, sx in queue:
-        for i, g in enumerate(G.gens):
-            limits.check()
-            xg = x * g
+    for k, sx in enumerate(states):  # grows while it is read
+        for i, row in enumerate(rows):
             sy = sx @ matrices[i]
             sy[i] += eye
             sy %= p
-            k = index.setdefault(N.coset_key(xg), len(queue))
-            if k == len(queue):
-                queue.append((xg, sy))
+            c = row[k]
+            if c == len(states):
+                states.append(sy)
                 continue
-            y, s = queue[k]
+            s = states[c]
             if (s[r] != sy[r]).any():
                 raise GroupError(
                     "matrices are inconsistent with the group's relations")
             diffs.append(s[:r] - sy[:r])
             consts.append(zero if coords_of is None
-                          else coords_of(y.inverse() * xg))
-    if len(queue) != G.order() // N.order():
-        raise GroupError("the generators do not generate the group")
+                          else coords_of(reps[c].inverse() * reps[k]
+                                         * G.gens[i]))
     # row (edge, c) holds coordinate c of the edge's n equations
     A = np.array(diffs, dtype=np.int64).reshape(-1, r, n, n)
     A = np.mod(A.transpose(0, 3, 1, 2), p)
@@ -384,28 +389,13 @@ def cocycle_system(G, N, matrices, p, coords_of=None, *,
     return A[keep], b[keep]
 
 
-def has_complement(G, X, Y, *, limits=DEFAULT_LIMITS):
-    """Whether the abelian chief factor X/Y has a complement in G/Y: whether
-    the splitting system of the module Xb = X/Y in Qb = G/Y is solvable."""
-    if Y.order() == 1:
-        Qb, Xb = G, X
-    else:
-        Qb, proj = quotient(G, Y, limits=limits)
-        Xb = PermGroup(Qb.degree, tuple(map(proj, X.gens)))
-    M = FactorModule(Qb, Xb, PermGroup(Qb.degree, ()))
-    A, b = cocycle_system(Qb, Xb, M.matrices, M.prime, M.coords_of,
-                          limits=limits)
-    # solvable exactly when b adds no pivot to A
-    return A.shape[1] not in gfp.rref(np.column_stack([A, b]), M.prime)[1]
-
-
 class FactorModule:
     """An abelian chief factor X/Y as a GF(p) module for G.
 
-    Basis vectors are the first coset representatives that are independent
-    of the earlier ones, walking the elements of X in sorted order.  Row
-    vectors transform as v -> v @ rho(g), with rho(g)[j] the coordinates of
-    the conjugate (b_j)^g.
+    The basis is the generators of X whose cosets of Y the earlier ones do
+    not span, taken in order; coordinates come from the tree edges of
+    ``perm.coset_walk(Y, basis)``.  Row vectors transform as v -> v @
+    rho(g), with rho(g)[j] the coordinates of the conjugate (b_j)^g.
     """
 
     def __init__(self, group, above, below):
@@ -420,35 +410,23 @@ class FactorModule:
         p, n = self.prime, self.dim
         self._key = below.coset_key
         basis = []
-        self._span(basis)
-        for e in above.elements():
-            if len(self._coords) == order:
-                break
-            if self._key(e) in self._coords:
-                continue
-            basis.append(e)
-            self._span(basis)
-        if len(self._coords) != order or len(basis) != n:
+        _, index, rows = coset_walk(below, basis)
+        for x in above.gens:
+            if self._key(x) not in index:
+                basis.append(x)
+                _, index, rows = coset_walk(below, basis)
+        if len(index) != order or len(basis) != n:
             raise GroupError("factor module construction failed")
+        coords = [np.zeros(n, dtype=np.int64)]
+        for k, v in enumerate(coords):  # grows while it is read
+            for j, row in enumerate(rows):
+                if row[k] == len(coords):
+                    w = v.copy()
+                    w[j] = (w[j] + 1) % p
+                    coords.append(w)
+        self._coords = {key: coords[k] for key, k in index.items()}
         self.basis = tuple(basis)
         self.matrices = tuple(self._action_matrix(g) for g in group.gens)
-
-    def _span(self, basis):
-        """Coordinates for every coset spanned by the current basis."""
-        p, n = self.prime, self.dim
-        ident = self.group.identity()
-        coords = {self._key(ident): np.zeros(n, dtype=np.int64)}
-        work = [(ident, coords[self._key(ident)])]
-        while work:
-            rep, v = work.pop(0)
-            for j, b in enumerate(basis):
-                r2 = rep * b
-                k2 = self._key(r2)
-                if k2 not in coords:
-                    v2 = (v + _unit(n, j)) % p
-                    coords[k2] = v2
-                    work.append((r2, v2))
-        self._coords = coords
 
     def coords_of(self, e):
         k = self._key(e)
@@ -460,11 +438,14 @@ class FactorModule:
         rows = [self.coords_of(b.conj(g)) for b in self.basis]
         return np.array(rows, dtype=np.int64)
 
-
-def _unit(n, j):
-    v = np.zeros(n, dtype=np.int64)
-    v[j] = 1
-    return v
+    def has_complement(self, *, limits=DEFAULT_LIMITS):
+        """Whether X/Y has a complement in G/Y: whether the splitting
+        system of the module over the cosets of X in G is solvable."""
+        p = self.prime
+        A, b = cocycle_system(self.group, self.above, self.matrices, p,
+                              self.coords_of, limits=limits)
+        # solvable exactly when b adds no pivot to A
+        return A.shape[1] not in gfp.rref(np.column_stack([A, b]), p)[1]
 
 
 def factor_centralizer(G, X, Y, *, limits=DEFAULT_LIMITS):
@@ -539,8 +520,7 @@ class ChiefFactor:
         return FactorModule(self.group, self.above, self.below)
 
     def has_complement(self):
-        return has_complement(self.group, self.above, self.below,
-                              limits=self.limits)
+        return self.module.has_complement(limits=self.limits)
 
     def __repr__(self):
         kind = "abelian" if self.is_abelian else "non-abelian"

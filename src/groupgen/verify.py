@@ -144,7 +144,7 @@ def verify_md_equal(A):
         return _red_flag(MD_EQUAL, "socle is not elementary abelian",
                          **evidence)
     (p, _), = factorint(P.order()).items()
-    Q, _ = quotient(G, P)
+    Q = quotient(G, P)
     qo = Q.order()
     if qo == 1 or not is_prime_power(qo) or not Q.is_cyclic():
         return _red_flag(MD_EQUAL,
@@ -204,7 +204,7 @@ def verify_nonsoluble(A):
         return _red_flag(NONSOLUBLE_MONOLITHIC,
                          "group is not monolithic primitive", **evidence)
     S = A.socle
-    Q, _ = quotient(G, S)
+    Q = quotient(G, S)
     qo = Q.order()
     evidence.update(socle_order=S.order(), quotient_order=qo)
     if qo > 1 and not (Q.is_cyclic() and is_prime_power(qo)):
@@ -250,7 +250,7 @@ def _match_case1(A):
     for V in A.minimal_normal:
         if not V.is_abelian():
             continue
-        Q, _ = quotient(G, V)
+        Q = quotient(G, V)
         qo = Q.order()
         if qo == 1 or not is_prime_power(qo) or Q.is_cyclic():
             continue
@@ -296,7 +296,7 @@ def _match_case3(A):
     for N1 in A.minimal_normal:
         if not N1.is_abelian():
             continue
-        Q1, _ = quotient(G, N1)
+        Q1 = quotient(G, N1)
         frat1 = structure.frattini(Q1, limits=limits)
         tops = [frat1]
         if frat1.order() > 1:
@@ -305,7 +305,7 @@ def _match_case3(A):
             if F.order() == 1:
                 Q = Q1
             else:
-                Q, _ = quotient(Q1, F)
+                Q = quotient(Q1, F)
             info = _match_quotient_shape(Q, d, limits)
             if info is not None:
                 info.update(n1_order=N1.order(),

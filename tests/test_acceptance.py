@@ -129,7 +129,7 @@ def test_criterion_06_big_wreath():
     assert N.order() == 168 ** 2
     mins = structure.minimal_normal_subgroups(G)
     assert len(mins) == 1 and mins[0].same_group_as(N)
-    Q, _ = quotient(G, N)
+    Q = quotient(G, N)
     assert Q.order() == 4 and Q.is_cyclic()
     rep = report.compute_report("WREATH(1)")
     assert rep["m"] is None

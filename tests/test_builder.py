@@ -283,7 +283,7 @@ def test_family_wreath():
     gamma = G.gens[4]
     assert gamma not in N
     assert gamma * gamma not in N
-    Q, _ = quotient(G, N)
+    Q = quotient(G, N)
     assert Q.order() == 4
     assert Q.is_cyclic()
     with pytest.raises(CapExceeded):

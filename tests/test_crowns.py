@@ -8,13 +8,16 @@ product.
 """
 
 import itertools
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
-from groupgen import crowns, genset, gfp, structure
-from groupgen.perm import CapExceeded, GroupError, Perm, PermGroup
+from groupgen import builder, crowns, genset, gfp, report, structure
+from groupgen.perm import CapExceeded, GroupError, Perm, PermGroup, quotient
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _sym(n):
@@ -459,6 +462,24 @@ def test_module_invariant_identities():
             assert inv.h <= inv.delta + 1, (G, f)
             assert inv.r * inv.end_dim == f.dim, (G, f)
             assert inv.delta == structure.delta(G, f, series), (G, f)
+
+
+def test_t_matches_h1_of_the_quotient_by_the_kernel():
+    # t on a route that builds Q = G/C_G(M) and M as a module of Q
+    checked = 0
+    for path in report.corpus_files(str(CORPUS_DIR), slow=False):
+        for text in report.read_expressions(path):
+            G = builder.build(text)
+            for f, inv in crowns.factor_invariants(G):
+                M = crowns.module_of_factor(f)
+                Q = quotient(G, M.centralizer_kernel())
+                MQ = crowns.GfpModule(Q, M.prime, M.matrices,
+                                      centralizer_kernel=PermGroup(Q.degree,
+                                                                   ()))
+                assert inv.t * inv.end_dim == crowns.h1_dimension(Q, MQ), \
+                    (text, f)
+                checked += 1
+    assert checked >= 50
 
 
 def test_soluble_d_matches_search():

@@ -19,6 +19,7 @@ from groupgen.perm import (
     Perm,
     PermGroup,
     TimeBudgetExceeded,
+    coset_walk,
     factorint,
     group_from_elements,
     is_prime_power,
@@ -257,9 +258,12 @@ def test_group_from_elements():
 
 def test_quotient_s4_by_klein():
     S4 = _sym(4)
-    Q, proj = quotient(S4, _klein())
+    Q = quotient(S4, _klein())
     assert Q.order() == 6
     assert not Q.is_abelian()
+    # Q's generators are the images of S4's under the projection
+    proj = Homomorphism(S4, Q, Q.gens)
+    assert proj.is_valid()
     rng = random.Random(31)
     for _ in range(25):
         a = S4.random_element(rng)
@@ -267,8 +271,31 @@ def test_quotient_s4_by_klein():
         assert proj(a * b) == proj(a) * proj(b)
     for images in _brute_closure(4, _klein().gens):
         assert proj(Perm(images)).is_identity()
-    for q in Q.elements():
-        assert proj(proj.section(q)) == q
+
+
+def test_coset_walk_contract():
+    S4 = _sym(4)
+    N = _klein()
+    reps, index, rows = coset_walk(N, S4.gens)
+    assert len(reps) == len(index) == 6
+    assert sorted(index.values()) == list(range(6))
+    for k, rep in enumerate(reps):
+        assert index[N.coset_key(rep)] == k
+        for row, g in zip(rows, S4.gens):
+            assert index[N.coset_key(rep * g)] == row[k]
+    # coset c is first found at the first (k, j) with rows[j][k] == c
+    found = 1
+    for k in range(6):
+        for j, row in enumerate(rows):
+            if row[k] == found:
+                assert reps[found] == reps[k] * S4.gens[j]
+                found += 1
+            else:
+                assert row[k] < found
+    assert found == 6
+    # a walk with fewer elements stays in the subgroup they reach
+    reps, index, rows = coset_walk(PermGroup(4, ()), S4.gens[:1])
+    assert len(reps) == 4 and len(rows) == 1
 
 
 def test_quotient_errors():
@@ -282,7 +309,7 @@ def test_quotient_errors():
 def test_quotient_checks_the_time_budget():
     with pytest.raises(TimeBudgetExceeded):
         quotient(_sym(4), _klein(), limits=Limits(seconds=0.0))
-    Q, _ = quotient(_sym(4), _klein(), limits=Limits(seconds=60.0))
+    Q = quotient(_sym(4), _klein(), limits=Limits(seconds=60.0))
     assert Q.order() == 6
 
 
@@ -291,10 +318,26 @@ def test_quotient_order_law():
     S4 = _sym(4)
     normals = [_klein(), _alt(4), S4, PermGroup(4, [])]
     for N in normals:
-        Q, proj = quotient(S4, N)
+        Q = quotient(S4, N)
         assert Q.order() * N.order() == 24
+        proj = Homomorphism(S4, Q, Q.gens)
         g = S4.random_element(rng)
         assert (proj(g).is_identity()) == (g in N)
+
+
+def test_class_sweep_checks_the_budget_inside_each_class():
+    calls = []
+
+    class CountingLimits(Limits):
+        def check(self):
+            calls.append(None)
+            super().check()
+
+    A8 = _alt(8)
+    A8.elements()
+    classes = A8.conjugacy_classes(limits=CountingLimits())
+    assert len(classes) == 14
+    assert len(calls) > len(classes)
 
 
 def _coset_pairs():
@@ -343,11 +386,9 @@ def test_quotient_generators_pinned():
         ("WREATH(1)/N", W, W.normal_closure(W.gens[:4])),
         ("WREATH(1)/G'", W, W.derived_subgroup())]
     for name, G, N in pairs:
-        Q, proj = quotient(G, N)
+        Q = quotient(G, N)
         assert len(Q.gens) == len(G.gens), name
         assert [q.images for q in Q.gens] == QUOTIENT_GENS[name], name
-        for q in Q.elements():
-            assert proj(proj.section(q)) == q, name
 
 
 def _order_of(x):

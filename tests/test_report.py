@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from groupgen import builder, genset, report, structure
+from groupgen.perm import PermGroup
 from groupgen.report import (canonical_json, compute_report, load_cache,
                              run_corpus, INVARIANT_KEYS, SCHEMA)
 
@@ -267,6 +268,21 @@ def test_one_report_computes_each_invariant_of_g_once(monkeypatch):
     assert len(built) == 1 and "skipped" not in rep
     assert (rep["d"], rep["m"], rep["spectrum"]) == (2, 3, [2, 3])
     assert calls == {"chief_series": 1, "d_with_witness": 1, "GenOracle": 1}
+
+
+def test_one_report_checks_the_solubility_of_g_once(monkeypatch):
+    calls = []
+    real = PermGroup.derived_series
+
+    def counted(self):
+        if self.label == "S4":
+            calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PermGroup, "derived_series", counted)
+    rep = compute_report("S4")
+    assert rep["soluble"] is True
+    assert len(calls) == 1
 
 
 def test_lattice_cap_in_frattini_flags_is_a_skip(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from groupgen.perm import (CapExceeded, GroupError, Limits, Perm, PermGroup,
-                           TimeBudgetExceeded, quotient)
+                           TimeBudgetExceeded)
 from groupgen import builder, genset, report, structure
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -475,24 +475,53 @@ def _corpus_groups():
 
 
 def test_has_complement_matches_frattini_flag():
-    # the lattice oracle: X/Y is Frattini exactly when Xb lies in Frat(G/Y)
+    # the lattice oracle on G itself: X/Y lies in Frat(G/Y) exactly when
+    # every maximal subgroup of G that contains Y also contains X
     groups = [_sym(4), _cyclic(4), _cyclic(6), _dihedral4(), _c2xc4(),
               _alt(4), _cyclic(12), _product_with_c2(_sym(3)), _sl23()]
     checked = 0
     for G in groups + list(_corpus_groups()):
+        lattice = structure.subgroup_lattice(G)
+        ids = lattice.element_ids()
+        maximal = [lattice.id_set(i) for i in lattice.maximal_indices()]
         for f in structure.chief_series(G):
             if not f.is_abelian:
                 continue
-            if f.below.order() == 1:
-                Qb, proj = G, (lambda x: x)
-            else:
-                Qb, proj = quotient(G, f.below)
-            frat = structure.frattini(Qb)
-            oracle = all(proj(x) in frat for x in f.above.gens)
+            below = {ids[y.images] for y in f.below.gens}
+            above = {ids[x.images] for x in f.above.gens}
+            oracle = all(above <= M for M in maximal if below <= M)
             assert f.is_frattini == oracle, (G, f)
             assert f.has_complement() == (not oracle), (G, f)
             checked += 1
     assert checked >= 90
+
+
+def test_abelian_factors_are_decided_in_g(monkeypatch):
+    # the Frattini flag and the module of an abelian factor build no
+    # quotient group and sweep no elements of X
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("an abelian chief factor built a quotient")
+
+    swept = []
+    real_elements = PermGroup.elements
+
+    def elements(self, *args, **kwargs):
+        swept.append(self)
+        return real_elements(self, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "quotient", no_quotient, raising=False)
+    for text in ("S4", "EX1(2)", "WREATH(1)"):
+        G = builder.build(text)
+        abelian = [f for f in structure.chief_series(G) if f.is_abelian]
+        assert abelian, text
+        # the series may sweep a candidate X to break a tie; only sweeps
+        # made by the flag and the module count here
+        monkeypatch.setattr(PermGroup, "elements", elements)
+        for f in abelian:
+            assert f.is_frattini in (True, False)
+            assert f.module.dim == f.dim, (text, f)
+            assert not any(H is f.above for H in swept), (text, f)
+        monkeypatch.setattr(PermGroup, "elements", real_elements)
 
 
 def test_cocycle_system_checks_the_matrices():
