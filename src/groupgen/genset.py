@@ -38,6 +38,7 @@ from .perm import (
     DEFAULT_LIMITS,
     CapExceeded,
     GroupError,
+    Perm,
     PermGroup,
     factorint,
     omega,
@@ -333,14 +334,15 @@ def d_with_witness(A):
             if r.order() == n:
                 return 1, (r,)
         lower = 2
-    elems = G.elements()
+    table = G.element_table()
     rng = random.Random(A.seed)
     candidates = None
     for k in range(lower, omega(n) + 1):
         limits.check()
         # randomized probe first; any hit is enough since k-1 was refuted
         for _ in range(DEFAULT_RANDOM_TRIES):
-            picks = [rng.choice(elems) for _ in range(k)]
+            picks = [Perm(table[rng.choice(range(n))].tolist())
+                     for _ in range(k)]
             if PermGroup(G.degree, picks).order() == n:
                 return k, tuple(picks)
         if n > SEARCH_ORDER_CAP:

@@ -11,7 +11,8 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from math import gcd
-from operator import attrgetter
+
+import numpy as np
 
 ELEMENT_CAP = 200_000
 MAX_DEGREE = 1 << 16
@@ -238,6 +239,13 @@ def _sort_key(perm):
     return (perm.order(), perm.images)
 
 
+def _row_keys(rows):
+    """One void scalar per row of an image array, ordered like the rows'
+    image tuples: its bytes are the images, most significant byte first."""
+    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+
+
 class _Stabilizer:
     """One level of a stabilizer chain (deterministic Schreier-Sims).
 
@@ -356,15 +364,6 @@ class _Stabilizer:
                 if not sg.is_identity():
                     self.down.add(sg)
 
-    def iter_elements(self):
-        if self.base is None:
-            yield Perm.identity(self.degree)
-            return
-        transversal = [pair[0] for pair in self.tree.values()]
-        for rest in self.down.iter_elements():
-            for u in transversal:
-                yield rest * u
-
     def random_element(self, rng):
         g = None
         levels = []
@@ -392,9 +391,9 @@ class PermGroup:
     positional correspondence); the stabilizer chain is built on demand.
     """
 
-    __slots__ = ("degree", "gens", "label", "_chain", "_order", "_elements",
-                 "_elemset", "_classes", "_fingerprint", "_lattice_cache",
-                 "_soluble")
+    __slots__ = ("degree", "gens", "label", "_chain", "_order", "_table",
+                 "_elements", "_elemset", "_classes", "_fingerprint",
+                 "_lattice_cache", "_soluble")
 
     def __init__(self, degree, gens=(), label=None, _chain=None):
         if not 1 <= degree <= MAX_DEGREE:
@@ -408,6 +407,7 @@ class PermGroup:
         self.label = label
         self._chain = _chain
         self._order = None
+        self._table = None
         self._elements = None
         self._elemset = None
         self._classes = None
@@ -437,24 +437,50 @@ class PermGroup:
     def identity(self):
         return Perm.identity(self.degree)
 
-    def elements(self, cap=ELEMENT_CAP, *, limits=DEFAULT_LIMITS):
-        """All elements sorted by image tuple; refuses above the cap.
+    def element_table(self, cap=ELEMENT_CAP, *, limits=DEFAULT_LIMITS):
+        """All elements as one (order, degree) array of images, uint8 up to
+        degree 256 and uint16 above, its rows sorted by image tuple; an
+        element's id is its row.  Refuses above the cap.
 
-        The time budget of ``limits`` is checked every 1024 elements of the
-        sweep and once before the sort."""
-        if self._elements is None:
+        Built from the stabilizer chain's transversals one level at a
+        time, bottom up: the elements of a level are rest * u for rest
+        below it and u in its transversal, whose images are u[rest].  The
+        time budget of ``limits`` is checked before each level and before
+        the sort."""
+        if self._table is None:
             n = self.order()
             if cap is not None and n > cap:
                 raise CapExceeded(f"element sweep needs {n} elements, cap is {cap}")
-            check = limits.check
-            elems = []
-            for k, e in enumerate(self.chain.iter_elements()):
-                if not k % 1024:
-                    check()
-                elems.append(e)
-            check()
-            elems.sort(key=attrgetter("images"))
-            self._elements = tuple(elems)
+            dtype = np.uint8 if self.degree <= 256 else np.uint16
+            levels = []
+            lvl = self.chain
+            while lvl.base is not None:
+                levels.append(lvl)
+                lvl = lvl.down
+            table = np.arange(self.degree, dtype=dtype)[None, :]
+            for lvl in reversed(levels):
+                limits.check()
+                u = np.array([pair[0].images for pair in lvl.tree.values()],
+                             dtype=dtype)
+                table = u[:, table].reshape(-1, self.degree)
+            limits.check()
+            self._table = table[np.lexsort(table.T[::-1])]
+        return self._table
+
+    def ids_of(self, rows):
+        """The ids of the elements whose images are the rows of ``rows``,
+        each of which must be an element of the group."""
+        return np.searchsorted(_row_keys(self.element_table(None)),
+                               _row_keys(rows))
+
+    def elements(self, cap=ELEMENT_CAP, *, limits=DEFAULT_LIMITS):
+        """All elements as Perms, in the order of ``element_table``: sorted
+        by image tuple.  Refuses above the cap.
+
+        The time budget of ``limits`` is checked while the table is built."""
+        if self._elements is None:
+            table = self.element_table(cap, limits=limits)
+            self._elements = tuple(map(Perm, map(tuple, table.tolist())))
         return self._elements
 
     def element_set(self):
@@ -471,41 +497,50 @@ class PermGroup:
         limits.check()
         return sorted(elems, key=_sort_key)
 
+    def conjugation_ids(self, *, limits=DEFAULT_LIMITS):
+        """One id map per generator g: entry x is the id of x^g = g^-1 * x
+        * g, whose images are g[x[g^-1[p]]].  The time budget of ``limits``
+        is checked while the table is built and before each map."""
+        table = self.element_table(limits=limits)
+        maps = []
+        for g in self.gens:
+            limits.check()
+            gim = np.array(g.images, dtype=table.dtype)
+            ginv = np.array(g.inverse().images)
+            maps.append(self.ids_of(gim[table[:, ginv]]))
+        return maps
+
     def conjugacy_classes(self, *, limits=DEFAULT_LIMITS):
         """List of (representative, class size), sorted by representative in
         search order; each representative is its class's least element in
         search order.
 
-        The classes are swept in image order on image tuples, where x^g =
-        g^-1 * x * g has images g[x[g^-1[p]]].  Conjugates have the same
-        order, so the first element of a class met in image order is also
-        its least in search order.  The time budget of ``limits`` is
-        checked during the element sweep and every 1024 elements of each
-        class's walk, starting with its first."""
+        The classes are the orbits of the maps of ``conjugation_ids``, found
+        by min-label propagation: each element takes the least label of
+        itself and its conjugates by the generators, and then the label of
+        its label (pointer jumping), until no label changes.  The maps are
+        permutations, so a stable labelling is constant on their cycles and
+        hence on each class, which ends labelled by its least id, its least
+        image tuple.  Conjugates have the same order, so that is also its
+        least element in search order.  No Perm is made for elements other
+        than the representatives.  The time budget of ``limits`` is checked
+        while the maps are built and before each propagation step along
+        one generator's map."""
         if self._classes is None:
-            check = limits.check
-            elems = self.elements(limits=limits)
-            acts = [(g.images.__getitem__, g.inverse().images)
-                    for g in self.gens]
-            seen = set()
-            classes = []
-            for e in elems:
-                if e.images in seen:
-                    continue
-                cls_elems = {e.images}
-                queue = [e.images]
-                # grows while it is read: breadth first
-                for j, x in enumerate(queue):
-                    if not j % 1024:
-                        check()
-                    xget = x.__getitem__
-                    for gget, ginv in acts:
-                        c = tuple(map(gget, map(xget, ginv)))
-                        if c not in cls_elems:
-                            cls_elems.add(c)
-                            queue.append(c)
-                seen |= cls_elems
-                classes.append((e, len(cls_elems)))
+            maps = self.conjugation_ids(limits=limits)
+            lab = np.arange(len(self._table))
+            while True:
+                old = lab
+                for m in maps:
+                    limits.check()
+                    lab = np.minimum(lab, lab[m])
+                lab = lab[lab]
+                if np.array_equal(lab, old):
+                    break
+            reps, sizes = np.unique(lab, return_counts=True)
+            rows = self._table[reps].tolist()
+            classes = [(Perm(tuple(row)), int(size))
+                       for row, size in zip(rows, sizes)]
             classes.sort(key=lambda c: _sort_key(c[0]))
             self._classes = tuple(classes)
         return self._classes

@@ -31,15 +31,17 @@ from poisoning a corpus run.
 
 Cache: a JSONL file mapping group fingerprints to finished reports.  Appends
 happen under an exclusive advisory lock so concurrent runs may share one
-cache; unreadable lines are skipped with a warning.  A cache hit replays the
-stored invariants (the id is taken from the current expression, since two
-different expressions can build the same group).  A report with ``skipped``
-stages depends on the limits it ran under, so it is never cached, and a
-cached record with ``skipped`` counts as a miss.
+cache; unreadable lines are skipped with a warning.  A process parses each
+version of the file once, so a corpus run reads each line once.  A cache
+hit replays the stored invariants (the id is taken from the current
+expression, since two different expressions can build the same group).  A
+report with ``skipped`` stages depends on the limits it ran under, so it is
+never cached, and a cached record with ``skipped`` counts as a miss.
 """
 
 import concurrent.futures
 import json
+import os
 import time
 import warnings
 
@@ -173,8 +175,29 @@ def _error_kind(exc):
     return "group"
 
 
+# Parsed cache files: real path -> (st_size, st_mtime_ns, records).  An
+# entry is used only while the file's size and modification time still
+# match, so a file changed outside the process is read again.
+_parsed = {}
+
+
 def load_cache(path):
-    """Read a JSONL cache into {fingerprint: report}, skipping bad lines."""
+    """Read a JSONL cache into {fingerprint: report}, skipping bad lines.
+
+    The records are parsed once per version of the file and kept for the
+    rest of the process; the caller gets its own copy of the dict."""
+    key = os.path.realpath(path)
+    try:
+        st = os.stat(key)
+    except FileNotFoundError:
+        return {}
+    memo = _parsed.get(key)
+    if memo is None or memo[:2] != (st.st_size, st.st_mtime_ns):
+        memo = _parsed[key] = (st.st_size, st.st_mtime_ns, _parse_cache(path))
+    return dict(memo[2])
+
+
+def _parse_cache(path):
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -199,14 +222,31 @@ def load_cache(path):
 
 
 def append_cache(path, rep):
-    """Append one report to the cache under an exclusive advisory lock."""
+    """Append one report to the cache under an exclusive advisory lock.
+
+    When the parsed records of the file were current before the append,
+    the new record joins them, so the next ``load_cache`` reads nothing."""
     line = canonical_json(rep) + "\n"
+    key = os.path.realpath(path)
     with open(path, "a", encoding="utf-8") as fh:
         if fcntl is not None:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
+            st = os.fstat(fh.fileno())
+            memo = _parsed.pop(key, None)
+            if st.st_size == 0:
+                records = {}
+            elif memo is not None and memo[:2] == (st.st_size,
+                                                   st.st_mtime_ns):
+                records = memo[2]
+            else:
+                records = None
             fh.write(line)
             fh.flush()
+            if records is not None and "fingerprint" in rep:
+                records[rep["fingerprint"]] = json.loads(line)
+                st = os.fstat(fh.fileno())
+                _parsed[key] = (st.st_size, st.st_mtime_ns, records)
         finally:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)

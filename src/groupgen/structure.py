@@ -18,12 +18,13 @@ The subgroup lattice is built by closing the zuppos (cyclic subgroups of
 prime power order) under joins with one another.  Every subgroup is the
 join of the zuppos it contains, so the closure is complete.
 
-The closure works on element ids: an element's id is its index in
-G.elements(), which is sorted by image tuple, so a subgroup's sorted ids
-sort like its sorted image tuples.  A join is a breadth-first walk over
-ids, right-multiplying by the generators through one row per generator,
-row[x] = id(x * g), built the first time that generator is used.  A walk
-that passes half the group has found the whole group and stops.
+The closure works on element ids: an element's id is its row in
+G.element_table(), whose rows are sorted by image tuple (the same order as
+G.elements()), so a subgroup's sorted ids sort like its sorted image
+tuples.  A join is a breadth-first walk over ids, right-multiplying by the
+generators through one row per generator, row[x] = id(x * g), read off the
+table the first time that generator is used.  A walk that passes half the
+group has found the whole group and stops.
 
 Joins are computed only for one representative per conjugacy class of
 subgroups.  A new subgroup enters with its whole class, the orbit of its
@@ -58,7 +59,7 @@ class SubgroupLattice:
 
     Subgroup i is ``subgroups[i]``, a PermGroup on a few generators, and
     ``id_set(i)``, the frozenset of its element ids; an element's id is its
-    index in ``group.elements()``.
+    row in ``group.element_table()``.
     """
 
     def __init__(self, group, subgroups, id_sets, ids):
@@ -143,6 +144,13 @@ class SubgroupLattice:
 
 
 def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
+    """The SubgroupLattice of G, memoized on G.
+
+    Conjugation and right multiplication act on element ids through rows
+    read off ``G.element_table()``: ``G.conjugation_ids`` for the
+    generators of G and one row per join generator.  Raises CapExceeded
+    once the lattice has more than ``limits.lattice_cap`` subgroups; the
+    time budget of ``limits`` is checked per conjugate and per join."""
     cap, check = limits.lattice_cap, limits.check
     cached = getattr(G, "_lattice_cache", None)
     if cached is not None:
@@ -151,14 +159,11 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
             raise CapExceeded(f"subgroup lattice exceeds {cap} subgroups")
         return cached
     n = G.order()
+    table = G.element_table()
     elems = G.elements()
     ids = {e.images: k for k, e in enumerate(elems)}
     # conj[j][x] is the id of x^g for the j-th generator g of G
-    conj = []
-    for g in G.gens:
-        gim, ginv = g.images, g.inverse().images
-        conj.append([ids[tuple(gim[e.images[i]] for i in ginv)]
-                     for e in elems])
+    conj = [c.tolist() for c in G.conjugation_ids(limits=limits)]
 
     zuppos = {}
     for k, e in enumerate(elems):
@@ -174,8 +179,7 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
         """row[x] is the id of x * g, for the element with id g."""
         row = rows.get(g)
         if row is None:
-            get = elems[g].images.__getitem__
-            row = rows[g] = [ids[tuple(map(get, e.images))] for e in elems]
+            row = rows[g] = G.ids_of(table[g][table]).tolist()
         return row
 
     sets_list = []

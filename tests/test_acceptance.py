@@ -120,7 +120,6 @@ def test_criterion_05_slow_pgl27():
     _line(5, t0, detail + " (slow)")
 
 
-@pytest.mark.slow
 def test_criterion_06_big_wreath():
     t0 = time.monotonic()
     G = builder.paper_family("WREATH", 1)

@@ -157,6 +157,49 @@ def test_d_witnesses_pinned(monkeypatch):
         assert shown(expr) == exhaustive, expr
 
 
+# d_with_witness witnesses as image tuples for seeds 0, 1 and 2, all found
+# by the random probe; captured when the probe drew from G.elements()
+D_PROBE_WITNESSES = {
+    "WREATH(1)": [
+        [(15, 12, 13, 11, 10, 8, 9, 14, 6, 3, 4, 0, 7, 2, 5, 1),
+         (7, 1, 0, 2, 3, 5, 4, 6, 12, 11, 13, 14, 9, 8, 15, 10)],
+        [(2, 4, 3, 7, 0, 6, 1, 5, 14, 12, 10, 8, 13, 11, 9, 15),
+         (10, 13, 8, 15, 14, 9, 12, 11, 0, 5, 7, 6, 4, 1, 3, 2)],
+        [(15, 13, 10, 9, 12, 11, 8, 14, 3, 2, 7, 6, 5, 0, 1, 4),
+         (1, 0, 4, 7, 2, 6, 5, 3, 8, 15, 14, 9, 12, 10, 13, 11)],
+    ],
+    "S4": [
+        [(2, 0, 1, 3), (2, 0, 3, 1)],
+        [(0, 3, 1, 2), (3, 0, 1, 2)],
+        [(0, 2, 1, 3), (1, 3, 2, 0)],
+    ],
+    "A5": [
+        [(4, 2, 0, 1, 3), (2, 0, 1, 3, 4)],
+        [(4, 2, 0, 1, 3), (4, 1, 0, 3, 2)],
+        [(4, 2, 1, 3, 0), (4, 2, 0, 1, 3)],
+    ],
+    "D(C4, C2)": [
+        [(3, 0, 1, 2, 5, 4), (3, 0, 1, 2, 4, 5)],
+        [(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)],
+        [(2, 3, 0, 1, 5, 4), (3, 0, 1, 2, 5, 4)],
+    ],
+    "SD(C5, C4, [g1 -> [g1*g1]])": [
+        [(3, 0, 2, 4, 1, 6, 7, 8, 5), (3, 1, 4, 2, 0, 8, 5, 6, 7)],
+        [(0, 3, 1, 4, 2, 8, 5, 6, 7), (2, 0, 3, 1, 4, 8, 5, 6, 7)],
+        [(0, 3, 1, 4, 2, 8, 5, 6, 7), (2, 4, 1, 3, 0, 6, 7, 8, 5)],
+    ],
+}
+
+
+def test_d_probe_witnesses_pinned():
+    for expr, by_seed in D_PROBE_WITNESSES.items():
+        G = builder.build(expr)
+        for seed, expected in enumerate(by_seed):
+            k, witness = genset.d_with_witness(Analysis(G, seed=seed))
+            assert k == 2
+            assert [p.images for p in witness] == expected, (expr, seed)
+
+
 def test_d_honours_lattice_cap():
     # EX2B(2) needs the exhaustive phase; over the cap it runs on
     # stabilizer-chain spans and builds no lattice

@@ -4,11 +4,13 @@ Orders and memberships are checked against a brute-force closure oracle
 that never touches the chain code.
 """
 
+import pathlib
 import random
 
+import numpy as np
 import pytest
 
-from groupgen import builder, structure
+from groupgen import builder, report, structure
 from groupgen.perm import (
     CapExceeded,
     DegreeMismatch,
@@ -61,6 +63,13 @@ def _alt(n):
 
 def _cyclic(n):
     return PermGroup(n, [Perm.from_cycles(n, [tuple(range(n))])])
+
+
+def _dihedral(n):
+    """The dihedral group of order 2n on n points."""
+    rot = Perm.from_cycles(n, [tuple(range(n))])
+    ref = Perm(tuple((-i) % n for i in range(n)))
+    return PermGroup(n, [rot, ref])
 
 
 def _klein():
@@ -185,6 +194,68 @@ def test_elements_listing():
     for _ in range(20):
         a, b = rng.choice(elems), rng.choice(elems)
         assert (a * b).images in G.element_set()
+
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _table_groups():
+    """(name, group) for every corpus expression and a few larger groups."""
+    texts = [t for path in report.corpus_files(str(CORPUS_DIR), slow=True)
+             for t in report.read_expressions(str(path))]
+    assert len(texts) == 38
+    return [(t, builder.build(t))
+            for t in texts + ["S6", "A6", "PSL2(11)", "PGL2(11)"]]
+
+
+def test_element_table_contract():
+    # rows are the elements in the order of elements(): sorted by image
+    # tuple, checked against the brute closure where that is quick and,
+    # for the order 112896 wreath, by strict order and sampled membership
+    for name, G in _table_groups():
+        table = G.element_table()
+        assert table.dtype == np.uint8, name
+        assert table.shape == (G.order(), G.degree), name
+        rows = table.tolist()
+        assert rows == [list(e.images) for e in G.elements()], name
+        if G.order() <= 5000:
+            brute = sorted(_brute_closure(G.degree, G.gens))
+            assert [tuple(r) for r in rows] == brute, name
+        else:
+            assert all(a < b for a, b in zip(rows, rows[1:])), name
+            assert all(Perm(r) in G for r in rows[::997]), name
+        assert G.ids_of(table).tolist() == list(range(G.order())), name
+
+
+def test_element_table_above_degree_256():
+    # two-byte images: the sort and the id lookup must still follow the
+    # image tuples, which differ from the little-endian byte order
+    C = _cyclic(300)
+    table = C.element_table()
+    assert table.dtype == np.uint16
+    assert [tuple(r) for r in table.tolist()] == sorted(
+        _brute_closure(300, C.gens))
+    assert C.ids_of(table[::-1]).tolist() == list(range(299, -1, -1))
+    D = _dihedral(300)
+    classes = D.conjugacy_classes()
+    # D_2n with n even: the identity, the central rotation, (n - 2) / 2
+    # pairs of rotations and two classes of n / 2 reflections
+    sizes = sorted(size for _, size in classes)
+    assert sizes == [1, 1] + [2] * 149 + [150] * 2
+    conjugators = [(_inverse_of(g), g) for g in _brute_closure(300, D.gens)]
+    for rep, size in classes[::10]:
+        cls = {_compose(_compose(ginv, rep.images), g)
+               for ginv, g in conjugators}
+        assert len(cls) == size
+        assert min(cls, key=lambda x: (_order_of(x), x)) == rep.images
+
+
+def test_spent_budget_leaves_no_memo():
+    for sweep in (PermGroup.elements, PermGroup.conjugacy_classes):
+        G = _sym(5)
+        with pytest.raises(TimeBudgetExceeded):
+            sweep(G, limits=Limits(seconds=0.0))
+        assert (G._table, G._elements, G._classes) == (None, None, None)
 
 
 def test_element_cap():
@@ -444,6 +515,17 @@ def test_conjugacy_classes_pinned():
     for name, expected in CLASSES.items():
         classes = builder.build(name).conjugacy_classes()
         assert [(rep.images, size) for rep, size in classes] == expected
+
+
+def test_conjugacy_classes_against_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for text in ("S4", "S5", "A6", "PSL2(7)", "PGL2(7)", "CROWN(S4, 2)",
+                 "D(A5, C2)"):
+        G = builder.build(text)
+        theirs = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in G.gens])
+        expected = sorted(len(c) for c in theirs.conjugacy_classes())
+        assert sorted(size for _, size in G.conjugacy_classes()) == expected
 
 
 def test_homomorphism_sign_map():

@@ -161,6 +161,36 @@ def test_skipped_reports_are_never_cached(tmp_path):
     assert canonical_json(hit) == canonical_json(rep)
 
 
+def test_a_run_parses_each_cache_line_once(tmp_path, monkeypatch):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    texts = ["C2", "C3", "C4", "S3", "K4"]
+    (d / "groups.expr").write_text("\n".join(texts) + "\n")
+    cache = tmp_path / "cache.jsonl"
+    parsed = []
+    real_loads = json.loads
+
+    def loads(text, *args, **kwargs):
+        parsed.append(text.strip())
+        return real_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(report.json, "loads", loads)
+    run_corpus(str(d), cache=str(cache))
+    lines = cache.read_text().splitlines()
+    assert len(lines) == len(texts)
+    assert sorted(parsed) == sorted(lines)
+    again = run_corpus(str(d), cache=str(cache))
+    assert all(r["timings"]["cached"] for r in again)
+    assert len(parsed) == len(texts)
+    # a record with skips appended in the same process is still a miss
+    starved = compute_report("A4", time_budget=0.0)
+    report.append_cache(str(cache), starved)
+    rep = compute_report("A4", cache=str(cache))
+    assert "cached" not in rep["timings"] and "skipped" not in rep
+    assert compute_report("A4", cache=str(cache))["timings"]["cached"]
+    assert len(parsed) == len(texts) + 2
+
+
 def _write_corpus(tmp_path):
     d = tmp_path / "corpus"
     d.mkdir()
@@ -314,7 +344,6 @@ def test_reports_whose_lattice_is_over_the_cap():
         assert "subgroup lattice exceeds" in rep["skipped"]["verdicts"]
 
 
-@pytest.mark.slow
 def test_big_wreath_report_skips_m_with_reason():
     rep = compute_report("WREATH(1)")
     assert rep["order"] == 112896
@@ -328,3 +357,19 @@ def test_big_wreath_report_skips_m_with_reason():
         {"order": 2, "abelian": True, "prime": 2, "dim": 1,
          "frattini": False}]
     assert "error" not in rep
+
+
+def test_big_wreath_report_makes_no_perm_per_element(monkeypatch):
+    # its classes and its d probe read the element table: no group of
+    # order above 1000 is swept into Perms
+    swept = []
+    real = PermGroup.elements
+
+    def elements(self, *args, **kwargs):
+        swept.append(self.order())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "elements", elements)
+    rep = compute_report("WREATH(1)")
+    assert rep["order"] == 112896 and rep["d"] == 2
+    assert max(swept, default=0) <= 1000
