@@ -15,7 +15,9 @@ builds the primitive group L attached to a chief factor, `crown_power`
 the subgroup L_k of L^k of tuples congruent modulo the socle, and
 `crown_generation_check` evaluates the counting criterion for d(L_k) in
 the simple-socle case, with `eulerian` and `aut_order` supplying the two
-sides of the threshold.
+sides of the threshold.  `aut_order` searches the images of a generating
+sequence; the first image runs over conjugacy class representatives only,
+and each representative's count is weighted by its class size.
 """
 
 import random
@@ -138,12 +140,6 @@ def module_of_factor(factor):
     return GfpModule(factor.group, fm.prime, fm.matrices, centralizer_kernel=C)
 
 
-def trivial_module(G, p, dim=1):
-    """The module GF(p)^dim with every generator acting as the identity."""
-    return GfpModule(G, p, [gfp.identity(dim) for _ in G.gens],
-                     centralizer_kernel=G)
-
-
 def monolithic_of(G, F, *, limits=DEFAULT_LIMITS):
     """The monolithic primitive group attached to a non-Frattini chief factor.
 
@@ -227,9 +223,14 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
     images must match the generator orders; a partial assignment survives
     while its graph is a group of the same order as the subgroup generated
     so far (that is, while the partial map extends to a homomorphism), and
-    a complete assignment counts when its images generate all of S.  Meant
-    for small socles; elementary abelian groups have automorphism groups
-    far too large to count this way.
+    a complete assignment counts when its images generate all of S.
+
+    The first image runs over conjugacy class representatives only, each
+    count weighted by its class size: conjugation by g maps the complete
+    assignments starting at r one to one onto those starting at r^g, so
+    every element of a class starts equally many.  Meant for small socles;
+    elementary abelian groups have automorphism groups far too large to
+    count this way.
     """
     n = S.order()
     if n > AUT_CAP:
@@ -250,10 +251,10 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
         prefix_orders.append(current.order())
         if prefix_orders[-1] == n:
             break
+    # candidates for the images of word[1:]; word[0]'s come from the classes
     pools = [[x for x in elems if not x.is_identity()
-              and x.order() == w.order()] for w in word]
+              and x.order() == w.order()] for w in word[1:]]
     deg = S.degree
-    count = 0
 
     def extends(imgs):
         pairs = [Perm(w.images + tuple(deg + c for c in im.images))
@@ -261,20 +262,24 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
         return build_chain(2 * deg, pairs).order() == prefix_orders[len(imgs) - 1]
 
     def search(imgs):
-        nonlocal count
+        """The number of complete assignments extending imgs."""
         i = len(imgs)
         if i == len(word):
-            if PermGroup(deg, imgs).order() == n:
-                count += 1
-            return
-        for x in pools[i]:
+            return int(PermGroup(deg, imgs).order() == n)
+        found = 0
+        for x in pools[i - 1]:
             limits.check()
             nxt = imgs + (x,)
             if extends(nxt):
-                search(nxt)
+                found += search(nxt)
+        return found
 
-    search(())
-    return count
+    # an image of word[0] of the same order always extends: the graph of
+    # the map is cyclic of that order
+    first_order = word[0].order()
+    return sum(size * search((rep,))
+               for rep, size in S.conjugacy_classes(limits=limits)
+               if rep.order() == first_order)
 
 
 def crown_generation_check(L, A, m, k, *, limits=DEFAULT_LIMITS):

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from groupgen import builder, crowns, genset, gfp, report, structure
-from groupgen.perm import CapExceeded, GroupError, Perm, PermGroup, quotient
+from groupgen.perm import (CapExceeded, GroupError, Limits, Perm, PermGroup,
+                           TimeBudgetExceeded, quotient)
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -55,6 +56,12 @@ def _elementary(p, k):
     for i in range(k):
         gens.append(Perm.from_cycles(degree, [tuple(range(p * i, p * i + p))]))
     return PermGroup(degree, gens)
+
+
+def _trivial_module(G, p, dim=1):
+    """The module GF(p)^dim with every generator acting as the identity."""
+    return crowns.GfpModule(G, p, [gfp.identity(dim) for _ in G.gens],
+                            centralizer_kernel=G)
 
 
 def _product_with_c2(G):
@@ -212,8 +219,11 @@ def test_eulerian_pinned_values():
 
 
 def test_aut_order_matches_table_oracle():
+    # the first image of Dih5 runs over one class of five reflections, and
+    # that of C3 x C3 over eight one-element classes of order 3
     for G in [_cyclic(2), _cyclic(3), _cyclic(6), _klein(), _sym(3),
-              _dihedral4(), _alt(4), _sym(4)]:
+              _dihedral4(), _alt(4), _sym(4), builder.build("Dih5"),
+              builder.build("D(C3, C3)")]:
         assert crowns.aut_order(G) == _brute_aut_count(G), G
 
 
@@ -223,6 +233,34 @@ def test_aut_order_pinned_values():
     assert crowns.aut_order(_klein()) == 6
     assert crowns.aut_order(_elementary(2, 3)) == 168
     assert crowns.aut_order(_alt(5)) == 120
+    assert crowns.aut_order(_sym(4)) == 24
+    assert crowns.aut_order(builder.build("D(C3, C3)")) == 48  # GL(2, 3)
+    assert crowns.aut_order(builder.build("PSL2(7)")) == 336   # PGL(2, 7)
+
+
+@pytest.mark.slow
+def test_aut_order_of_s5():
+    assert crowns.aut_order(_sym(5)) == 120
+
+
+def test_aut_order_checks_the_budget():
+    with pytest.raises(TimeBudgetExceeded):
+        crowns.aut_order(_alt(5), limits=Limits(seconds=0.0))
+    calls = []
+
+    class CountingLimits(Limits):
+        def check(self):
+            calls.append(None)
+            super().check()
+
+    # with the element order and the classes memoized, every check comes
+    # from the candidate loop that follows the class sweep
+    A5 = _alt(5)
+    A5.sorted_by_search_order()
+    classes = A5.conjugacy_classes()
+    assert crowns.aut_order(A5, limits=CountingLimits()) == 120
+    assert len(classes) == 5
+    assert len(calls) > len(classes)
 
 
 def test_aut_order_a5_against_s5_conjugation():
@@ -379,13 +417,13 @@ def test_h1_trivial_module_counts_abelianization():
              (_elementary(2, 3), 2, 3), (_cyclic(12), 2, 1),
              (_cyclic(12), 3, 1), (_klein(), 2, 2), (_alt(5), 2, 0)]
     for G, p, expected in cases:
-        assert crowns.h1_dimension(G, crowns.trivial_module(G, p)) == expected
+        assert crowns.h1_dimension(G, _trivial_module(G, p)) == expected
 
 
 def test_h1_cap():
     big = _elementary(2, 12)
     with pytest.raises(CapExceeded):
-        crowns.h1_dimension(big, crowns.trivial_module(big, 2))
+        crowns.h1_dimension(big, _trivial_module(big, 2))
 
 
 def test_gfp_module_rejects_inconsistent_matrices():
