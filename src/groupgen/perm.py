@@ -234,6 +234,26 @@ class Perm:
         return f"Perm{self.cycle_string()}"
 
 
+def orbit_minima(maps, size, *, limits=DEFAULT_LIMITS):
+    """The least point of each point's orbit under the permutations
+    ``maps`` of range(size), by min-label propagation: each point takes the
+    least label of itself and its images under the maps, and then the label
+    of its label (pointer jumping), until no label changes.  The maps are
+    permutations, so a stable labelling is constant on their cycles and
+    hence on each orbit, which ends labelled by its least point.  The time
+    budget of ``limits`` is checked before each propagation step along one
+    map."""
+    lab = np.arange(size)
+    while True:
+        old = lab
+        for m in maps:
+            limits.check()
+            lab = np.minimum(lab, lab[m])
+        lab = lab[lab]
+        if (lab == old).all():
+            return lab
+
+
 def _sort_key(perm):
     """Fixed total order used by searches: element order first, then images."""
     return (perm.order(), perm.images)
@@ -515,28 +535,16 @@ class PermGroup:
         search order; each representative is its class's least element in
         search order.
 
-        The classes are the orbits of the maps of ``conjugation_ids``, found
-        by min-label propagation: each element takes the least label of
-        itself and its conjugates by the generators, and then the label of
-        its label (pointer jumping), until no label changes.  The maps are
-        permutations, so a stable labelling is constant on their cycles and
-        hence on each class, which ends labelled by its least id, its least
-        image tuple.  Conjugates have the same order, so that is also its
-        least element in search order.  No Perm is made for elements other
-        than the representatives.  The time budget of ``limits`` is checked
-        while the maps are built and before each propagation step along
-        one generator's map."""
+        The classes are the orbits of the maps of ``conjugation_ids``, each
+        labelled by its least id, its least image tuple, by
+        ``orbit_minima``.  Conjugates have the same order, so that is also
+        its least element in search order.  No Perm is made for elements
+        other than the representatives.  The time budget of ``limits`` is
+        checked while the maps are built and before each propagation step
+        along one generator's map."""
         if self._classes is None:
             maps = self.conjugation_ids(limits=limits)
-            lab = np.arange(len(self._table))
-            while True:
-                old = lab
-                for m in maps:
-                    limits.check()
-                    lab = np.minimum(lab, lab[m])
-                lab = lab[lab]
-                if np.array_equal(lab, old):
-                    break
+            lab = orbit_minima(maps, len(self._table), limits=limits)
             reps, sizes = np.unique(lab, return_counts=True)
             rows = self._table[reps].tolist()
             classes = [(Perm(tuple(row)), int(size))

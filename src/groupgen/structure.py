@@ -15,28 +15,40 @@ one linear system read off ``perm.coset_walk`` over the cosets of X in G.
 No quotient group is built.
 
 The subgroup lattice is built by closing the zuppos (cyclic subgroups of
-prime power order) under joins with one another.  Every subgroup is the
-join of the zuppos it contains, so the closure is complete.
+prime power order) under joins with one another: Neubuser's cyclic
+extension method.  Every subgroup is the join of the zuppos it contains,
+so the closure is complete.
 
 The closure works on element ids: an element's id is its row in
 G.element_table(), whose rows are sorted by image tuple (the same order as
 G.elements()), so a subgroup's sorted ids sort like its sorted image
-tuples.  A join is a breadth-first walk over ids, right-multiplying by the
+tuples.  The zuppos are read off the table too, their powers by composing
+rows.  A join is a breadth-first walk over ids, right-multiplying by the
 generators through one row per generator, row[x] = id(x * g), read off the
 table the first time that generator is used.  A walk that passes half the
 group has found the whole group and stops.
 
-Joins are computed only for one representative per conjugacy class of
-subgroups.  A new subgroup enters with its whole class, the orbit of its
-id set under the generators of G, each conjugate carrying the conjugated
-generators; only the representative is queued.  Nothing is lost: the
-zuppos are closed under conjugation and join(H^g, z) = join(H, z^(g^-1))^g,
-so every join of a conjugate is the conjugate of a join that was computed.
+Joins are computed only for one representative H per conjugacy class of
+subgroups, and only with one zuppo per orbit of N_G(H).  A new subgroup
+enters with its whole class, the orbit of its id set under the generators
+of G, each conjugate carrying the conjugated generators; only the
+representative is queued.  The walk over the class also gives N_G(H), as
+the Schreier generators of that orbit, each acting on the zuppos through
+one zuppo map per generator of G.  Nothing is lost: the zuppos are closed
+under conjugation, join(H^g, z) = join(H, z^(g^-1))^g, so every join of a
+conjugate is the conjugate of a join that was computed, and for n in
+N_G(H), join(H, z^n) = join(H, z)^n, whose class was added whole by the
+join with the least zuppo of the orbit.  So the classes are found in the
+same order, with the same generators, as by joining every zuppo.
+
+Containment between subgroups and the join rows the generation searches
+read come from one boolean array, subgroups by element ids.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -51,6 +63,7 @@ from .perm import (
     factorint,
     group_from_elements,
     is_prime_power,
+    orbit_minima,
 )
 
 
@@ -59,26 +72,27 @@ class SubgroupLattice:
 
     Subgroup i is ``subgroups[i]``, a PermGroup on a few generators, and
     ``id_set(i)``, the frozenset of its element ids; an element's id is its
-    row in ``group.element_table()``.
+    row in ``group.element_table()``.  ``join_walks`` is the number of
+    joins the closure walked to find them.
     """
 
-    def __init__(self, group, subgroups, id_sets, ids):
+    def __init__(self, group, subgroups, id_sets, gen_ids, ids, join_walks):
         self.group = group
         self.subgroups = tuple(subgroups)
         self._id_sets = tuple(id_sets)
+        self._gen_ids = tuple(gen_ids)
         self.top = len(self.subgroups) - 1
         self._ids = ids
+        self._join_walks = join_walks
         self._supersets = None
         self._join_rows = {}
 
     def __len__(self):
         return len(self.subgroups)
 
-    @functools.cached_property
-    def elem_sets(self):
-        """Each subgroup as a frozenset of element image tuples."""
-        images = [e.images for e in self.group.elements(None)]
-        return tuple(frozenset(images[k] for k in s) for s in self._id_sets)
+    @property
+    def join_walks(self):
+        return self._join_walks
 
     def element_ids(self):
         """Mapping from element image tuple to its small integer id."""
@@ -88,27 +102,55 @@ class SubgroupLattice:
         """Subgroup i as a frozenset of element ids."""
         return self._id_sets[i]
 
+    @functools.cached_property
+    def _members(self):
+        """members[i, e]: whether element id e lies in subgroup i."""
+        sets = self._id_sets
+        members = np.zeros((len(sets), len(sets[self.top])), dtype=bool)
+        sizes = [len(s) for s in sets]
+        members[np.arange(len(sets)).repeat(sizes),
+                np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp,
+                            count=sum(sizes))] = True
+        return members
+
     def strict_supersets(self, i):
-        """Indices of subgroups strictly containing subgroup i."""
+        """Indices of subgroups strictly containing subgroup i: those of
+        larger order that hold its generators."""
         if self._supersets is None:
-            sets = self._id_sets
-            sizes = [len(s) for s in sets]
+            members = self._members
+            count = len(members)
+            sizes = np.array([len(s) for s in self._id_sets])
+            # generators padded with the identity's id 0, in every subgroup
+            width = max(1, max(map(len, self._gen_ids)))
+            gens = np.zeros((count, width), dtype=np.intp)
+            for a, g in enumerate(self._gen_ids):
+                gens[a, :len(g)] = g
             sups = []
-            for a in range(len(sets)):
-                row = tuple(
-                    b for b in range(len(sets))
-                    if sizes[a] < sizes[b] and sizes[b] % sizes[a] == 0
-                    and sets[a] <= sets[b])
-                sups.append(row)
+            lo = 0
+            while lo < count:
+                # subgroups are sorted by order, so the larger ones follow;
+                # a block of subgroups takes about 2^18 membership reads
+                first = int(np.searchsorted(sizes, sizes[lo], side="right"))
+                hi = min(count, lo + max(1, (1 << 18) // (
+                    (count - first) * width + 1)))
+                # holds[a, b]: subgroup first + b is larger than subgroup
+                # lo + a and holds its generators
+                holds = members[first:, gens[lo:hi]].all(axis=2).T
+                holds &= sizes[lo:hi, None] < sizes[first:]
+                a_ids, b_ids = np.nonzero(holds)
+                ends = np.cumsum(np.bincount(a_ids, minlength=hi - lo))
+                b_ids = (b_ids + first).tolist()
+                start = 0
+                for end in ends.tolist():
+                    sups.append(tuple(b_ids[start:end]))
+                    start = end
+                lo = hi
             self._supersets = sups
         return self._supersets[i]
 
     def maximal_indices(self):
         return tuple(i for i in range(len(self.subgroups))
                      if self.strict_supersets(i) == (self.top,))
-
-    def maximal_subgroups(self):
-        return tuple(self.subgroups[i] for i in self.maximal_indices())
 
     def moebius(self):
         """Moebius function mu(H, G) of the lattice, indexed like subgroups."""
@@ -124,23 +166,59 @@ class SubgroupLattice:
 
     def join_row(self, i):
         """Joins of subgroup i with every single element, as a list indexed
-        by element id.  Rows are built once and reused, which turns the
-        innermost loops of the generation searches into array reads."""
+        by element id: i itself or the first strict superset holding the
+        element (the smallest, since subgroups are sorted by order).  Rows
+        are built once and reused, which turns the innermost loops of the
+        generation searches into array reads."""
         row = self._join_rows.get(i)
         if row is None:
-            sets = self._id_sets
-            mine = sets[i]
-            sups = self.strict_supersets(i)
-            row = [i] * len(sets[self.top])
-            for e in range(len(row)):
-                if e in mine:
-                    continue
-                for b in sups:
-                    if e in sets[b]:
-                        row[e] = b
-                        break
-            self._join_rows[i] = row
+            # entries are taken from one tuple, so they share its int objects
+            cand = (i,) + self.strict_supersets(i)
+            first = self._members[list(cand)].argmax(axis=0)
+            row = self._join_rows[i] = list(map(cand.__getitem__,
+                                                first.tolist()))
         return row
+
+
+def _zuppos(G, table, *, limits):
+    """The zuppos of G, read off its element table: a list of (id set,
+    generator id) sorted by (order, sorted ids), the generator being the
+    least id that generates the zuppo, and ``zuppo_of``, the index in that
+    list of the zuppo an element generates (-1 for elements of order 1 or
+    not of prime power order).
+
+    The powers of every element come from composing the table's rows with
+    themselves until each element has met the identity, whose images sort
+    first, so its id is 0; then one id lookup for all of them."""
+    n, degree = table.shape
+    ident = table[0]
+    # x^(k+1)[p] = x^k[x[p]], one index into the flattened rows of x^k
+    step = (table + np.arange(0, n * degree, degree)[:, None]).ravel()
+    rows = [ident[None].repeat(n, axis=0), table]
+    done = (table == ident).all(axis=1)
+    while not done.all():
+        limits.check()
+        rows.append(rows[-1].ravel()[step].reshape(n, degree))
+        done |= (rows[-1] == ident).all(axis=1)
+    limits.check()
+    powers = G.ids_of(np.concatenate(rows)).reshape(len(rows), n)
+    k = np.arange(len(rows))[:, None]
+    order = (powers[1:] == 0).argmax(axis=0) + 1
+    # the prime of each prime power order, and 1 for the other orders
+    prime = np.array([next(iter(factorint(o))) if is_prime_power(o) else 1
+                      for o in range(len(rows))])[order]
+    # the generators of <x>, for |x| a power of p, are its powers x^k with
+    # k < |x| prime to p
+    gen = (k < order) & (k % prime != 0)
+    least = np.where(gen, powers, n).min(axis=0)
+    reps = np.flatnonzero(least == np.arange(n)).tolist()
+    cols = powers.T.tolist()
+    orders = order.tolist()
+    zuppo_list = sorted(((frozenset(cols[x][:orders[x]]), x) for x in reps),
+                        key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    index = np.full(n + 1, -1)
+    index[[z for _, z in zuppo_list]] = np.arange(len(zuppo_list))
+    return zuppo_list, index[least]
 
 
 def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
@@ -159,19 +237,19 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
             raise CapExceeded(f"subgroup lattice exceeds {cap} subgroups")
         return cached
     n = G.order()
-    table = G.element_table()
-    elems = G.elements()
-    ids = {e.images: k for k, e in enumerate(elems)}
+    table = G.element_table(limits=limits)
+    elems = G.elements(limits=limits)
+    conj_ids = G.conjugation_ids(limits=limits)
     # conj[j][x] is the id of x^g for the j-th generator g of G
-    conj = [c.tolist() for c in G.conjugation_ids(limits=limits)]
-
-    zuppos = {}
-    for k, e in enumerate(elems):
-        o = e.order()
-        if o > 1 and is_prime_power(o):
-            cyc = frozenset(ids[(e ** j).images] for j in range(o))
-            zuppos.setdefault(cyc, k)
-    zuppo_list = sorted(zuppos.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    conj = [c.tolist() for c in conj_ids]
+    zuppo_list, zuppo_of = _zuppos(G, table, limits=limits)
+    num_z = len(zuppo_list)
+    z_ident = np.arange(num_z)
+    # zp[j][i] is the index of (zuppo i)^g for the j-th generator g of G,
+    # and moves[j] whether that map moves any zuppo
+    zrep = np.array([z for _, z in zuppo_list], dtype=np.intp)
+    zp = [zuppo_of[c[zrep]] for c in conj_ids]
+    moves = [bool((m != z_ident).any()) for m in zp]
 
     rows = {}
 
@@ -186,6 +264,7 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
     gens_list = []
     found = {}
     queue = []
+    orbits = {}
 
     def add(fs, gens):
         if len(sets_list) >= cap:
@@ -196,32 +275,66 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
 
     def add_class(fs, gens):
         """Record the new subgroup fs and then its conjugates, conjugating
-        the generators along; only fs itself is queued for joins."""
-        k = len(sets_list)
-        queue.append(k)
+        the generators along; only fs itself is queued for joins, with
+        whether each zuppo is the least of its orbit under N_G(fs), or
+        None when that normalizer fixes every zuppo.
+
+        Member k of the class carries trans[k], the zuppo map of an element
+        t_k with fs^t_k = member k.  An edge from member k by generator g
+        to a member j found before gives t_k g t_j^-1 in N_G(fs), and these
+        Schreier generators generate it."""
+        start = k = len(sets_list)
         add(fs, gens)
+        trans, inverses, schreier = [z_ident], {start: z_ident}, {}
         while k < len(sets_list):
             h_set, h_gens = sets_list[k], gens_list[k]
+            t = trans[k - start]
             k += 1
-            for c in conj:
+            for j, c in enumerate(conj):
                 check()
                 image = frozenset(map(c.__getitem__, h_set))
-                if image not in found:
+                other = found.get(image)
+                # the zuppo map of t_k g, reusing t or zp[j] when the other
+                # factor is the identity
+                u = t if not moves[j] else zp[j] if t is z_ident else zp[j][t]
+                if other is None:
                     add(image, tuple(map(c.__getitem__, h_gens)))
+                    trans.append(u)
+                elif u is not trans[other - start]:
+                    inv = inverses.get(other)
+                    if inv is None:
+                        inv = inverses[other] = np.empty_like(z_ident)
+                        inv[trans[other - start]] = z_ident
+                    s = u if inv is z_ident else inv[u]
+                    schreier.setdefault(s.tobytes(), s)
+        schreier.pop(z_ident.tobytes(), None)
+        # classes with the same Schreier generators, such as all normal
+        # subgroups, share their orbits
+        key = frozenset(schreier)
+        if key and key not in orbits:
+            orbits[key] = (orbit_minima(schreier.values(), num_z, limits=limits)
+                           == z_ident).tolist()
+        queue.append((start, orbits.get(key)))
 
-    add_class(frozenset([ids[G.identity().images]]), ())
+    # the identity's images sort first, so its id is 0
+    add_class(frozenset([0]), ())
     for fs, z in zuppo_list:
         if fs not in found:
             add_class(fs, (z,))
     whole = frozenset(range(n))
     half = n // 2
-    for i in queue:
+    walks = 0
+    for i, least in queue:
         h_set, h_gens = sets_list[i], gens_list[i]
         h_rows = [right_row(g) for g in h_gens]
-        for z_set, z in zuppo_list:
-            check()
-            if z in h_set:
+        for zi, (z_set, z) in enumerate(zuppo_list):
+            # join(H, z^n) = join(H, z)^n for n in N_G(H): the class of a
+            # join with a zuppo that is not least in its orbit was already
+            # added whole by the join with the least one
+            if z in h_set or (least is not None and not least[zi]):
                 continue
+            check()
+            walks += 1
             # both factors are already closed, so the walk only has
             # to fill in the genuinely new products; any subgroup larger
             # than half the group is the group, which ends most walks early
@@ -248,7 +361,9 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
                    key=lambda i: (len(sets_list[i]), sorted(sets_list[i])))
     subgroups = [PermGroup(G.degree, tuple(elems[g] for g in gens_list[i]))
                  for i in order]
-    lattice = SubgroupLattice(G, subgroups, [sets_list[i] for i in order], ids)
+    ids = {e.images: k for k, e in enumerate(elems)}
+    lattice = SubgroupLattice(G, subgroups, [sets_list[i] for i in order],
+                              [gens_list[i] for i in order], ids, walks)
     G._lattice_cache = lattice
     return lattice
 

@@ -168,11 +168,13 @@ def _brute_h1(G, mats, p):
     ones are a coset space of size |M| / |fixed points|."""
     n = mats[0].shape[0]
     S, M = _semidirect(G, mats, p)
-    m_set = frozenset(e.images for e in M.elements())
-    ident = S.identity().images
     lat = structure.subgroup_lattice(S)
-    comp = sum(1 for fs in lat.elem_sets
-               if len(fs) == G.order() and fs & m_set == {ident})
+    ids = lat.element_ids()
+    m_ids = frozenset(ids[e.images] for e in M.elements())
+    ident = ids[S.identity().images]
+    comp = sum(1 for i in range(len(lat))
+               if len(lat.id_set(i)) == G.order()
+               and lat.id_set(i) & m_ids == {ident})
     z_dim = 0
     while p ** z_dim < comp:
         z_dim += 1

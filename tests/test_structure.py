@@ -4,6 +4,7 @@ The lattice is checked against a brute-force enumeration of all closed
 subsets for groups of order at most 16, plus classical subgroup counts.
 """
 
+import hashlib
 import pathlib
 import random
 
@@ -62,6 +63,13 @@ def _product_with_c2(G):
     return PermGroup(degree, gens)
 
 
+def _elem_sets(lat):
+    """Each subgroup of the lattice as a frozenset of element image tuples."""
+    images = [e.images for e in lat.group.elements(None)]
+    return tuple(frozenset(images[k] for k in lat.id_set(i))
+                 for i in range(len(lat)))
+
+
 def _brute_subgroup_sets(G):
     """Every subgroup of G as a frozenset of image tuples, by enumerating
     all identity-containing subsets closed under multiplication."""
@@ -89,7 +97,7 @@ def test_lattice_matches_brute_enumeration():
         if G.order() > 16:
             continue
         lat = structure.subgroup_lattice(G)
-        assert set(lat.elem_sets) == _brute_subgroup_sets(G)
+        assert set(_elem_sets(lat)) == _brute_subgroup_sets(G)
 
 
 def test_known_subgroup_counts():
@@ -115,13 +123,80 @@ def test_known_subgroup_counts():
         assert len(lat) == count, name
 
 
+# (size, sha256 prefix of each subgroup's sorted ids and generator images,
+# in lattice order) for every quick-corpus group and four larger groups;
+# verify._find_complement and the verdict evidence read the lattice in
+# this order and keep these generators
+LATTICE_DIGESTS = {
+    'C2': (2, '16dc6c673967f32a'),
+    'C3': (2, 'be68629571638746'),
+    'C4': (3, 'bd104e3da8cb4254'),
+    'C6': (4, '9d6384eae5412301'),
+    'C12': (6, '2bfae012ad49e9f7'),
+    'C15': (4, 'eb6255253a2caa2e'),
+    'K4': (5, '60697a5d3bb6cfbb'),
+    'D(C2, C2, C2)': (16, '7bbaf11bb36b458f'),
+    'D(C4, C2)': (8, '0539f15cd23b8bce'),
+    'D(C3, C3)': (6, 'c948dce1abc67e83'),
+    'S3': (6, '0ee6e5870937e88a'),
+    'Dih4': (10, '8e485c106715ca4e'),
+    'Dih5': (8, 'c7e236073bd6ee7b'),
+    'Dih6': (16, '550dc65ab426e312'),
+    'A4': (10, '5ae2a13f4449c1e1'),
+    'S4': (30, '7bf80956fbe32ebb'),
+    'EX1(1)': (16, 'eb799e959a6fe2ed'),
+    'EX1(2)': (54, '9268d3064555fde3'),
+    'EX1(3)': (236, 'c2970f1c721e46b4'),
+    'EX2B(1)': (16, 'eb799e959a6fe2ed'),
+    'EX2B(2)': (78, 'd51b069bcd42aa54'),
+    'D(S3, C3)': (14, 'b3828e3a0491bfa5'),
+    'W(C2, 3)': (26, '23b4983c910d3289'),
+    'W(C3, 2)': (14, '00cc3307becf285e'),
+    'SD(D(C3, C3), C4, [g1 -> [g2, g1*g1]])': (38, '9ef37fdb854ab83f'),
+    'SD(C5, C4, [g1 -> [g1*g1]])': (14, '3858593b69724166'),
+    'Q(S4; g1*g2)': (2, '16dc6c673967f32a'),
+    'SUB(S4; g1*g1, g2)': (10, '50b4a01fb925c4d1'),
+    'CROWN(S3, 2)': (28, '06a7a95cf8b9253c'),
+    'CROWN(S3, 3)': (212, '2b08f51ca8ec556d'),
+    'CROWN(S4, 2)': (250, '7af38f6fe90b8f07'),
+    'A5': (59, 'd02c5d2cb146e5f5'),
+    'PSL2(5)': (59, 'e6537886020a2324'),
+    'S5': (156, '84e4e0ebc276e9b3'),
+    'PGL2(7)': (413, 'bb1729e260a0e3e7'),
+    'A6': (501, '4e80b7813455773d'),
+    'PSL2(11)': (620, 'c2010873853a7fff'),
+    'S6': (1455, '1fe60d7afa574ab8'),
+}
+
+
+def _lattice_digest(lat):
+    h = hashlib.sha256()
+    for i, H in enumerate(lat.subgroups):
+        h.update(repr((sorted(lat.id_set(i)),
+                       tuple(g.images for g in H.gens))).encode())
+    return h.hexdigest()[:16]
+
+
+def test_lattice_digests_cover_the_quick_corpus():
+    texts = {text for path in report.corpus_files(CORPUS_DIR)
+             for text in report.read_expressions(path)}
+    assert texts <= set(LATTICE_DIGESTS)
+
+
+@pytest.mark.parametrize("text", list(LATTICE_DIGESTS))
+def test_lattice_digest(text):
+    lat = structure.subgroup_lattice(builder.build(text))
+    assert (len(lat), _lattice_digest(lat)) == LATTICE_DIGESTS[text]
+
+
 def test_lattice_subgroups_are_closed_and_sorted():
     lat = structure.subgroup_lattice(_sym(4))
-    sizes = [len(fs) for fs in lat.elem_sets]
+    elem_sets = _elem_sets(lat)
+    sizes = [len(fs) for fs in elem_sets]
     assert sizes == sorted(sizes)
-    assert lat.elem_sets[lat.top] == _sym(4).element_set()
+    assert elem_sets[lat.top] == _sym(4).element_set()
     rng = random.Random(3)
-    for fs, H in zip(lat.elem_sets, lat.subgroups):
+    for fs, H in zip(elem_sets, lat.subgroups):
         assert H.order() == len(fs)
         sample = rng.sample(sorted(fs), min(4, len(fs)))
         for a in sample:
@@ -131,18 +206,19 @@ def test_lattice_subgroups_are_closed_and_sorted():
     # conjugated generators, which must still generate exactly their set
     for G in (_sym(4), _sym(5), builder.build("CROWN(S4, 2)")):
         lat = structure.subgroup_lattice(G)
-        for H, fs in zip(lat.subgroups, lat.elem_sets):
+        elem_sets = _elem_sets(lat)
+        for H, fs in zip(lat.subgroups, elem_sets):
             assert H.element_set() == fs
-        keys = [(len(fs), sorted(fs)) for fs in lat.elem_sets]
+        keys = [(len(fs), sorted(fs)) for fs in elem_sets]
         assert keys == sorted(keys)
-        assert len(set(lat.elem_sets)) == len(lat)
+        assert len(set(elem_sets)) == len(lat)
 
 
 def test_lattice_contains_all_two_generated_subgroups():
     rng = random.Random(17)
     for G in [_sym(4), _dihedral4(), _cyclic(12), _alt(4)]:
         lat = structure.subgroup_lattice(G)
-        known = set(lat.elem_sets)
+        known = set(_elem_sets(lat))
         elems = G.elements()
         for _ in range(25):
             a, b = rng.choice(elems), rng.choice(elems)
@@ -153,7 +229,7 @@ def test_lattice_contains_all_two_generated_subgroups():
 def test_lattice_closed_under_intersection():
     for G in [_sym(4), _alt(4), _cyclic(12)]:
         lat = structure.subgroup_lattice(G)
-        sets = lat.elem_sets
+        sets = _elem_sets(lat)
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 assert sets[i] & sets[j] in set(sets)
@@ -169,6 +245,37 @@ def test_lattice_cap():
         assert G._lattice_cache is None
     assert len(structure.subgroup_lattice(
         G, limits=Limits(lattice_cap=30))) == 30
+
+
+def test_lattice_cap_with_orbit_skips():
+    # S5 is nonabelian, so most of its joins are skipped as non-least in
+    # their normalizer orbit; the cap still counts every subgroup
+    G = builder.build("S5")
+    for cap in range(156):
+        with pytest.raises(CapExceeded):
+            structure.subgroup_lattice(G, limits=Limits(lattice_cap=cap))
+        assert G._lattice_cache is None
+    assert len(structure.subgroup_lattice(
+        G, limits=Limits(lattice_cap=156))) == 156
+
+
+def test_join_walks():
+    # one join per queued class representative and normalizer orbit of
+    # zuppos outside it; the count is the lattice's, not the report's
+    for text, walks in [("S4", 45), ("S5", 166), ("A6", 403), ("S6", 1411),
+                        ("PSL2(7)", 148), ("PGL2(7)", 345)]:
+        lat = structure.subgroup_lattice(builder.build(text))
+        assert lat.join_walks == walks, text
+    with pytest.raises(AttributeError):
+        lat.join_walks = 0
+
+
+@pytest.mark.slow
+def test_s7_subgroup_count():
+    # the published count; over the default lattice cap
+    G = builder.build("S7")
+    assert len(structure.subgroup_lattice(
+        G, limits=Limits(lattice_cap=20000))) == 11300
 
 
 def test_lattice_budget():
@@ -236,8 +343,7 @@ def test_frattini_flags_of_unlocked_products(monkeypatch):
 
 def test_maximal_subgroups_of_s4():
     lat = structure.subgroup_lattice(_sym(4))
-    maxs = lat.maximal_subgroups()
-    orders = sorted(M.order() for M in maxs)
+    orders = sorted(len(lat.id_set(i)) for i in lat.maximal_indices())
     assert orders == [6, 6, 6, 6, 8, 8, 8, 12]
 
 
@@ -261,6 +367,21 @@ def test_moebius_sums_vanish():
         for i in range(len(lat)):
             total = mu[i] + sum(mu[j] for j in lat.strict_supersets(i))
             assert total == (1 if i == lat.top else 0)
+
+
+def test_containment_and_join_rows_match_set_loops():
+    # the membership-array supersets and join rows against subset tests
+    # and first-hit scans over the id sets
+    for text in ["C1", "D(C3, C3)", "S4", "A5", "CROWN(S4, 2)", "EX1(3)"]:
+        lat = structure.subgroup_lattice(builder.build(text))
+        sets = [lat.id_set(i) for i in range(len(lat))]
+        for a, mine in enumerate(sets):
+            sups = tuple(b for b, theirs in enumerate(sets)
+                         if len(mine) < len(theirs) and mine <= theirs)
+            assert lat.strict_supersets(a) == sups, (text, a)
+            row = [a if e in mine else next(b for b in sups if e in sets[b])
+                   for e in range(len(sets[lat.top]))]
+            assert lat.join_row(a) == row, (text, a)
 
 
 def test_generates():
