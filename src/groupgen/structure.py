@@ -42,7 +42,8 @@ join with the least zuppo of the orbit.  So the classes are found in the
 same order, with the same generators, as by joining every zuppo.
 
 Containment between subgroups and the join rows the generation searches
-read come from one boolean array, subgroups by element ids.
+read come from one membership array, subgroups by element ids, packed
+eight elements to a byte.
 """
 
 from __future__ import annotations
@@ -104,13 +105,17 @@ class SubgroupLattice:
 
     @functools.cached_property
     def _members(self):
-        """members[i, e]: whether element id e lies in subgroup i."""
+        """Bit e of row i, in ``np.packbits`` order (most significant bit
+        first): whether element id e lies in subgroup i."""
         sets = self._id_sets
-        members = np.zeros((len(sets), len(sets[self.top])), dtype=bool)
         sizes = [len(s) for s in sets]
-        members[np.arange(len(sets)).repeat(sizes),
-                np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp,
-                            count=sum(sizes))] = True
+        ids = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp,
+                          count=sum(sizes))
+        members = np.zeros((len(sets), (len(sets[self.top]) + 7) // 8),
+                           dtype=np.uint8)
+        rows = np.arange(len(sets)).repeat(sizes)
+        np.bitwise_or.at(members, (rows, ids >> 3),
+                         (128 >> (ids & 7)).astype(np.uint8))
         return members
 
     def strict_supersets(self, i):
@@ -125,17 +130,20 @@ class SubgroupLattice:
             gens = np.zeros((count, width), dtype=np.intp)
             for a, g in enumerate(self._gen_ids):
                 gens[a, :len(g)] = g
+            # the byte and the bit of each generator in a packed row
+            byte, bit = gens >> 3, (128 >> (gens & 7)).astype(np.uint8)
             sups = []
             lo = 0
             while lo < count:
                 # subgroups are sorted by order, so the larger ones follow;
-                # a block of subgroups takes about 2^18 membership reads
+                # a block of subgroups takes about 2^16 membership reads
                 first = int(np.searchsorted(sizes, sizes[lo], side="right"))
-                hi = min(count, lo + max(1, (1 << 18) // (
+                hi = min(count, lo + max(1, (1 << 16) // (
                     (count - first) * width + 1)))
                 # holds[a, b]: subgroup first + b is larger than subgroup
                 # lo + a and holds its generators
-                holds = members[first:, gens[lo:hi]].all(axis=2).T
+                holds = members[first:, byte[lo:hi]] & bit[lo:hi]
+                holds = holds.all(axis=2).T
                 holds &= sizes[lo:hi, None] < sizes[first:]
                 a_ids, b_ids = np.nonzero(holds)
                 ends = np.cumsum(np.bincount(a_ids, minlength=hi - lo))
@@ -174,7 +182,9 @@ class SubgroupLattice:
         if row is None:
             # entries are taken from one tuple, so they share its int objects
             cand = (i,) + self.strict_supersets(i)
-            first = self._members[list(cand)].argmax(axis=0)
+            bits = np.unpackbits(self._members[list(cand)], axis=1,
+                                 count=len(self._id_sets[self.top]))
+            first = bits.argmax(axis=0)
             row = self._join_rows[i] = list(map(cand.__getitem__,
                                                 first.tolist()))
         return row
@@ -312,8 +322,8 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
         # subgroups, share their orbits
         key = frozenset(schreier)
         if key and key not in orbits:
-            orbits[key] = (orbit_minima(schreier.values(), num_z, limits=limits)
-                           == z_ident).tolist()
+            least = orbit_minima(schreier.values(), num_z, limits=limits)
+            orbits[key] = (least == z_ident).tolist()
         queue.append((start, orbits.get(key)))
 
     # the identity's images sort first, so its id is 0
