@@ -22,11 +22,12 @@ so the closure is complete.
 The closure works on element ids: an element's id is its row in
 G.element_table(), whose rows are sorted by image tuple (the same order as
 G.elements()), so a subgroup's sorted ids sort like its sorted image
-tuples.  The zuppos are read off the table too, their powers by composing
-rows.  A join is a breadth-first walk over ids, right-multiplying by the
-generators through one row per generator, row[x] = id(x * g), read off the
-table the first time that generator is used.  A walk that passes half the
-group has found the whole group and stops.
+tuples.  The zuppos are read off the table too: the powers of the
+elements of prime power order, by composing rows.  A join is a
+breadth-first walk over ids, right-multiplying by the generators through
+one row per generator, row[x] = id(x * g), read off the table the first
+time that generator is used.  A walk that passes half the group has
+found the whole group and stops.
 
 Joins are computed only for one representative H per conjugacy class of
 subgroups, and only with one zuppo per orbit of N_G(H).  A new subgroup
@@ -41,13 +42,15 @@ N_G(H), join(H, z^n) = join(H, z)^n, whose class was added whole by the
 join with the least zuppo of the orbit.  So the classes are found in the
 same order, with the same generators, as by joining every zuppo.
 
-Containment between subgroups and the join rows the generation searches
-read come from one membership array, subgroups by element ids, packed
-eight elements to a byte.
+Containment between subgroups is read off one boolean membership array,
+subgroups by element ids, held only while it is computed; the join rows
+the generation searches read are written from the id sets of each
+subgroup's strict supersets.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 
@@ -103,56 +106,24 @@ class SubgroupLattice:
         """Subgroup i as a frozenset of element ids."""
         return self._id_sets[i]
 
-    @functools.cached_property
-    def _members(self):
-        """Bit e of row i, in ``np.packbits`` order (most significant bit
-        first): whether element id e lies in subgroup i."""
-        sets = self._id_sets
-        sizes = [len(s) for s in sets]
-        ids = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp,
-                          count=sum(sizes))
-        members = np.zeros((len(sets), (len(sets[self.top]) + 7) // 8),
-                           dtype=np.uint8)
-        rows = np.arange(len(sets)).repeat(sizes)
-        np.bitwise_or.at(members, (rows, ids >> 3),
-                         (128 >> (ids & 7)).astype(np.uint8))
-        return members
-
     def strict_supersets(self, i):
         """Indices of subgroups strictly containing subgroup i: those of
-        larger order that hold its generators."""
+        larger order that hold its generators, read off one boolean
+        membership array (subgroups by element ids) that is dropped once
+        every row is known."""
         if self._supersets is None:
-            members = self._members
-            count = len(members)
-            sizes = np.array([len(s) for s in self._id_sets])
-            # generators padded with the identity's id 0, in every subgroup
-            width = max(1, max(map(len, self._gen_ids)))
-            gens = np.zeros((count, width), dtype=np.intp)
-            for a, g in enumerate(self._gen_ids):
-                gens[a, :len(g)] = g
-            # the byte and the bit of each generator in a packed row
-            byte, bit = gens >> 3, (128 >> (gens & 7)).astype(np.uint8)
+            sets = self._id_sets
+            sizes = [len(s) for s in sets]
+            members = np.zeros((len(sets), sizes[self.top]), dtype=bool)
+            members[np.arange(len(sets)).repeat(sizes),
+                    np.fromiter(itertools.chain.from_iterable(sets),
+                                dtype=np.intp, count=sum(sizes))] = True
             sups = []
-            lo = 0
-            while lo < count:
-                # subgroups are sorted by order, so the larger ones follow;
-                # a block of subgroups takes about 2^16 membership reads
-                first = int(np.searchsorted(sizes, sizes[lo], side="right"))
-                hi = min(count, lo + max(1, (1 << 16) // (
-                    (count - first) * width + 1)))
-                # holds[a, b]: subgroup first + b is larger than subgroup
-                # lo + a and holds its generators
-                holds = members[first:, byte[lo:hi]] & bit[lo:hi]
-                holds = holds.all(axis=2).T
-                holds &= sizes[lo:hi, None] < sizes[first:]
-                a_ids, b_ids = np.nonzero(holds)
-                ends = np.cumsum(np.bincount(a_ids, minlength=hi - lo))
-                b_ids = (b_ids + first).tolist()
-                start = 0
-                for end in ends.tolist():
-                    sups.append(tuple(b_ids[start:end]))
-                    start = end
-                lo = hi
+            for a, gens in enumerate(self._gen_ids):
+                # subgroups are sorted by order, so the larger ones follow
+                first = bisect.bisect_right(sizes, sizes[a])
+                held = members[first:, list(gens)].all(axis=1)
+                sups.append(tuple((np.flatnonzero(held) + first).tolist()))
             self._supersets = sups
         return self._supersets[i]
 
@@ -180,55 +151,61 @@ class SubgroupLattice:
         generation searches into array reads."""
         row = self._join_rows.get(i)
         if row is None:
-            # entries are taken from one tuple, so they share its int objects
-            cand = (i,) + self.strict_supersets(i)
-            bits = np.unpackbits(self._members[list(cand)], axis=1,
-                                 count=len(self._id_sets[self.top]))
-            first = bits.argmax(axis=0)
-            row = self._join_rows[i] = list(map(cand.__getitem__,
-                                                first.tolist()))
+            # written from the largest candidate down, so each entry ends
+            # as the first candidate holding the element; entries are taken
+            # from one tuple, so they share its int objects
+            sets = self._id_sets
+            row = self._join_rows[i] = [i] * len(sets[self.top])
+            for b in reversed((i,) + self.strict_supersets(i)):
+                for e in sets[b]:
+                    row[e] = b
         return row
 
 
-def _zuppos(G, table, *, limits):
+def _zuppos(G, table, elems, *, limits):
     """The zuppos of G, read off its element table: a list of (id set,
     generator id) sorted by (order, sorted ids), the generator being the
     least id that generates the zuppo, and ``zuppo_of``, the index in that
     list of the zuppo an element generates (-1 for elements of order 1 or
     not of prime power order).
 
-    The powers of every element come from composing the table's rows with
-    themselves until each element has met the identity, whose images sort
-    first, so its id is 0; then one id lookup for all of them."""
-    n, degree = table.shape
-    ident = table[0]
-    # x^(k+1)[p] = x^k[x[p]], one index into the flattened rows of x^k
-    step = (table + np.arange(0, n * degree, degree)[:, None]).ravel()
-    rows = [ident[None].repeat(n, axis=0), table]
-    done = (table == ident).all(axis=1)
-    while not done.all():
+    The orders of the elements come from their cycle lengths.  Only the
+    elements of prime power order are powered, by composing their rows with
+    their own rows again, up to the largest such order; each step keeps
+    only the ids of the new powers.  The time budget of ``limits`` is
+    checked before each step."""
+    n = len(table)
+    orders = [e.order() for e in elems]
+    primes = {o: next(iter(factorint(o))) for o in set(orders)
+              if o > 1 and is_prime_power(o)}
+    xs = [x for x, o in enumerate(orders) if o in primes]
+    order = np.array([orders[x] for x in xs], dtype=np.intp)
+    prime = np.array([primes[orders[x]] for x in xs], dtype=np.intp)
+    xs = np.array(xs, dtype=np.intp)
+    steps = row = table[xs]
+    # the identity's images sort first, so its id is 0
+    powers = [np.zeros_like(xs), xs]
+    for _ in range(2, max(primes, default=1)):
         limits.check()
-        rows.append(rows[-1].ravel()[step].reshape(n, degree))
-        done |= (rows[-1] == ident).all(axis=1)
-    limits.check()
-    powers = G.ids_of(np.concatenate(rows)).reshape(len(rows), n)
-    k = np.arange(len(rows))[:, None]
-    order = (powers[1:] == 0).argmax(axis=0) + 1
-    # the prime of each prime power order, and 1 for the other orders
-    prime = np.array([next(iter(factorint(o))) if is_prime_power(o) else 1
-                      for o in range(len(rows))])[order]
+        # x^(k+1)[p] = x^k[x[p]]
+        row = np.take_along_axis(row, steps, axis=1)
+        powers.append(G.ids_of(row))
+    powers = np.array(powers)
+    k = np.arange(len(powers))[:, None]
     # the generators of <x>, for |x| a power of p, are its powers x^k with
     # k < |x| prime to p
     gen = (k < order) & (k % prime != 0)
     least = np.where(gen, powers, n).min(axis=0)
-    reps = np.flatnonzero(least == np.arange(n)).tolist()
     cols = powers.T.tolist()
-    orders = order.tolist()
-    zuppo_list = sorted(((frozenset(cols[x][:orders[x]]), x) for x in reps),
+    zuppo_list = sorted(((frozenset(col[:o]), x) for col, x, o, z
+                         in zip(cols, xs.tolist(), order.tolist(),
+                                least.tolist()) if z == x),
                         key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    index = np.full(n + 1, -1)
+    index = np.full(n, -1)
     index[[z for _, z in zuppo_list]] = np.arange(len(zuppo_list))
-    return zuppo_list, index[least]
+    zuppo_of = np.full(n, -1)
+    zuppo_of[xs] = index[least]
+    return zuppo_list, zuppo_of
 
 
 def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
@@ -252,7 +229,7 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
     conj_ids = G.conjugation_ids(limits=limits)
     # conj[j][x] is the id of x^g for the j-th generator g of G
     conj = [c.tolist() for c in conj_ids]
-    zuppo_list, zuppo_of = _zuppos(G, table, limits=limits)
+    zuppo_list, zuppo_of = _zuppos(G, table, elems, limits=limits)
     num_z = len(zuppo_list)
     z_ident = np.arange(num_z)
     # zp[j][i] is the index of (zuppo i)^g for the j-th generator g of G,

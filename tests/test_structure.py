@@ -7,6 +7,7 @@ subsets for groups of order at most 16, plus classical subgroup counts.
 import hashlib
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,24 @@ def test_s7_subgroup_count():
     G = builder.build("S7")
     assert len(structure.subgroup_lattice(
         G, limits=Limits(lattice_cap=20000))) == 11300
+
+
+def test_cyclic_lattice_powers_only_prime_power_elements():
+    # C1000 acts regularly on 1000 points, so it has an element of order
+    # 1000; only its 131 elements of prime power order are powered, each
+    # step keeping one id per element.  The elements are listed first, so
+    # that their image tuples are not counted.
+    G = builder.build("C1000")
+    G.elements()
+    tracemalloc.start()
+    try:
+        lat = structure.subgroup_lattice(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(lat.id_set(i)) for i in range(len(lat))] == [
+        d for d in range(1, 1001) if 1000 % d == 0]
+    assert peak < 32 * 2**20
 
 
 def test_lattice_budget():
