@@ -167,15 +167,19 @@ class GenOracle:
             return self.lattice.join_row(h)
         return self._rows[h]
 
-    def span(self, images):
-        """Handle of the subgroup generated by the image tuples."""
+    def span_of_ids(self, ids):
+        """Handle of the subgroup generated by the elements with these ids."""
         h = 0
-        for img in images:
-            e = self.ids.get(img)
-            if e is None:
-                raise GroupError("elements are not all inside the group")
+        for e in ids:
             h = self.join_row(h)[e]
         return h
+
+    def span(self, images):
+        """Handle of the subgroup generated by the image tuples."""
+        ids = [self.ids.get(img) for img in images]
+        if None in ids:
+            raise GroupError("elements are not all inside the group")
+        return self.span_of_ids(ids)
 
     def member(self, images, candidate):
         """Whether the candidate image tuple lies in <images>."""
@@ -320,6 +324,14 @@ def d(A):
 def d_with_witness(A):
     """(d(G), one generating set of that size).
 
+    Each level k first tries DEFAULT_RANDOM_TRIES random k-sets of element
+    ids.  Up to SEARCH_ORDER_CAP a try is the walk from the trivial span
+    through the oracle's join rows, and it hits when it ends at the whole
+    group; above the cap it is one stabilizer chain.  Both tests are exact,
+    so the same try hits either way.  Up to the cap the oracle is built
+    here, lattice and all, so a time budget that runs out while it is
+    built stops d.
+
     The exhaustive phase asks the engine for an independent generating set
     of exactly k elements, which loses nothing: no generating set exists
     below k, so one of size k is independent.
@@ -335,16 +347,26 @@ def d_with_witness(A):
                 return 1, (r,)
         lower = 2
     table = G.element_table()
+
+    def perms(picks):
+        return tuple(Perm(table[e].tolist()) for e in picks)
+
+    if n <= SEARCH_ORDER_CAP:
+        def generates(picks):
+            return A.oracle.span_of_ids(picks) == A.oracle.top
+    else:
+        def generates(picks):
+            return PermGroup(G.degree, perms(picks)).order() == n
+
     rng = random.Random(A.seed)
     candidates = None
     for k in range(lower, omega(n) + 1):
         limits.check()
         # randomized probe first; any hit is enough since k-1 was refuted
         for _ in range(DEFAULT_RANDOM_TRIES):
-            picks = [Perm(table[rng.choice(range(n))].tolist())
-                     for _ in range(k)]
-            if PermGroup(G.degree, picks).order() == n:
-                return k, tuple(picks)
+            picks = [rng.choice(range(n)) for _ in range(k)]
+            if generates(picks):
+                return k, perms(picks)
         if n > SEARCH_ORDER_CAP:
             raise CapExceeded(
                 f"exhaustive d search needs order <= {SEARCH_ORDER_CAP}, "

@@ -643,9 +643,6 @@ class PermGroup:
         gens = self.gens
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
 
-    def is_pgroup(self):
-        return self.order() == 1 or is_prime_power(self.order())
-
     def is_cyclic(self):
         n = self.order()
         if n == 1:

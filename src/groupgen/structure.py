@@ -366,12 +366,14 @@ def frattini(G, *, limits=DEFAULT_LIMITS):
     return group_from_elements(G.degree, [elems[k] for k in sorted(inter)])
 
 
-def _minimal_closures(G, Y, reps):
+def _minimal_closures(G, Y, reps, *, limits):
     """The inclusion-minimal normal closures of Y plus one of ``reps``, each
     listed at the first representative that gives it.  A closure is only
-    ever dropped for a smaller one, so a minimal one is never dropped."""
+    ever dropped for a smaller one, so a minimal one is never dropped.  The
+    time budget of ``limits`` is checked once per representative."""
     minimal = []
     for rep in reps:
+        limits.check()
         if rep in Y:
             continue
         X = G.normal_closure(tuple(Y.gens) + (rep,))
@@ -391,7 +393,8 @@ def minimal_normal_subgroups(G, *, limits=DEFAULT_LIMITS):
     if G.order() == 1:
         return ()
     reps = G.class_representatives(limits=limits)
-    closures = _minimal_closures(G, PermGroup(G.degree, ()), reps)
+    closures = _minimal_closures(G, PermGroup(G.degree, ()), reps,
+                                 limits=limits)
     return tuple(sorted(closures, key=PermGroup.order))
 
 
@@ -423,22 +426,6 @@ def is_elementary_abelian(G):
         return False
     (p, _), = factorint(n).items()
     return all(g.is_identity() or g.order() == p for g in G.gens)
-
-
-def monolithic_primitive(G, *, limits=DEFAULT_LIMITS):
-    """True when G has a unique minimal normal subgroup not inside Frat(G).
-
-    A non-abelian minimal normal subgroup is never in the Frattini subgroup
-    (which is nilpotent), and an abelian one avoids it exactly when it has a
-    complement, so no lattice is needed here.
-    """
-    A = unique_minimal_normal(G)
-    if A is None:
-        return False
-    if not A.is_abelian():
-        return True
-    return FactorModule(G, A, PermGroup(G.degree, ())).has_complement(
-        limits=limits)
 
 
 def cocycle_system(G, N, matrices, p, coords_of=None, *,
@@ -647,7 +634,7 @@ def chief_series(G, *, limits=DEFAULT_LIMITS):
     Y = PermGroup(G.degree, ())
     while Y.order() < G.order():
         limits.check()
-        minimal = _minimal_closures(G, Y, reps)
+        minimal = _minimal_closures(G, Y, reps, limits=limits)
         best_order = min(X.order() for X in minimal)
         pool = [X for X in minimal if X.order() == best_order]
         if len(pool) == 1:

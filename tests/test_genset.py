@@ -1,13 +1,17 @@
 """Generating set searches: d, m, spectrum, bounds, independence."""
 
+import hashlib
+import pathlib
 import random
 
 import pytest
 
 from groupgen.perm import (CapExceeded, Limits, Perm, PermGroup,
                            TimeBudgetExceeded, omega)
-from groupgen import builder, genset, structure, verify
+from groupgen import builder, genset, perm, report, structure, verify
 from groupgen.genset import Analysis
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _sym(n):
@@ -208,6 +212,26 @@ def test_d_honours_lattice_cap():
     assert G._lattice_cache is None
 
 
+def test_d_probe_walks_join_rows(monkeypatch):
+    # up to SEARCH_ORDER_CAP a probe try walks the oracle's join rows, so
+    # CROWN(S3, 3), whose 800 tries at d - 1 all miss, builds no chain per
+    # try (804 chains when each try built one); above the cap each try
+    # builds one chain and no oracle is made, as that would list G
+    built = []
+
+    def counting(degree, gens, _real=perm.build_chain):
+        built.append(degree)
+        return _real(degree, gens)
+
+    crown = Analysis(builder.build("CROWN(S3, 3)"))
+    wreath = Analysis(builder.build("WREATH(1)"))
+    monkeypatch.setattr(perm, "build_chain", counting)
+    assert genset.d_with_witness(crown)[0] == 4
+    assert len(built) <= 2
+    assert wreath.d == 2
+    assert "oracle" not in vars(wreath)
+
+
 def test_limits_are_keyword_only():
     # a positional Limits could land in another parameter's slot; the
     # searches and the verdicts take theirs from the analysis
@@ -344,6 +368,67 @@ def test_spectrum_is_an_interval():
         sizes = sorted(genset.spectrum(Analysis(G)))
         assert sizes == list(range(sizes[0], sizes[-1] + 1))
         assert sizes[0] == genset.d(Analysis(G))
+
+
+# sha256 prefix of each spectrum's witnesses, as cycle strings by size, for
+# every quick-corpus group and three larger groups; the d witness is the
+# spectrum's entry at d whenever it is independent
+SPECTRUM_DIGESTS = {
+    'C2': '233eb9d273ff03cc',
+    'C3': 'b37f336fdb026678',
+    'C4': '56c41ca48d8926c5',
+    'C6': '9283514db439b216',
+    'C12': '534731fac3ce2e32',
+    'C15': 'd4467dce3106748d',
+    'K4': '29838bce9401437e',
+    'D(C2, C2, C2)': '420309d9a7933995',
+    'D(C4, C2)': '18f097e46b613434',
+    'D(C3, C3)': 'e472ef27158142a8',
+    'S3': '0696bae7b5281464',
+    'Dih4': '173d6428d0810761',
+    'Dih5': '5ac1cd40ca7a538c',
+    'Dih6': 'a621e45f719c76e1',
+    'A4': 'c08d6338608d34bc',
+    'S4': '2614bf29f7929af2',
+    'EX1(1)': '9ae614b2a2f0fa73',
+    'EX1(2)': '9e328d703d92ae33',
+    'EX1(3)': '296f028fc4bf8eb7',
+    'EX2B(1)': '9ae614b2a2f0fa73',
+    'EX2B(2)': 'b4e7eeede58a2644',
+    'D(S3, C3)': 'a4946eb7cbd8dbcf',
+    'W(C2, 3)': 'e00e7ec12ea6772f',
+    'W(C3, 2)': 'ead3cdcd1a4de6fa',
+    'SD(D(C3, C3), C4, [g1 -> [g2, g1*g1]])': '792c64196f013bbe',
+    'SD(C5, C4, [g1 -> [g1*g1]])': '6ef53714670d4938',
+    'Q(S4; g1*g2)': '233eb9d273ff03cc',
+    'SUB(S4; g1*g1, g2)': 'f4d815b334ac4258',
+    'CROWN(S3, 2)': 'ecba1e6a58f7630a',
+    'CROWN(S3, 3)': 'b9f145d6eda067cc',
+    'CROWN(S4, 2)': '98188e2b4a68e2a3',
+    'A5': '063fa05d139506a2',
+    'PSL2(5)': '6d6f80639e4cff64',
+    'S5': '854153fcf4d674cc',
+    'D(A5, C2)': 'b1d2e2312ca0ccbf',
+    'PSL2(7)': '2926b2d6fe92f17a',
+    'PGL2(7)': '64423beeffd9c4eb',
+}
+
+
+def _spectrum_digest(spec):
+    shown = sorted((k, [p.cycle_string() for p in w]) for k, w in spec.items())
+    return hashlib.sha256(repr(shown).encode()).hexdigest()[:16]
+
+
+def test_spectrum_digests_cover_the_quick_corpus():
+    texts = {text for path in report.corpus_files(CORPUS_DIR)
+             for text in report.read_expressions(path)}
+    assert texts <= set(SPECTRUM_DIGESTS)
+
+
+@pytest.mark.parametrize("text", list(SPECTRUM_DIGESTS))
+def test_spectrum_digest(text):
+    spec = genset.spectrum(Analysis(builder.build(text)))
+    assert _spectrum_digest(spec) == SPECTRUM_DIGESTS[text]
 
 
 def test_is_independent():

@@ -303,8 +303,6 @@ def test_basic_predicates():
     assert not _klein().is_cyclic()
     assert _klein().is_abelian()
     assert not _sym(3).is_abelian()
-    assert _dihedral4().is_pgroup()
-    assert not _sym(3).is_pgroup()
     assert PermGroup(4, [Perm.identity(4)]).is_trivial()
 
 

@@ -7,6 +7,7 @@ subsets for groups of order at most 16, plus classical subgroup counts.
 import hashlib
 import pathlib
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -325,6 +326,20 @@ def test_chief_series_budget_stops_the_element_sweep():
         G.sorted_by_search_order(limits=Limits(seconds=0.0))
 
 
+def test_closure_walk_honours_the_budget():
+    # with the classes swept, the walk makes one normal closure per class
+    # representative, a thousand of them for C1000 at each step of its
+    # chief series, which took minutes; the budget is checked per
+    # representative
+    G = _cyclic(1000)
+    G.class_representatives()
+    for walk in (structure.chief_series, structure.minimal_normal_subgroups):
+        start = time.perf_counter()
+        with pytest.raises(TimeBudgetExceeded):
+            walk(G, limits=Limits(seconds=0.5))
+        assert time.perf_counter() - start < 3.0
+
+
 def test_frattini_flag_runs_under_the_factor_limits():
     # V4/1 in S4 is abelian; its Frattini flag runs under the factor's
     # time budget, and builds no subgroup lattice whatever the lattice cap
@@ -495,18 +510,6 @@ def test_socle():
     assert structure.socle(_alt(5)).order() == 60
     assert structure.unique_minimal_normal(_sym(4)) is not None
     assert structure.unique_minimal_normal(_cyclic(6)) is None
-
-
-def test_monolithic_primitive():
-    assert structure.monolithic_primitive(_sym(4))
-    assert structure.monolithic_primitive(_alt(5))
-    assert structure.monolithic_primitive(_cyclic(3))
-    assert not structure.monolithic_primitive(_dihedral4())
-    assert not structure.monolithic_primitive(_cyclic(6))
-    assert not structure.monolithic_primitive(_cyclic(4))
-    # the centre of SL(2, 3) is its unique minimal normal subgroup, and
-    # it has no complement
-    assert not structure.monolithic_primitive(_sl23())
 
 
 def test_chief_series_s4():
