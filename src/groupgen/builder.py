@@ -580,36 +580,35 @@ def _atom(node, order_cap):
     raise GroupError(f"unknown atom {name!r}")  # pragma: no cover
 
 
-def evaluate(node, order_cap=DEFAULT_ORDER_CAP, ex3_action="shipped"):
+def evaluate(node, order_cap=DEFAULT_ORDER_CAP):
     """Evaluate a parsed expression to a permutation group."""
     if isinstance(node, Atom):
         return _atom(node, order_cap)
     if isinstance(node, DirectProduct):
-        parts = [evaluate(p, order_cap, ex3_action)
-                 for p in node.parts]
+        parts = [evaluate(p, order_cap) for p in node.parts]
         return _direct_product(parts, order_cap)
     if isinstance(node, WreathCyclic):
-        X = evaluate(node.base, order_cap, ex3_action)
+        X = evaluate(node.base, order_cap)
         return _wreath_cyclic(X, node.n, order_cap)
     if isinstance(node, Semidirect):
-        N = evaluate(node.normal, order_cap, ex3_action)
-        H = evaluate(node.acting, order_cap, ex3_action)
+        N = evaluate(node.normal, order_cap)
+        H = evaluate(node.acting, order_cap)
         return _semidirect(N, H, node.action, order_cap)
     if isinstance(node, Quotient):
-        G = evaluate(node.expr, order_cap, ex3_action)
+        G = evaluate(node.expr, order_cap)
         seeds = tuple(_eval_word(w, G, "quotient") for w in node.words)
         N = G.normal_closure(seeds)
         Q = quotient(G, N)
         return Q
     if isinstance(node, Subgroup):
-        G = evaluate(node.expr, order_cap, ex3_action)
+        G = evaluate(node.expr, order_cap)
         gens = tuple(_eval_word(w, G, "subgroup") for w in node.words)
         for g in gens:
             if g not in G:
                 raise GroupError("subgroup word is not an element of the group")
         return PermGroup(G.degree, gens)
     if isinstance(node, CrownPower):
-        L = evaluate(node.expr, order_cap, ex3_action)
+        L = evaluate(node.expr, order_cap)
         A = structure.unique_minimal_normal(L)
         if A is None:
             raise GroupError("crown powers need a unique minimal normal"
@@ -619,13 +618,13 @@ def evaluate(node, order_cap=DEFAULT_ORDER_CAP, ex3_action="shipped"):
             raise CapExceeded(f"crown power order {order} exceeds {order_cap}")
         return crowns.crown_power(L, A, node.k)
     if isinstance(node, PaperFamily):
-        return paper_family(node.name, node.t, ex3_action, order_cap)
+        return paper_family(node.name, node.t, order_cap)
     raise GroupError(f"cannot evaluate {node!r}")  # pragma: no cover
 
 
-def build(text, order_cap=DEFAULT_ORDER_CAP, ex3_action="shipped"):
+def build(text, order_cap=DEFAULT_ORDER_CAP):
     """Parse and evaluate, labelling the result with the source text."""
-    G = evaluate(parse(text), order_cap, ex3_action)
+    G = evaluate(parse(text), order_cap)
     G.label = " ".join(text.split())
     return G
 
@@ -654,30 +653,24 @@ def _family_ex2b(t):
     return PermGroup(total, tuple(gens))
 
 
-def _family_ex3(t, action):
+def _family_ex3(t):
     """K : (S3 x C2^(t-1)) from its literal generators.
 
     K is the Klein group inside S4 on the first four points; S3 sits
     diagonally on those points and on three of its own; each extra C2
     generator combines its own swap with the K-automorphism induced by
-    the transposition (1 2), per the shipped action, or with nothing,
-    per the trivial one.  The closure of the shipped generators is wider
-    than |K|*|S3|*2^(t-1) for t >= 2 because the planted transposition
-    does not commute with the diagonal S3.
+    the transposition (1 2).  The closure is wider than
+    |K|*|S3|*2^(t-1) for t >= 2 because the planted transposition does
+    not commute with the diagonal S3.  With the extra C2s acting
+    trivially instead, the group is D(EX3(1), C2, ..., C2).
     """
-    if action not in ("shipped", "trivial"):
-        raise GroupError(f"unknown EX3 action {action!r}")
     total = 7 + 2 * (t - 1)
     gens = [Perm.from_cycles(total, [(0, 1), (2, 3)]),
             Perm.from_cycles(total, [(0, 2), (1, 3)]),
             Perm.from_cycles(total, [(0, 1, 2), (4, 5, 6)]),
             Perm.from_cycles(total, [(0, 1), (4, 5)])]
     for i in range(t - 1):
-        own = (7 + 2 * i, 8 + 2 * i)
-        if action == "shipped":
-            gens.append(Perm.from_cycles(total, [(0, 1), own]))
-        else:
-            gens.append(Perm.from_cycles(total, [own]))
+        gens.append(Perm.from_cycles(total, [(0, 1), (7 + 2 * i, 8 + 2 * i)]))
     return PermGroup(total, tuple(gens))
 
 
@@ -713,7 +706,7 @@ def _family_wreath(t, order_cap):
     return G
 
 
-def paper_family(name, t, ex3_action="shipped", order_cap=DEFAULT_ORDER_CAP):
+def paper_family(name, t, order_cap=DEFAULT_ORDER_CAP):
     """One of the named example families, at parameter t >= 1."""
     if t < 1:
         raise GroupError("family parameter must be at least 1")
@@ -732,10 +725,10 @@ def paper_family(name, t, ex3_action="shipped", order_cap=DEFAULT_ORDER_CAP):
             raise CapExceeded(f"order {order} exceeds {order_cap}")
         return _family_ex2b(t)
     if name == "EX3":
-        bound = 288 * 2 ** t  # above the closure order for either action
+        bound = 288 * 2 ** t  # above the closure order
         if bound > order_cap:
             raise CapExceeded(f"order may reach {bound}, exceeding {order_cap}")
-        return _family_ex3(t, ex3_action)
+        return _family_ex3(t)
     if name == "WREATH":
         return _family_wreath(t, order_cap)
     raise GroupError(f"unknown family {name!r}")

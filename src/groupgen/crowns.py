@@ -400,10 +400,9 @@ def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
     return ModuleInvariants(r=r, s=s, t=t, delta=delta, h=h, end_dim=end_dim)
 
 
-def factor_invariants(G, series=None, *, limits=DEFAULT_LIMITS):
+def factor_invariants(G, *, limits=DEFAULT_LIMITS):
     """(factor, ModuleInvariants) for every non-Frattini abelian chief factor."""
-    if series is None:
-        series = chief_series(G, limits=limits)
+    series = chief_series(G, limits=limits)
     out = []
     for f in series:
         if not f.is_abelian or f.is_frattini:

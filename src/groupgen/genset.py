@@ -1,4 +1,4 @@
-"""Searches for generating sets: d(G), m(G), spectrum and bounds.
+"""Searches for generating sets: d(G), m(G) and the spectrum.
 
 d(G) is the least size of a generating set; m(G) the largest size of an
 independent generating set (no member lies in the subgroup generated by the
@@ -185,9 +185,6 @@ class GenOracle:
         """Whether the candidate image tuple lies in <images>."""
         return self.ids.get(candidate) in self.sets[self.span(images)]
 
-    def generates(self, images):
-        return self.span(images) == self.top
-
 
 class _ChainRow(dict):
     """A join row of a stabilizer-chain oracle, filled in as it is read."""
@@ -210,12 +207,6 @@ def is_independent(A, perms):
         if A.oracle.member(others, images[i]):
             return False
     return True
-
-
-def is_independent_generating_set(A, perms):
-    perms = list(perms)
-    return (A.oracle.generates([p.images for p in perms])
-            and is_independent(A, perms))
 
 
 def lower_bound_d(G):
@@ -377,12 +368,6 @@ def d_with_witness(A):
         if witness is not None:
             return k, witness
     raise GroupError("no generating set up to the chief length bound")
-
-
-def bounds(A):
-    """Lower and upper bounds for m(G): a + b <= m(G) <= Omega(|G|)."""
-    return {"a": A.a, "b": A.b, "lower": A.a + A.b,
-            "upper": omega(A.G.order())}
 
 
 def m(A, *, force_search=False, prime_power_only=True):

@@ -22,10 +22,6 @@ def zeros(rows, cols):
     return np.zeros((rows, cols), dtype=np.int64)
 
 
-def matmul(a, b, p):
-    return np.mod(np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64), p)
-
-
 def inv_mod(x, p):
     return pow(int(x) % p, p - 2, p)
 

@@ -176,7 +176,7 @@ class Perm:
                 return i
         return None
 
-    def cycles(self, include_fixed=False):
+    def cycles(self):
         """Disjoint cycles, each starting at its smallest point, sorted."""
         images = self.images
         seen = [False] * len(images)
@@ -191,7 +191,7 @@ class Perm:
                 cyc.append(pt)
                 seen[pt] = True
                 pt = images[pt]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -384,18 +384,6 @@ class _Stabilizer:
                 if not sg.is_identity():
                     self.down.add(sg)
 
-    def random_element(self, rng):
-        g = None
-        levels = []
-        lvl = self
-        while lvl is not None and lvl.base is not None:
-            levels.append(lvl)
-            lvl = lvl.down
-        for lvl in reversed(levels):
-            u = rng.choice(list(lvl.tree.values()))[0]
-            g = u if g is None else g * u
-        return Perm.identity(self.degree) if g is None else g
-
 
 def build_chain(degree, gens):
     chain = _Stabilizer(degree)
@@ -412,7 +400,7 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "gens", "label", "_chain", "_order", "_table",
-                 "_elements", "_elemset", "_classes", "_fingerprint",
+                 "_elements", "_classes", "_fingerprint",
                  "_lattice_cache", "_soluble")
 
     def __init__(self, degree, gens=(), label=None, _chain=None):
@@ -429,7 +417,6 @@ class PermGroup:
         self._order = None
         self._table = None
         self._elements = None
-        self._elemset = None
         self._classes = None
         self._fingerprint = None
         self._lattice_cache = None
@@ -503,11 +490,6 @@ class PermGroup:
             self._elements = tuple(map(Perm, map(tuple, table.tolist())))
         return self._elements
 
-    def element_set(self):
-        if self._elemset is None:
-            self._elemset = frozenset(p.images for p in self.elements())
-        return self._elemset
-
     def sorted_by_search_order(self, *, limits=DEFAULT_LIMITS):
         """Elements under the search total order (element order, then images).
 
@@ -575,17 +557,6 @@ class PermGroup:
             lvl = lvl.down
         return t
 
-    def random_element(self, rng):
-        return self.chain.random_element(rng)
-
-    def subgroup(self, gens, validate=False):
-        gens = tuple(g if isinstance(g, Perm) else Perm(g) for g in gens)
-        if validate:
-            for g in gens:
-                if g not in self:
-                    raise NotInGroup(f"{g!r} is not an element of the group")
-        return PermGroup(self.degree, gens)
-
     def is_subgroup_of(self, other):
         return all(g in other for g in self.gens)
 
@@ -650,13 +621,6 @@ class PermGroup:
         if not self.is_abelian():
             return False
         return any(e.order() == n for e in self.elements())
-
-    def centralizer_of_subgroup(self, targets):
-        """C_G(A) for A given as a PermGroup (or iterable of permutations)."""
-        tgens = targets.gens if isinstance(targets, PermGroup) else tuple(targets)
-        kept = [g for g in self.elements()
-                if all(g * t == t * g for t in tgens)]
-        return group_from_elements(self.degree, kept)
 
     def fingerprint(self):
         """Hash of degree plus sorted generator images (cache/report key)."""

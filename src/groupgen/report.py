@@ -10,9 +10,8 @@ names (``schema`` is bumped if they ever change).
 Knobs: ``max_order`` bounds the group the expression may build;
 ``lattice_cap`` and ``time_budget`` become the one ``perm.Limits`` value
 every stage runs under, its deadline starting after the build and the cache
-lookup;
-``seed`` drives the randomized generation probes; ``ex3_action`` picks the
-EX3 family's action.  The other caps are fixed module constants.
+lookup; ``seed`` drives the randomized generation probes.  The other caps
+are fixed module constants.
 
 Sharing: the stages read one ``genset.Analysis`` made under the report's
 limits and seed, so each invariant is computed once per report.  Only the
@@ -79,7 +78,7 @@ def _normalize(text):
 
 def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
                    lattice_cap=DEFAULT_LATTICE_CAP, time_budget=None, seed=0,
-                   ex3_action="shipped", cache=None):
+                   cache=None):
     """Build the group for one expression and report its invariants.
 
     Parse and construction failures produce a report whose only substance is
@@ -91,7 +90,7 @@ def compute_report(text, max_order=builder.DEFAULT_ORDER_CAP,
     timings = {}
     start = time.perf_counter()
     try:
-        G = builder.build(text, order_cap=max_order, ex3_action=ex3_action)
+        G = builder.build(text, order_cap=max_order)
     except GroupError as exc:
         rep["error"] = str(exc)
         rep["error_kind"] = _error_kind(exc)

@@ -398,13 +398,6 @@ def minimal_normal_subgroups(G, *, limits=DEFAULT_LIMITS):
     return tuple(sorted(closures, key=PermGroup.order))
 
 
-def socle(G):
-    gens = []
-    for N in minimal_normal_subgroups(G):
-        gens.extend(N.gens)
-    return PermGroup(G.degree, tuple(gens))
-
-
 def unique_minimal_normal(G):
     mins = minimal_normal_subgroups(G)
     return mins[0] if len(mins) == 1 else None
@@ -640,8 +633,7 @@ def chief_series(G, *, limits=DEFAULT_LIMITS):
         if len(pool) == 1:
             X = pool[0]
         else:
-            X = min(pool,
-                    key=lambda H: tuple(e.images for e in H.elements()))
+            X = min(pool, key=lambda H: H.element_table().tolist())
         factors.append(ChiefFactor(G, Y, X, limits))
         Y = X
     return tuple(factors)

@@ -245,7 +245,8 @@ def _match_case2(A):
 
 def _match_case1(A):
     """G = V : P with P a non-cyclic p-group, V of different prime
-    characteristic; d = d(P)."""
+    characteristic; d = d(P), the p-rank of P/P' (Burnside's basis
+    theorem), so P needs no search."""
     G, d, limits = A.G, A.d, A.limits
     for V in A.minimal_normal:
         if not V.is_abelian():
@@ -258,7 +259,7 @@ def _match_case1(A):
         (r, _), = factorint(V.order()).items()
         if p == r:
             continue
-        if genset.Analysis(Q, limits).d != d:
+        if genset.lower_bound_d(Q) != d:
             continue
         if _find_complement(G, V, limits) is None:
             continue

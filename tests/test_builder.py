@@ -254,16 +254,15 @@ def test_family_ex2b():
 
 
 def test_family_ex3():
-    # the shipped action plants a transposition that fails to commute
+    # the family's action plants a transposition that fails to commute
     # with the diagonal S3, so for t >= 2 the closure is the index-two
     # subdirect part of S4 x S3 x C2^(t-1), of order 72 * 2^(t-1)
-    expected = {("shipped", 1): 24, ("shipped", 2): 144, ("shipped", 3): 288,
-                ("trivial", 1): 24, ("trivial", 2): 48, ("trivial", 3): 96}
-    for (action, t), order in expected.items():
-        G = paper_family("EX3", t, ex3_action=action)
-        assert G.order() == order, (action, t)
-    with pytest.raises(GroupError):
-        paper_family("EX3", 2, ex3_action="mystery")
+    for t, order in {1: 24, 2: 144, 3: 288}.items():
+        assert paper_family("EX3", t).order() == order, t
+    # with the extra C2s acting trivially the group is a direct product
+    for text, order in {"EX3(1)": 24, "D(EX3(1), C2)": 48,
+                        "D(EX3(1), C2, C2)": 96}.items():
+        assert builder.build(text).order() == order, text
 
 
 def test_family_ex3_base_case_looks_like_s4():

@@ -353,7 +353,7 @@ def test_monolithic_of_s4_klein():
     # outside the Frattini subgroup, which is normal, so that is trivial
     assert structure.unique_minimal_normal(L) is not None
     assert structure.frattini(L).order() == 1
-    assert structure.socle(L).order() == 4
+    assert genset.Analysis(L).socle.order() == 4
 
 
 def test_monolithic_of_trivial_action_collapses():
@@ -499,7 +499,7 @@ def test_module_invariant_identities():
            _elementary(3, 2), _product_with_c2(_sym(3))]
     for G in zoo:
         series = structure.chief_series(G)
-        for f, inv in crowns.factor_invariants(G, series):
+        for f, inv in crowns.factor_invariants(G):
             assert inv.s == inv.t + inv.delta, (G, f)
             assert inv.t < inv.r, (G, f)
             assert inv.h <= inv.delta + 1, (G, f)

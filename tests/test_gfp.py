@@ -84,8 +84,8 @@ def test_inverse():
                 assert gfp.rank(m, p) < n
             else:
                 seen_invertible += 1
-                assert np.array_equal(gfp.matmul(m, inv, p), gfp.identity(n))
-                assert np.array_equal(gfp.matmul(inv, m, p), gfp.identity(n))
+                assert np.array_equal((m @ inv) % p, gfp.identity(n))
+                assert np.array_equal((inv @ m) % p, gfp.identity(n))
         assert seen_invertible > 0
     assert not gfp.is_invertible(np.array([[2, 0], [0, 1]]), 2)
 
@@ -142,11 +142,11 @@ def test_intertwiner_space():
     # the regular action of C2 on GF(3)^2 in two bases must be intertwined
     a = np.array([[0, 1], [1, 0]], dtype=np.int64)
     change = np.array([[1, 1], [1, 2]], dtype=np.int64)
-    b = gfp.matmul(gfp.matmul(gfp.inverse(change, p), a, p), change, p)
+    b = (gfp.inverse(change, p) @ a @ change) % p
     basis = gfp.intertwiner_space([a], [b], p)
     assert len(basis) > 0
     for t in basis:
-        assert np.array_equal(gfp.matmul(t, a, p), gfp.matmul(b, t, p))
+        assert np.array_equal((t @ a) % p, (b @ t) % p)
     known = gfp.inverse(change, p)
     flat = np.array([t.flatten() for t in basis], dtype=np.int64)
     assert gfp.in_row_space(flat, known.flatten(), p)

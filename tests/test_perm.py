@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from groupgen import builder, report, structure
+from groupgen import builder, genset, report
 from groupgen.perm import (
     CapExceeded,
     DegreeMismatch,
@@ -170,16 +170,16 @@ def test_order_against_brute_closure():
 
 def test_membership_agrees_with_brute_closure():
     rng = random.Random(23)
-    S5 = _sym(5)
+    elems = _sym(5).elements()
     for _ in range(6):
-        a = S5.random_element(rng)
-        b = S5.random_element(rng)
+        a = rng.choice(elems)
+        b = rng.choice(elems)
         H = PermGroup(5, [a, b])
         brute = _brute_closure(5, H.gens)
         for images in brute:
             assert Perm(images) in H
         for _ in range(50):
-            p = S5.random_element(rng)
+            p = rng.choice(elems)
             assert (p in H) == (p.images in brute)
 
 
@@ -190,10 +190,11 @@ def test_elements_listing():
     assert list(elems) == sorted(elems)
     assert len(set(elems)) == 24
     assert all(e in G for e in elems)
+    members = set(elems)
     rng = random.Random(5)
     for _ in range(20):
         a, b = rng.choice(elems), rng.choice(elems)
-        assert (a * b).images in G.element_set()
+        assert a * b in members
 
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -306,15 +307,21 @@ def test_basic_predicates():
     assert PermGroup(4, [Perm.identity(4)]).is_trivial()
 
 
+def _centralizer(G, targets):
+    """C_G(A) for A given by generators, by a sweep over G's elements: the
+    oracle of the class-size identity below."""
+    kept = [g for g in G.elements() if all(g * t == t * g for t in targets)]
+    return group_from_elements(G.degree, kept)
+
+
 def test_centralizer():
     S4 = _sym(4)
     K = _klein()
-    C = S4.centralizer_of_subgroup(K)
+    C = _centralizer(S4, K.gens)
     assert C.order() == 4
     assert C.same_group_as(K)
-    assert S4.centralizer_of_subgroup(S4).order() == 1
-    S3 = _sym(3)
-    C3 = S3.centralizer_of_subgroup([Perm.from_cycles(3, [(0, 1, 2)])])
+    assert _centralizer(S4, S4.gens).order() == 1
+    C3 = _centralizer(_sym(3), [Perm.from_cycles(3, [(0, 1, 2)])])
     assert C3.order() == 3
 
 
@@ -334,9 +341,10 @@ def test_quotient_s4_by_klein():
     proj = Homomorphism(S4, Q, Q.gens)
     assert proj.is_valid()
     rng = random.Random(31)
+    elems = S4.elements()
     for _ in range(25):
-        a = S4.random_element(rng)
-        b = S4.random_element(rng)
+        a = rng.choice(elems)
+        b = rng.choice(elems)
         assert proj(a * b) == proj(a) * proj(b)
     for images in _brute_closure(4, _klein().gens):
         assert proj(Perm(images)).is_identity()
@@ -390,7 +398,7 @@ def test_quotient_order_law():
         Q = quotient(S4, N)
         assert Q.order() * N.order() == 24
         proj = Homomorphism(S4, Q, Q.gens)
-        g = S4.random_element(rng)
+        g = rng.choice(S4.elements())
         assert (proj(g).is_identity()) == (g in N)
 
 
@@ -416,7 +424,7 @@ def _coset_pairs():
     d = builder.build("D(A5, C2)")
     return [("S4/V4", S4, _klein()),
             ("S4/A4", S4, S4.derived_subgroup()),
-            ("CROWN(S4, 2)/socle", crown, structure.socle(crown)),
+            ("CROWN(S4, 2)/socle", crown, genset.Analysis(crown).socle),
             ("D(A5, C2)/A5", d, d.derived_subgroup())]
 
 
@@ -488,7 +496,7 @@ def test_conjugacy_classes_against_brute_force():
         assert sum(size for _, size in classes) == n
         covered = set()
         for rep, size in classes:
-            assert size * G.centralizer_of_subgroup([rep]).order() == n
+            assert size * _centralizer(G, [rep]).order() == n
             cls = {_compose(_compose(ginv, rep.images), g)
                    for ginv, g in conjugators}
             assert len(cls) == size
@@ -551,17 +559,6 @@ def test_homomorphism_invalid_map_detected():
     assert not bad.is_valid()
 
 
-def test_random_element_stays_inside():
-    rng = random.Random(59)
-    G = _sym(4)
-    seen = set()
-    for _ in range(200):
-        g = G.random_element(rng)
-        assert g in G
-        seen.add(g.images)
-    assert len(seen) >= 20
-
-
 def test_fingerprint():
     a = _sym(4)
     b = PermGroup(4, list(reversed(_sym(4).gens)))
@@ -575,14 +572,6 @@ def test_degree_mismatch():
         Perm.identity(3) * Perm.identity(4)
     with pytest.raises(DegreeMismatch):
         PermGroup(4, [Perm.identity(3)])
-
-
-def test_subgroup_validation():
-    A4 = _alt(4)
-    with pytest.raises(NotInGroup):
-        A4.subgroup([Perm.from_cycles(4, [(0, 1)])], validate=True)
-    H = A4.subgroup([Perm.from_cycles(4, [(0, 1, 2)])], validate=True)
-    assert H.order() == 3
 
 
 def test_perm_embeddings():
