@@ -160,7 +160,7 @@ class GenOracle:
         gens = self._gens[h] + (self._elems[e],)
         span = PermGroup(self.G.degree, gens)
         return self._intern(
-            frozenset(self.ids[x.images] for x in span.elements(None)), gens)
+            frozenset(self.G.ids_of(span.element_table(None)).tolist()), gens)
 
     def join_row(self, h):
         if self.lattice is not None:

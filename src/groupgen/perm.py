@@ -320,6 +320,18 @@ class _Stabilizer:
         residue, _ = self.sift(g)
         return residue.is_identity()
 
+    def copy(self):
+        """An independent copy of this level and every level below it, which
+        grows from here exactly as this chain would."""
+        new = _Stabilizer(self.degree)
+        new.base = self.base
+        new.gens = list(self.gens)
+        new.tree = dict(self.tree)
+        new.down = None if self.down is None else self.down.copy()
+        new._done = set(self._done)
+        new._woven = set(self._woven)
+        return new
+
     def add(self, g):
         """Close the chain under g; returns True if the group grew."""
         residue, _ = self.sift(g)
@@ -564,10 +576,25 @@ class PermGroup:
         return (self.degree == other.degree and self.order() == other.order()
                 and self.is_subgroup_of(other))
 
-    def normal_closure(self, seeds):
-        """Smallest normal subgroup of self containing the seed permutations."""
-        chain = _Stabilizer(self.degree)
-        gens = []
+    def normal_closure(self, seeds, below=None):
+        """Smallest normal subgroup of self containing the seed permutations
+        and, if given, the normal subgroup ``below``.
+
+        Seeds are added in order, then their conjugates under the
+        generators breadth first; each one that grows the stabilizer chain
+        becomes a generator.  With ``below`` the walk starts from a copy of
+        below's finished chain and from below's generators, and runs over
+        the new seeds only.  When each of below's generators grew its chain
+        in turn, as for every group this method returns, that copy is the
+        chain that adding below's generators first builds, and below is
+        normal, so their conjugates never grow it: the result has the same
+        generators and chain as ``normal_closure(below.gens + seeds)``."""
+        if below is None:
+            chain = _Stabilizer(self.degree)
+            gens = []
+        else:
+            chain = below.chain.copy()
+            gens = list(below.gens)
         pending = []
         for s in seeds:
             if s not in self:

@@ -368,15 +368,35 @@ def frattini(G, *, limits=DEFAULT_LIMITS):
 
 def _minimal_closures(G, Y, reps, *, limits):
     """The inclusion-minimal normal closures of Y plus one of ``reps``, each
-    listed at the first representative that gives it.  A closure is only
-    ever dropped for a smaller one, so a minimal one is never dropped.  The
-    time budget of ``limits`` is checked once per representative."""
+    listed at the first representative that gives it, with the generators
+    of ``G.normal_closure(Y.gens + (rep,))`` for that representative.  Y is
+    normal in G and ``reps`` are in search order.
+
+    A closure is only ever dropped for a smaller one, so a minimal one is
+    never dropped.  Two kinds of representative are skipped, neither of
+    which is ever the first to give a minimal closure:
+
+    - r whose coset rY has no prime order.  If the closure of Y and r is
+      minimal, it equals the closure of Y and r^q for a prime q dividing
+      the order of rY, as r^q is not in Y.  r^q has a smaller element
+      order than r, so its class representative comes earlier in search
+      order; by induction on the element order an earlier representative
+      of prime order modulo Y gives the same closure.
+    - r in the coset of the identity or of an earlier representative
+      already walked, whose closure r's equals.
+
+    Each closure grows from Y's chain.  The time budget of ``limits`` is
+    checked once per representative."""
     minimal = []
+    keys = {Y.coset_key(G.identity())}
     for rep in reps:
         limits.check()
-        if rep in Y:
+        key = Y.coset_key(rep)
+        if key in keys or all(rep ** q not in Y
+                              for q in factorint(rep.order())):
             continue
-        X = G.normal_closure(tuple(Y.gens) + (rep,))
+        keys.add(key)
+        X = G.normal_closure((rep,), below=Y)
         if any(M.order() <= X.order() and all(g in X for g in M.gens)
                for M in minimal):
             continue

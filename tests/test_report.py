@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 import warnings
 
 import pytest
@@ -7,6 +9,8 @@ from groupgen import builder, genset, report, structure
 from groupgen.perm import PermGroup
 from groupgen.report import (canonical_json, compute_report, load_cache,
                              run_corpus, INVARIANT_KEYS, SCHEMA)
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_report_fields_s4():
@@ -245,6 +249,30 @@ def test_run_corpus_uses_cache(tmp_path):
         [canonical_json(r) for r in second]
     hits = [r for r in second if r.get("timings", {}).get("cached")]
     assert len(hits) == 2
+
+
+# sha256 of the canonical JSON of every report of the corpus, one line
+# each in run order; a change that keeps every report byte-identical keeps
+# these, the slow corpus adding the groups of its ".slow" files
+CORPUS_DIGESTS = {
+    False: "c850e813cab4a81536049aa98d9db7f8ba7d314a2df35c0ef073eef9d5f00051",
+    True: "e754b91526caf9e9390faa7cc1338a31029dcd2862e6fcdd3d1c70c20652a801",
+}
+
+
+def _corpus_digest(slow):
+    reps = run_corpus(str(CORPUS_DIR), slow=slow)
+    text = "".join(canonical_json(r) + "\n" for r in reps)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_quick_corpus_reports_are_pinned():
+    assert _corpus_digest(False) == CORPUS_DIGESTS[False]
+
+
+@pytest.mark.slow
+def test_slow_corpus_reports_are_pinned():
+    assert _corpus_digest(True) == CORPUS_DIGESTS[True]
 
 
 def test_budget_degrades_to_skips():

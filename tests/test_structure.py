@@ -332,17 +332,62 @@ def test_chief_series_budget_stops_the_element_sweep():
 
 
 def test_closure_walk_honours_the_budget():
-    # with the classes swept, the walk makes one normal closure per class
-    # representative, a thousand of them for C1000 at each step of its
-    # chief series, which took minutes; the budget is checked per
-    # representative
+    # with the classes swept, the walk tests each of C1000's thousand class
+    # representatives at each step of its chief series, and builds a
+    # closure on up to 1000 points for some; the budget is checked per
+    # representative, and 0.05 s runs out inside the walk
     G = _cyclic(1000)
     G.class_representatives()
     for walk in (structure.chief_series, structure.minimal_normal_subgroups):
         start = time.perf_counter()
         with pytest.raises(TimeBudgetExceeded):
-            walk(G, limits=Limits(seconds=0.5))
+            walk(G, limits=Limits(seconds=0.05))
         assert time.perf_counter() - start < 3.0
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    closure = PermGroup.normal_closure
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return closure(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "normal_closure", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text, walk, count", [
+    # one closure per representative of prime order modulo the term below,
+    # one per coset of it; at the parent, one per representative outside
+    # it: 58, 32 and 561
+    ("WREATH(1)", structure.chief_series, 9),
+    ("WREATH(1)", structure.minimal_normal_subgroups, 7),
+    ("C120", structure.chief_series, 31),
+])
+def test_closure_walk_counts(monkeypatch, text, walk, count):
+    G = builder.build(text)
+    G.class_representatives()
+    calls = _count_closures(monkeypatch)
+    walk(G)
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("text", ["S4", "D(S4, S4)", "CROWN(S3, 3)",
+                                  "WREATH(1)"])
+def test_closure_grown_from_the_term_below(text):
+    # at each step of the chief series, a closure grown from the chain of
+    # the term below is the closure of its generators and the seed anew
+    G = builder.build(text)
+    for f in structure.chief_series(G):
+        Y = f.below
+        for r in G.class_representatives():
+            if r in Y:
+                continue
+            grown = G.normal_closure((r,), below=Y)
+            fresh = G.normal_closure(Y.gens + (r,))
+            assert grown.gens == fresh.gens
+            assert grown.order() == fresh.order()
 
 
 def test_frattini_flag_runs_under_the_factor_limits():
@@ -552,6 +597,73 @@ def test_chief_series_various():
     series = structure.chief_series(_sl23())
     assert [f.order for f in series] == [2, 4, 3]
     assert [f.is_frattini for f in series] == [True, False, False]
+
+
+# (length, sha256 prefix of each factor's below order, above order and
+# above generator images, in series order) for every quick-corpus group and
+# five larger groups; the Frattini flags, the modules and the report's
+# chief factor summaries read the series with these generators
+CHIEF_DIGESTS = {
+    'C2': (1, '97da0184b5b72a0b'),
+    'C3': (1, 'ffe1ab83a23cf873'),
+    'C4': (2, '58268895199ad881'),
+    'C6': (2, 'e3a721131027ebc5'),
+    'C12': (3, '2f290ae4e726e18b'),
+    'C15': (2, '526797a3bfc60bee'),
+    'K4': (2, '370ff56d98275849'),
+    'D(C2, C2, C2)': (3, '9b6b77f292ca9761'),
+    'D(C4, C2)': (3, 'e07444404ea91dd7'),
+    'D(C3, C3)': (2, '87103a6326b5a75e'),
+    'S3': (2, '96e0c74bc7f15189'),
+    'Dih4': (3, '539a29287c10926c'),
+    'Dih5': (2, '35c7b0f909f7c441'),
+    'Dih6': (3, 'aed7d0b5e5500769'),
+    'A4': (2, '30e0343920bf32b1'),
+    'S4': (3, 'f38991f05e955a1e'),
+    'EX1(1)': (3, 'aa5a817a2039ba78'),
+    'EX1(2)': (4, '6a95dd5bf0903625'),
+    'EX1(3)': (5, '758d2a762c41ff20'),
+    'EX2B(1)': (3, 'aa5a817a2039ba78'),
+    'EX2B(2)': (4, 'c1ad06277a4f8d0e'),
+    'D(S3, C3)': (3, 'c0ec94c0755d514b'),
+    'W(C2, 3)': (3, '9cf0a4ecc343eb6a'),
+    'W(C3, 2)': (3, 'fe4971b4770f77c5'),
+    'SD(D(C3, C3), C4, [g1 -> [g2, g1*g1]])': (3, 'ac740835ec4f74c0'),
+    'SD(C5, C4, [g1 -> [g1*g1]])': (3, '2c524df9de15445c'),
+    'Q(S4; g1*g2)': (1, '97da0184b5b72a0b'),
+    'SUB(S4; g1*g1, g2)': (3, 'e2935a59e15535ed'),
+    'CROWN(S3, 2)': (3, '73516f0aad0673b4'),
+    'CROWN(S3, 3)': (4, 'b2c53f9b645d1e34'),
+    'CROWN(S4, 2)': (4, '0407a6949acc0871'),
+    'A5': (1, 'b1b0d9b1873fb620'),
+    'PSL2(5)': (1, '19ce5dbd351bf5ee'),
+    'S5': (2, '311217191628036e'),
+    'WREATH(1)': (3, 'de95a2e4c3572f57'),
+    'D(S4, S4)': (6, '1991469a23b454d1'),
+    'W(S4, 2)': (5, '7fa18506d84c42d1'),
+    'S6': (2, '711253be6f8204e1'),
+    'C120': (5, '542d66cb58b9f94b'),
+}
+
+
+def _chief_digest(series):
+    h = hashlib.sha256()
+    for f in series:
+        h.update(repr((f.below.order(), f.above.order(),
+                       tuple(g.images for g in f.above.gens))).encode())
+    return h.hexdigest()[:16]
+
+
+def test_chief_digests_cover_the_quick_corpus():
+    texts = {text for path in report.corpus_files(CORPUS_DIR)
+             for text in report.read_expressions(path)}
+    assert texts <= set(CHIEF_DIGESTS)
+
+
+@pytest.mark.parametrize("text", list(CHIEF_DIGESTS))
+def test_chief_digest(text):
+    series = structure.chief_series(builder.build(text))
+    assert (len(series), _chief_digest(series)) == CHIEF_DIGESTS[text]
 
 
 def test_chief_invariants_do_not_depend_on_generators():
