@@ -345,7 +345,17 @@ def test_closure_walk_honours_the_budget():
         assert time.perf_counter() - start < 3.0
 
 
-def _count_closures(monkeypatch):
+@pytest.mark.parametrize("text, walk, count", [
+    # one closure per representative of prime order modulo the term below,
+    # one per coset of it; one closure per representative outside the term
+    # below builds 58, 32 and 561
+    ("WREATH(1)", structure.chief_series, 9),
+    ("WREATH(1)", structure.minimal_normal_subgroups, 7),
+    ("C120", structure.chief_series, 31),
+])
+def test_closure_walk_counts(monkeypatch, text, walk, count):
+    G = builder.build(text)
+    G.class_representatives()
     calls = []
     closure = PermGroup.normal_closure
 
@@ -354,21 +364,6 @@ def _count_closures(monkeypatch):
         return closure(self, *args, **kwargs)
 
     monkeypatch.setattr(PermGroup, "normal_closure", counted)
-    return calls
-
-
-@pytest.mark.parametrize("text, walk, count", [
-    # one closure per representative of prime order modulo the term below,
-    # one per coset of it; at the parent, one per representative outside
-    # it: 58, 32 and 561
-    ("WREATH(1)", structure.chief_series, 9),
-    ("WREATH(1)", structure.minimal_normal_subgroups, 7),
-    ("C120", structure.chief_series, 31),
-])
-def test_closure_walk_counts(monkeypatch, text, walk, count):
-    G = builder.build(text)
-    G.class_representatives()
-    calls = _count_closures(monkeypatch)
     walk(G)
     assert len(calls) == count
 
