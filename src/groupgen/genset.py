@@ -20,8 +20,8 @@ goal.
 
 Spans come from a GenOracle as integer handles with element-id membership
 and join rows.  The oracle reads them off the subgroup lattice when the
-group has one within the limits; otherwise it builds each span once from a
-stabilizer chain and interns it.  The engine cannot tell the two apart.
+group has one within the limits, or else closes each span once on element
+ids (structure.close_ids) and interns it.  The engine cannot tell them apart.
 d(), m() and spectrum() take an Analysis, which computes what they share
 once: the chief series with a and b, d with its witness, m, the oracle;
 the verifiers also read its Frattini subgroup, minimal normal subgroups
@@ -117,8 +117,8 @@ class GenOracle:
     join of span ``h`` with element ``e``, and handle 0 is the trivial
     subgroup and ``top`` the whole group.  ``lattice`` is the subgroup
     lattice the spans come from, or None when there is none within the
-    limits and each span is built from a stabilizer chain on first use
-    instead.
+    limits and each join is instead closed on element ids on first use,
+    from the join's generator ids.
     """
 
     def __init__(self, G, *, limits=DEFAULT_LIMITS):
@@ -130,37 +130,37 @@ class GenOracle:
                 self.lattice = structure.subgroup_lattice(G, limits=limits)
             except CapExceeded:
                 pass
+        self.ids = {e.images: k for k, e in enumerate(G.elements())}
         if self.lattice is not None:
-            self.ids = self.lattice.element_ids()
             self.sets = [self.lattice.id_set(i)
                          for i in range(len(self.lattice))]
             self.top = self.lattice.top
             return
-        self._elems = G.elements()
-        self.ids = {e.images: k for k, e in enumerate(self._elems)}
         self.sets = []
         self._gens = []
         self._rows = []
         self._handles = {}
+        self._right_rows = {}
         self._intern(frozenset([self.ids[G.identity().images]]), ())
-        self.top = self._intern(frozenset(self.ids.values()), G.gens)
+        self.top = self._intern(frozenset(self.ids.values()),
+                                tuple(self.ids[g.images] for g in G.gens))
 
     def _intern(self, id_set, gens):
         h = self._handles.get(id_set)
         if h is None:
             h = self._handles[id_set] = len(self.sets)
             self.sets.append(id_set)
-            self._gens.append(tuple(gens))
+            self._gens.append(gens)
             self._rows.append(_ChainRow(self, h))
         return h
 
     def _chain_join(self, h, e):
         if e in self.sets[h]:
             return h
-        gens = self._gens[h] + (self._elems[e],)
-        span = PermGroup(self.G.degree, gens)
-        return self._intern(
-            frozenset(self.G.ids_of(span.element_table(None)).tolist()), gens)
+        gens = self._gens[h] + (e,)
+        span = structure.close_ids(self.G, self.sets[h], gens,
+                                   self._right_rows)
+        return self._intern(span or self.sets[self.top], gens)
 
     def join_row(self, h):
         if self.lattice is not None:
@@ -187,7 +187,7 @@ class GenOracle:
 
 
 class _ChainRow(dict):
-    """A join row of a stabilizer-chain oracle, filled in as it is read."""
+    """A join row of an oracle without a lattice, filled in as it is read."""
 
     def __init__(self, oracle, h):
         super().__init__()

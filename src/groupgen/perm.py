@@ -413,7 +413,7 @@ class PermGroup:
 
     __slots__ = ("degree", "gens", "label", "_chain", "_order", "_table",
                  "_elements", "_classes", "_fingerprint",
-                 "_lattice_cache", "_soluble")
+                 "_lattice_cache", "_lattice_failed_cap", "_soluble")
 
     def __init__(self, degree, gens=(), label=None, _chain=None):
         if not 1 <= degree <= MAX_DEGREE:
@@ -432,6 +432,7 @@ class PermGroup:
         self._classes = None
         self._fingerprint = None
         self._lattice_cache = None
+        self._lattice_failed_cap = None
         self._soluble = None
 
     @property

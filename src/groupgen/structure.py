@@ -23,11 +23,10 @@ The closure works on element ids: an element's id is its row in
 G.element_table(), whose rows are sorted by image tuple (the same order as
 G.elements()), so a subgroup's sorted ids sort like its sorted image
 tuples.  The zuppos are read off the table too: the powers of the
-elements of prime power order, by composing rows.  A join is a
-breadth-first walk over ids, right-multiplying by the generators through
-one row per generator, row[x] = id(x * g), read off the table the first
-time that generator is used.  A walk that passes half the group has
-found the whole group and stops.
+elements of prime power order, by composing rows.  A join is
+``close_ids``, a breadth-first walk over ids through one right
+multiplication row per generator; genset.GenOracle closes its joins with
+it too when G's lattice is over the cap.
 
 Joins are computed only for one representative H per conjugacy class of
 subgroups, and only with one zuppo per orbit of N_G(H).  A new subgroup
@@ -80,13 +79,12 @@ class SubgroupLattice:
     joins the closure walked to find them.
     """
 
-    def __init__(self, group, subgroups, id_sets, gen_ids, ids, join_walks):
+    def __init__(self, group, subgroups, id_sets, gen_ids, join_walks):
         self.group = group
         self.subgroups = tuple(subgroups)
         self._id_sets = tuple(id_sets)
         self._gen_ids = tuple(gen_ids)
         self.top = len(self.subgroups) - 1
-        self._ids = ids
         self._join_walks = join_walks
         self._supersets = None
         self._join_rows = {}
@@ -97,10 +95,6 @@ class SubgroupLattice:
     @property
     def join_walks(self):
         return self._join_walks
-
-    def element_ids(self):
-        """Mapping from element image tuple to its small integer id."""
-        return self._ids
 
     def id_set(self, i):
         """Subgroup i as a frozenset of element ids."""
@@ -208,22 +202,51 @@ def _zuppos(G, table, elems, *, limits):
     return zuppo_list, zuppo_of
 
 
+def close_ids(G, start, gens, rows):
+    """The subgroup of G generated by the elements with ids ``gens``, as a
+    frozenset of ids, or None when it is the whole group: the closure of
+    ``start``, which holds the identity and lies in that subgroup, under
+    right multiplication by ``gens``.  ``rows[g][x]`` is the id of x * g,
+    read off ``G.element_table()`` into the caller's dict on first use.  A
+    walk that passes half the group has found the whole group and stops."""
+    table = G.element_table(None)
+    half = len(table) // 2
+    for g in gens:
+        if g not in rows:
+            rows[g] = G.ids_of(table[g][table]).tolist()
+    grow = [rows[g] for g in gens]
+    closed = set(start)
+    work = list(closed)
+    wi = 0
+    while wi < len(work) and len(closed) <= half:
+        x = work[wi]
+        wi += 1
+        for row in grow:
+            y = row[x]
+            if y not in closed:
+                closed.add(y)
+                work.append(y)
+    return None if len(closed) > half else frozenset(closed)
+
+
 def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
     """The SubgroupLattice of G, memoized on G.
 
     Conjugation and right multiplication act on element ids through rows
     read off ``G.element_table()``: ``G.conjugation_ids`` for the
     generators of G and one row per join generator.  Raises CapExceeded
-    once the lattice has more than ``limits.lattice_cap`` subgroups; the
-    time budget of ``limits`` is checked per conjugate and per join."""
+    once the lattice has more than ``limits.lattice_cap`` subgroups, at once
+    under a cap no higher than one that failed on G; the time budget of
+    ``limits`` is checked per conjugate and per join."""
     cap, check = limits.lattice_cap, limits.check
-    cached = getattr(G, "_lattice_cache", None)
+    cached = G._lattice_cache
+    failed = G._lattice_failed_cap
+    # replay a stricter cap check, or one that failed, building nothing
+    if (len(cached) > cap if cached is not None
+            else failed is not None and cap <= failed):
+        raise CapExceeded(f"subgroup lattice exceeds {cap} subgroups")
     if cached is not None:
-        # replay the cap check so a stricter caller still gets its error
-        if len(cached) > cap:
-            raise CapExceeded(f"subgroup lattice exceeds {cap} subgroups")
         return cached
-    n = G.order()
     table = G.element_table(limits=limits)
     elems = G.elements(limits=limits)
     conj_ids = G.conjugation_ids(limits=limits)
@@ -238,15 +261,6 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
     zp = [zuppo_of[c[zrep]] for c in conj_ids]
     moves = [bool((m != z_ident).any()) for m in zp]
 
-    rows = {}
-
-    def right_row(g):
-        """row[x] is the id of x * g, for the element with id g."""
-        row = rows.get(g)
-        if row is None:
-            row = rows[g] = G.ids_of(table[g][table]).tolist()
-        return row
-
     sets_list = []
     gens_list = []
     found = {}
@@ -255,6 +269,7 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
 
     def add(fs, gens):
         if len(sets_list) >= cap:
+            G._lattice_failed_cap = cap
             raise CapExceeded(f"subgroup lattice exceeds {cap} subgroups")
         found[fs] = len(sets_list)
         sets_list.append(fs)
@@ -308,12 +323,11 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
     for fs, z in zuppo_list:
         if fs not in found:
             add_class(fs, (z,))
-    whole = frozenset(range(n))
-    half = n // 2
+    whole = frozenset(range(G.order()))
+    rows = {}
     walks = 0
     for i, least in queue:
         h_set, h_gens = sets_list[i], gens_list[i]
-        h_rows = [right_row(g) for g in h_gens]
         for zi, (z_set, z) in enumerate(zuppo_list):
             # join(H, z^n) = join(H, z)^n for n in N_G(H): the class of a
             # join with a zuppo that is not least in its orbit was already
@@ -322,23 +336,9 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
                 continue
             check()
             walks += 1
-            # both factors are already closed, so the walk only has
-            # to fill in the genuinely new products; any subgroup larger
-            # than half the group is the group, which ends most walks early
-            join_rows = h_rows + [right_row(z)]
-            closed = set(h_set)
-            closed.update(z_set)
-            work = list(closed)
-            wi = 0
-            while wi < len(work) and len(closed) <= half:
-                x = work[wi]
-                wi += 1
-                for row in join_rows:
-                    y = row[x]
-                    if y not in closed:
-                        closed.add(y)
-                        work.append(y)
-            fs = whole if len(closed) > half else frozenset(closed)
+            # both factors are already closed, so the walk only has to
+            # fill in the genuinely new products
+            fs = close_ids(G, h_set | z_set, h_gens + (z,), rows) or whole
             if fs not in found:
                 add_class(fs, h_gens + (z,))
     if whole not in found:
@@ -348,9 +348,8 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
                    key=lambda i: (len(sets_list[i]), sorted(sets_list[i])))
     subgroups = [PermGroup(G.degree, tuple(elems[g] for g in gens_list[i]))
                  for i in order]
-    ids = {e.images: k for k, e in enumerate(elems)}
     lattice = SubgroupLattice(G, subgroups, [sets_list[i] for i in order],
-                              [gens_list[i] for i in order], ids, walks)
+                              [gens_list[i] for i in order], walks)
     G._lattice_cache = lattice
     return lattice
 

@@ -76,8 +76,7 @@ def _find_complement(G, N, limits):
     if target == G.order():
         return G
     lattice = structure.subgroup_lattice(G, limits=limits)
-    ids = lattice.element_ids()
-    n_ids = frozenset(ids[e.images] for e in N.elements())
+    n_ids = frozenset(G.ids_of(N.element_table()).tolist())
     for i in range(len(lattice)):
         fs = lattice.id_set(i)
         if len(fs) == target and len(fs & n_ids) == 1:

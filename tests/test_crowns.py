@@ -169,7 +169,7 @@ def _brute_h1(G, mats, p):
     n = mats[0].shape[0]
     S, M = _semidirect(G, mats, p)
     lat = structure.subgroup_lattice(S)
-    ids = lat.element_ids()
+    ids = {e.images: k for k, e in enumerate(S.elements())}
     m_ids = frozenset(ids[e.images] for e in M.elements())
     ident = ids[S.identity().images]
     comp = sum(1 for i in range(len(lat))

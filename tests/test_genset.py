@@ -387,8 +387,9 @@ def test_spectrum_is_an_interval():
 
 
 # sha256 prefix of each spectrum's witnesses, as cycle strings by size, for
-# every quick-corpus group and three larger groups; the d witness is the
-# spectrum's entry at d whenever it is independent
+# every quick-corpus group and five larger groups, the last two over the
+# lattice cap; the d witness is the spectrum's entry at d whenever it is
+# independent
 SPECTRUM_DIGESTS = {
     'C2': '233eb9d273ff03cc',
     'C3': 'b37f336fdb026678',
@@ -427,6 +428,8 @@ SPECTRUM_DIGESTS = {
     'D(A5, C2)': 'b1d2e2312ca0ccbf',
     'PSL2(7)': '2926b2d6fe92f17a',
     'PGL2(7)': '64423beeffd9c4eb',
+    'D(S4, S4)': 'e45a3610dfd5bc2c',
+    'W(S4, 2)': 'ba3eb1ab7dcdc4be',
 }
 
 
@@ -507,6 +510,30 @@ def test_search_fallback_without_lattice():
             assert _is_independent_generating_set(check, witness)
             if k != "max":
                 assert len(witness) == k
+
+
+def test_fallback_oracle_builds_no_chain_per_join(monkeypatch):
+    # over the cap each join is closed on element ids, as the lattice's
+    # joins are, so once G's own chain exists the engine builds no more
+    # chains on the fallback oracle than on the lattice: none per join.
+    # Both counts are the one chain of the trivial subgroup that starts
+    # the chief series behind the spectrum's sizes.
+    G = _alt(5)
+    G.order()
+    counts = []
+    for oracle in (genset.GenOracle(G, limits=Limits(lattice_cap=1)),
+                   genset.GenOracle(G)):
+        built = []
+
+        def counting(degree, gens, _real=perm.build_chain):
+            built.append(degree)
+            return _real(degree, gens)
+
+        monkeypatch.setattr(perm, "build_chain", counting)
+        _engine_results(G, oracle)
+        monkeypatch.undo()
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_oracle_fallback_matches_lattice():

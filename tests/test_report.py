@@ -358,7 +358,6 @@ def test_lattice_cap_in_frattini_flags_is_a_skip(tmp_path):
     assert sorted(r["id"] for r in reps) == ["C6", "D(C2", "S3"]
 
 
-@pytest.mark.slow
 def test_reports_whose_lattice_is_over_the_cap():
     # their chief series, m and spectrum need no lattice of G; the
     # verdicts need G's lattice, which is over the default cap

@@ -254,6 +254,33 @@ def test_lattice_cap():
         G, limits=Limits(lattice_cap=30))) == 30
 
 
+def test_failed_lattice_cap_is_not_built_again(monkeypatch):
+    # a build that ran over its cap is not run again under a cap no
+    # higher, and the error is the one that cap gives; a higher cap builds
+    # again, and a time budget that runs out is not recorded
+    zuppos = []
+
+    def counting(*args, _real=structure._zuppos, **kwargs):
+        zuppos.append(1)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "_zuppos", counting)
+    G = _sym(4)
+    for cap in (10, 10, 4):
+        with pytest.raises(CapExceeded,
+                           match=f"^subgroup lattice exceeds {cap} subgroups$"):
+            structure.subgroup_lattice(G, limits=Limits(lattice_cap=cap))
+        assert G._lattice_cache is None
+    assert len(zuppos) == 1
+    assert len(structure.subgroup_lattice(
+        G, limits=Limits(lattice_cap=30))) == 30
+    assert len(zuppos) == 2
+    H = builder.build("S5")
+    with pytest.raises(TimeBudgetExceeded):
+        structure.subgroup_lattice(H, limits=Limits(seconds=0.0))
+    assert len(structure.subgroup_lattice(H)) == 156
+
+
 def test_lattice_cap_with_orbit_skips():
     # S5 is nonabelian, so most of its joins are skipped as non-least in
     # their normalizer orbit; the cap still counts every subgroup
@@ -744,7 +771,7 @@ def test_has_complement_matches_frattini_flag():
     checked = 0
     for G in groups + list(_corpus_groups()):
         lattice = structure.subgroup_lattice(G)
-        ids = lattice.element_ids()
+        ids = {e.images: k for k, e in enumerate(G.elements())}
         maximal = [lattice.id_set(i) for i in lattice.maximal_indices()]
         for f in structure.chief_series(G):
             if not f.is_abelian:
