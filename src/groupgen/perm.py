@@ -412,7 +412,7 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "gens", "label", "_chain", "_order", "_table",
-                 "_elements", "_classes", "_fingerprint",
+                 "_elements", "_classes", "_minimal_normal", "_fingerprint",
                  "_lattice_cache", "_lattice_failed_cap", "_soluble")
 
     def __init__(self, degree, gens=(), label=None, _chain=None):
@@ -430,6 +430,7 @@ class PermGroup:
         self._table = None
         self._elements = None
         self._classes = None
+        self._minimal_normal = None
         self._fingerprint = None
         self._lattice_cache = None
         self._lattice_failed_cap = None

@@ -15,7 +15,8 @@ are fixed module constants.
 
 Sharing: the stages read one ``genset.Analysis`` made under the report's
 limits and seed, so each invariant is computed once per report.  Only the
-subgroup lattice, which no limit changes, stays memoized on the group.
+subgroup lattice and the minimal normal subgroups, which no limit changes,
+stay memoized on the group.
 
 Determinism: the same expression with the same knobs yields byte-identical
 canonical JSON, except for the ``timings`` entry, which holds wall clock data

@@ -5,9 +5,9 @@ factors.
 Minimal normal subgroups and chief series come from one walk: the
 inclusion-minimal normal closures of a normal subgroup Y plus one
 conjugacy class representative, each listed at the first representative
-that gives it.  With Y trivial these are the minimal normal subgroups;
-a chief series takes the least of them as its next term.  The centralizer
-C_G(X/Y) of a chief factor is one sweep over G's elements.
+that gives it.  With Y trivial these are the minimal normal subgroups,
+walked once per group; a chief series takes the least of them as its next
+term.  The centralizer C_G(X/Y) of a chief factor is one element sweep.
 
 An abelian chief factor X/Y is a GF(p) module of G itself, built once per
 factor; whether it has a complement in G/Y (so whether it is Frattini) is
@@ -73,24 +73,23 @@ from .perm import (
 class SubgroupLattice:
     """All subgroups of a group, sorted by (order, sorted element tuples).
 
-    Subgroup i is ``subgroups[i]``, a PermGroup on a few generators, and
-    ``id_set(i)``, the frozenset of its element ids; an element's id is its
-    row in ``group.element_table()``.  ``join_walks`` is the number of
-    joins the closure walked to find them.
+    Subgroup i is ``id_set(i)``, the frozenset of its element ids, and is
+    generated by the few elements with ids ``_gen_ids[i]``; an element's id
+    is its row in ``group.element_table()``.  ``join_walks`` is the number
+    of joins the closure walked to find them.
     """
 
-    def __init__(self, group, subgroups, id_sets, gen_ids, join_walks):
+    def __init__(self, group, id_sets, gen_ids, join_walks):
         self.group = group
-        self.subgroups = tuple(subgroups)
         self._id_sets = tuple(id_sets)
         self._gen_ids = tuple(gen_ids)
-        self.top = len(self.subgroups) - 1
+        self.top = len(self._id_sets) - 1
         self._join_walks = join_walks
         self._supersets = None
         self._join_rows = {}
 
     def __len__(self):
-        return len(self.subgroups)
+        return len(self._id_sets)
 
     @property
     def join_walks(self):
@@ -122,14 +121,14 @@ class SubgroupLattice:
         return self._supersets[i]
 
     def maximal_indices(self):
-        return tuple(i for i in range(len(self.subgroups))
+        return tuple(i for i in range(len(self))
                      if self.strict_supersets(i) == (self.top,))
 
     def moebius(self):
         """Moebius function mu(H, G) of the lattice, indexed like subgroups."""
-        mu = [0] * len(self.subgroups)
+        mu = [0] * len(self)
         mu[self.top] = 1
-        order = sorted(range(len(self.subgroups)),
+        order = sorted(range(len(self)),
                        key=lambda i: -len(self._id_sets[i]))
         for i in order:
             if i == self.top:
@@ -346,9 +345,7 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
 
     order = sorted(range(len(sets_list)),
                    key=lambda i: (len(sets_list[i]), sorted(sets_list[i])))
-    subgroups = [PermGroup(G.degree, tuple(elems[g] for g in gens_list[i]))
-                 for i in order]
-    lattice = SubgroupLattice(G, subgroups, [sets_list[i] for i in order],
+    lattice = SubgroupLattice(G, [sets_list[i] for i in order],
                               [gens_list[i] for i in order], walks)
     G._lattice_cache = lattice
     return lattice
@@ -385,7 +382,9 @@ def _minimal_closures(G, Y, reps, *, limits):
       already walked, whose closure r's equals.
 
     Each closure grows from Y's chain.  The time budget of ``limits`` is
-    checked once per representative."""
+    checked once per representative.  Closures of a trivial Y stay on G."""
+    if Y.is_trivial() and G._minimal_normal is not None:
+        return G._minimal_normal
     minimal = []
     keys = {Y.coset_key(G.identity())}
     for rep in reps:
@@ -403,6 +402,8 @@ def _minimal_closures(G, Y, reps, *, limits):
                    if not (X.order() < M.order()
                            and all(g in M for g in X.gens))]
         minimal.append(X)
+    if Y.is_trivial():
+        G._minimal_normal = minimal = tuple(minimal)
     return minimal
 
 

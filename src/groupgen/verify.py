@@ -25,7 +25,9 @@ group admitting several decompositions gets a deterministic answer.  Case
 2 matches a homogeneous component of the socle rather than the full socle
 and does not insist that the complement acts faithfully: the motivating
 example (C3^t : C2) x C2 has a central factor in every complement, yet is
-the intended witness for case 2 with an abelian complement.
+the intended witness for case 2 with an abelian complement.  An elementary
+abelian normal W has a complement exactly when the splitting system of the
+Frattini flags is solvable; the complement's properties are read off G/W.
 """
 
 from dataclasses import dataclass, field
@@ -70,18 +72,13 @@ def _trivial(G):
     return PermGroup(G.degree, ())
 
 
-def _find_complement(G, N, limits):
-    """A subgroup H with HN = G and H meeting N trivially, or None."""
-    target = G.order() // N.order()
-    if target == G.order():
-        return G
-    lattice = structure.subgroup_lattice(G, limits=limits)
-    n_ids = frozenset(G.ids_of(N.element_table()).tolist())
-    for i in range(len(lattice)):
-        fs = lattice.id_set(i)
-        if len(fs) == target and len(fs & n_ids) == 1:
-            return lattice.subgroups[i]
-    return None
+def _has_complement(G, W, limits, factor=None):
+    """Whether the elementary abelian normal W has a complement in G, by the
+    splitting system of W as a GF(p) module (Gaschuetz); the chief factor
+    ``factor`` = W/1 lends its module when given."""
+    module = (factor.module if factor is not None
+              else structure.FactorModule(G, W, _trivial(G)))
+    return module.has_complement(limits=limits)
 
 
 def _socle_components(A):
@@ -223,18 +220,18 @@ def _match_case2(A):
     for W, factor, t in _socle_components(A):
         if t != d - 1:
             continue
-        H = _find_complement(G, W, limits)
-        if H is None:
-            continue
+        H = quotient(G, W)
         if not (t == 1 or H.is_abelian()):
+            continue
+        if not _has_complement(G, W, limits, factor if t == 1 else None):
             continue
         if genset.Analysis(H, limits).m != 2:
             continue
         candidates.append((W, factor, t, H))
     if not candidates:
         return None
-    candidates.sort(key=lambda c: (not c[3].is_abelian(), -c[2],
-                                   c[3].order(), c[3].gens))
+    # candidates tying on this key have the same |W|, so the same evidence
+    candidates.sort(key=lambda c: (not c[3].is_abelian(), -c[2], c[3].order()))
     W, factor, t, H = candidates[0]
     return {"t": t, "module_order": factor.order,
             "module_prime": factor.prime, "module_dim": factor.dim,
@@ -260,7 +257,7 @@ def _match_case1(A):
             continue
         if genset.lower_bound_d(Q) != d:
             continue
-        if _find_complement(G, V, limits) is None:
+        if not _has_complement(G, V, limits):
             continue
         return {"module_order": V.order(), "module_prime": r,
                 "p_group_order": qo, "p_group_prime": p, "d_of_p_group": d}
@@ -278,11 +275,11 @@ def _match_quotient_shape(Q, d, limits):
     for W, factor, t in _socle_components(genset.Analysis(Q, limits)):
         if t != d - 1:
             continue
-        H = _find_complement(Q, W, limits)
-        if H is None:
-            continue
+        H = quotient(Q, W)
         ho = H.order()
         if ho == 1 or not is_prime_power(ho) or not H.is_cyclic():
+            continue
+        if not _has_complement(Q, W, limits, factor if t == 1 else None):
             continue
         return {"t": t, "module_order": factor.order,
                 "module_prime": factor.prime, "complement_order": ho}

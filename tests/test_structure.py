@@ -77,6 +77,14 @@ def _elem_sets(lat):
                  for i in range(len(lat)))
 
 
+def _subgroups(lat):
+    """Each subgroup of the lattice as a PermGroup on its generators: the
+    elements with the lattice's generator ids."""
+    elems = lat.group.elements(None)
+    return [PermGroup(lat.group.degree, [elems[g] for g in gens])
+            for gens in lat._gen_ids]
+
+
 def _brute_subgroup_sets(G):
     """Every subgroup of G as a frozenset of image tuples, by enumerating
     all identity-containing subsets closed under multiplication."""
@@ -130,10 +138,10 @@ def test_known_subgroup_counts():
         assert len(lat) == count, name
 
 
-# (size, sha256 prefix of each subgroup's sorted ids and generator images,
-# in lattice order) for every quick-corpus group and four larger groups;
-# verify._find_complement and the verdict evidence read the lattice in
-# this order and keep these generators
+# (size, sha256 prefix of each subgroup's sorted ids and the images of the
+# elements with its generator ids, in lattice order) for every quick-corpus
+# group and a few larger groups: they pin the lattice order and the
+# generators the closure finds
 LATTICE_DIGESTS = {
     'C2': (2, '16dc6c673967f32a'),
     'C3': (2, 'be68629571638746'),
@@ -178,7 +186,7 @@ LATTICE_DIGESTS = {
 
 def _lattice_digest(lat):
     h = hashlib.sha256()
-    for i, H in enumerate(lat.subgroups):
+    for i, H in enumerate(_subgroups(lat)):
         h.update(repr((sorted(lat.id_set(i)),
                        tuple(g.images for g in H.gens))).encode())
     return h.hexdigest()[:16]
@@ -203,7 +211,7 @@ def test_lattice_subgroups_are_closed_and_sorted():
     assert sizes == sorted(sizes)
     assert elem_sets[lat.top] == _image_set(_sym(4))
     rng = random.Random(3)
-    for fs, H in zip(elem_sets, lat.subgroups):
+    for fs, H in zip(elem_sets, _subgroups(lat)):
         assert H.order() == len(fs)
         sample = rng.sample(sorted(fs), min(4, len(fs)))
         for a in sample:
@@ -214,7 +222,7 @@ def test_lattice_subgroups_are_closed_and_sorted():
     for G in (_sym(4), _sym(5), builder.build("CROWN(S4, 2)")):
         lat = structure.subgroup_lattice(G)
         elem_sets = _elem_sets(lat)
-        for H, fs in zip(lat.subgroups, elem_sets):
+        for H, fs in zip(_subgroups(lat), elem_sets):
             assert _image_set(H) == fs
         keys = [(len(fs), sorted(fs)) for fs in elem_sets]
         assert keys == sorted(keys)
@@ -395,6 +403,29 @@ def test_closure_walk_counts(monkeypatch, text, walk, count):
     assert len(calls) == count
 
 
+def test_minimal_normal_walk_is_memoized(monkeypatch):
+    # the walk over the trivial subgroup runs once per group: the chief
+    # series reads the minimal normal subgroups' 7 closures and builds only
+    # the 2 of its later steps, and a second call builds none
+    G = builder.build("WREATH(1)")
+    G.class_representatives()
+    calls = []
+    closure = PermGroup.normal_closure
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return closure(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "normal_closure", counted)
+    mins = structure.minimal_normal_subgroups(G)
+    assert len(calls) == 7
+    series = structure.chief_series(G)
+    assert len(calls) == 9
+    assert any(series[0].above is N for N in mins)
+    assert structure.minimal_normal_subgroups(G) == mins
+    assert len(calls) == 9
+
+
 @pytest.mark.parametrize("text", ["S4", "D(S4, S4)", "CROWN(S3, 3)",
                                   "WREATH(1)"])
 def test_closure_grown_from_the_term_below(text):
@@ -458,7 +489,7 @@ def test_moebius_s3():
     lat = structure.subgroup_lattice(S3)
     mu = lat.moebius()
     by_order = {}
-    for i, H in enumerate(lat.subgroups):
+    for i, H in enumerate(_subgroups(lat)):
         by_order.setdefault(H.order(), []).append(mu[i])
     assert by_order[1] == [3]
     assert by_order[2] == [-1, -1, -1]

@@ -1,14 +1,19 @@
 """Tests for the classification verdicts."""
 
+import hashlib
+import pathlib
+
 import pytest
 
-from groupgen import builder, structure, verify
+from groupgen import builder, report, structure, verify
 from groupgen.builder import build, paper_family
 from groupgen.genset import Analysis
-from groupgen.perm import PermGroup
+from groupgen.perm import DEFAULT_LIMITS, PermGroup, quotient
 from groupgen.verify import (MD_EQUAL, NONSOLUBLE_MONOLITHIC, SOLUBLE_CASES,
                              TheoremVerdict, verify_all, verify_md_equal,
                              verify_nonsoluble, verify_soluble_cases)
+
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_md_equal_elementary_abelian():
@@ -203,3 +208,111 @@ def test_verify_all_finds_minimal_normal_subgroups_once(monkeypatch, text):
     monkeypatch.setattr(structure, "minimal_normal_subgroups", counting)
     verify_all(Analysis(G))
     assert len(calls) == 1
+
+
+# sha256 prefix of the three verdicts of every quick-corpus group: theorem,
+# applicable, ok, case and sorted evidence.  canonical_json keeps only the
+# first four, so these pin the evidence ``groupgen verify`` prints
+VERDICT_DIGESTS = {
+    'C2': 'c44ae9e47b615e5b',
+    'C3': '4cd55fa1118d8ebd',
+    'C4': '7a0a07ee7a137a66',
+    'C6': '9369c5726f91e079',
+    'C12': '7a0a07ee7a137a66',
+    'C15': '47d1ccb5539aaef5',
+    'K4': '9029eb76bff4ae67',
+    'D(C2, C2, C2)': '4f9bb27ebc882edd',
+    'D(C4, C2)': '7a0a07ee7a137a66',
+    'D(C3, C3)': '3170a088e4c18646',
+    'S3': '22e502cb647ffed0',
+    'Dih4': '7a0a07ee7a137a66',
+    'Dih5': 'd08eabb04e4ec60d',
+    'Dih6': '83ad71824d7f14ef',
+    'A4': '4c368e0a8e061f08',
+    'S4': '0bfdaf0f3922c676',
+    'EX1(1)': '83ad71824d7f14ef',
+    'EX1(2)': '07f31d76a5c7ddef',
+    'EX1(3)': 'b63ced5a15db6240',
+    'EX2B(1)': '83ad71824d7f14ef',
+    'EX2B(2)': '1f0f750f489e30f1',
+    'D(S3, C3)': 'd400af97173c308f',
+    'W(C2, 3)': '4e15a60f7e99cb7e',
+    'W(C3, 2)': 'd400af97173c308f',
+    'SD(D(C3, C3), C4, [g1 -> [g2, g1*g1]])': '69305e5e30e0eec6',
+    'SD(C5, C4, [g1 -> [g1*g1]])': '0c09118819fe8849',
+    'Q(S4; g1*g2)': 'c44ae9e47b615e5b',
+    'SUB(S4; g1*g1, g2)': '7a0a07ee7a137a66',
+    'CROWN(S3, 2)': 'ba3dbe8f632ba56f',
+    'CROWN(S3, 3)': '2f2a7c34404a620e',
+    'CROWN(S4, 2)': '7ff8d3e64b7d6046',
+    'A5': 'bdec7f19a3097269',
+    'PSL2(5)': 'bdec7f19a3097269',
+    'S5': 'fd759fa8268629d9',
+}
+
+
+def _verdict_digest(verdicts):
+    h = hashlib.sha256()
+    for v in verdicts:
+        h.update(repr((v.theorem, v.applicable, v.ok, v.case,
+                       sorted(v.evidence.items()))).encode())
+    return h.hexdigest()[:16]
+
+
+def test_verdict_digests_cover_the_quick_corpus():
+    texts = [text for path in report.corpus_files(CORPUS_DIR)
+             for text in report.read_expressions(path)]
+    assert texts == list(VERDICT_DIGESTS)
+
+
+@pytest.mark.parametrize("text", list(VERDICT_DIGESTS))
+def test_verdict_digest(text):
+    verdicts = verify_all(Analysis(build(text)))
+    assert _verdict_digest(verdicts) == VERDICT_DIGESTS[text]
+
+
+def _lattice_complement(G, W):
+    """A subgroup of G of order |G|/|W| meeting W trivially, read off G's
+    subgroup lattice, or None: a complement found by scanning."""
+    target = G.order() // W.order()
+    lattice = structure.subgroup_lattice(G)
+    w_ids = frozenset(G.ids_of(W.element_table()).tolist())
+    elems = G.elements()
+    for i in range(len(lattice)):
+        fs = lattice.id_set(i)
+        if len(fs) == target and len(fs & w_ids) == 1:
+            return PermGroup(G.degree,
+                             [elems[g] for g in lattice._gen_ids[i]])
+    return None
+
+
+@pytest.mark.parametrize("text", list(VERDICT_DIGESTS))
+def test_complement_check_matches_a_lattice_scan(text):
+    # the splitting system finds a complement exactly when the lattice has
+    # one, and the complement has the order, abelianness and cyclicity of
+    # the quotient it is isomorphic to
+    G = build(text)
+    A = Analysis(G)
+    pieces = [(N, None) for N in A.minimal_normal if N.is_abelian()]
+    pieces += [(W, factor) for W, factor, t in verify._socle_components(A)
+               if t == 1]
+    pieces += [(W, None) for W, _, _ in verify._socle_components(A)]
+    for W, factor in pieces:
+        H = _lattice_complement(G, W)
+        split = verify._has_complement(G, W, DEFAULT_LIMITS, factor)
+        assert split == (H is not None)
+        if H is not None:
+            Q = quotient(G, W)
+            assert ((H.order(), H.is_abelian(), H.is_cyclic())
+                    == (Q.order(), Q.is_abelian(), Q.is_cyclic()))
+
+
+def test_complement_check_without_a_complement():
+    # the centre of Dih4 and the C2 in C4 are each the only minimal normal
+    # subgroup, and neither has a complement
+    for text in ("Dih4", "C4"):
+        G = build(text)
+        N, = Analysis(G).minimal_normal
+        assert N.order() == 2
+        assert _lattice_complement(G, N) is None
+        assert not verify._has_complement(G, N, DEFAULT_LIMITS)
