@@ -16,7 +16,10 @@ ascending element order, where elements are ordered by (element order,
 image tuple).  It carries the span of the prefix and the spans of the prefix
 with one element removed, so a prefix that stops being independent is cut
 at once, and it cuts prefixes whose span has too small an index to reach the
-goal.
+goal.  m needs only a size, so its walk tries in the second slot only the
+least element of each orbit of C_G(r), r the first slot's representative
+(the isomorph rejection of McKay, J. Algorithms 26, 1998; see m()); the d
+and spectrum walks print their witnesses and keep every second slot.
 
 Spans come from a GenOracle as integer handles with element-id membership
 and join rows.  The oracle reads them off the subgroup lattice when the
@@ -33,6 +36,8 @@ from __future__ import annotations
 import functools
 import random
 
+import numpy as np
+
 from . import structure
 from .perm import (
     DEFAULT_LIMITS,
@@ -42,6 +47,7 @@ from .perm import (
     PermGroup,
     factorint,
     omega,
+    orbit_minima,
     quotient,
 )
 
@@ -249,7 +255,33 @@ def _search_candidates(G, prime_power_only=False, *, limits=DEFAULT_LIMITS):
     return elems, reps
 
 
-def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS):
+def _centralizer_orbit_minima(oracle, rid, *, limits=DEFAULT_LIMITS):
+    """The least id of each element id's orbit under conjugation by C_G(r),
+    r the element with id ``rid``, as an array indexed by id.
+
+    C_G(r) is read off the element table as the elements x with x * r =
+    r * x, whose images are r[x] and x[r].  Its generators are r and, in
+    ascending id order, each element outside the span of those before, the
+    spans read off the oracle's join rows; each gives one conjugation id
+    map.  The time budget of ``limits`` is checked once, first."""
+    limits.check()
+    G, sets, join_row = oracle.G, oracle.sets, oracle.join_row
+    table = G.element_table(None)
+    r = table[rid]
+    centralizer = np.flatnonzero((r[table] == table[:, r]).all(axis=1))
+    gens, h = [rid], join_row(0)[rid]
+    for c in centralizer.tolist():
+        if c not in sets[h]:
+            gens.append(c)
+            h = join_row(h)[c]
+    # x^c = c^-1 * x * c has images c[x[c^-1]]
+    maps = [G.ids_of(table[c][table[:, np.argsort(table[c])]])
+            for c in gens]
+    return orbit_minima(maps, len(table))
+
+
+def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS,
+            size_only=False):
     """The first independent generating set in walk order whose size is the
     largest in [lower, upper] that occurs, or None.
 
@@ -261,6 +293,11 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS):
     stops at the whole group, and a strict chain of spans from the prefix up
     to the whole group has at most Omega(index) more steps, which bounds
     what a prefix can still reach.
+
+    With ``size_only`` the second slot tries only candidates that are the
+    least element of their C_G(r)-orbit, r the first slot's representative
+    (see m); the set returned then has the right size but need not be the
+    first in walk order.  The candidates must be closed under conjugation.
     """
     n, sets, top, ids = oracle.n, oracle.sets, oracle.top, oracle.ids
     join_row, check = oracle.join_row, limits.check
@@ -268,8 +305,9 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS):
     best = None
     need = lower
 
-    def extend(prefix, pids, span, others, start):
-        # others[j] is the span of the prefix without its member j
+    def extend(prefix, pids, span, others, order):
+        # others[j] is the span of the prefix without its member j; order
+        # lists the indices into eids this slot tries, ascending
         nonlocal best, need
         check()
         depth = len(pids)
@@ -282,7 +320,7 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS):
         span_set = sets[span]
         row = join_row(span)
         orows = [join_row(t) for t in others]
-        for i in range(start, len(eids)):
+        for i in order:
             e = eids[i]
             if e in span_set:
                 continue
@@ -295,14 +333,19 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS):
             else:
                 child_others.append(span)
                 extend(prefix + [elems[i]], pids + [e], row[e], child_others,
-                       i + 1)
+                       range(i + 1, len(eids)))
                 if need > upper:
                     return
 
     row0 = join_row(0)
+    second = range(len(eids))
+    eid_array = np.array(eids, dtype=np.intp)
     for rep in reps:
         rid = ids[rep.images]
-        extend([rep], [rid], row0[rid], [0], 0)
+        if size_only:
+            least = _centralizer_orbit_minima(oracle, rid, limits=limits)
+            second = np.flatnonzero(least[eid_array] == eid_array).tolist()
+        extend([rep], [rid], row0[rid], [0], second)
         if need > upper:
             break
     return best
@@ -380,6 +423,19 @@ def m(A, *, force_search=False, prime_power_only=True):
     coprime parts and discarding all but one never shrinks the maximum, so
     some maximum set consists of prime power elements.  Pass
     prime_power_only=False to search over every element.
+
+    The walk tries in the second slot only the least element of each
+    C_G(r)-orbit, r the first slot's representative, which loses no size
+    either.  The walk fixes r and fills the later slots in ascending search
+    order from the first candidate on, so it visits {r} with any independent
+    set S of candidates.  Let s be the member of S whose orbit minimum comes
+    first in search order; some c in C_G(r) sends s to that minimum, and {r}
+    with S^c is independent, generates and has the same size.  Conjugates
+    have the same element order, so an orbit's least id is also its first
+    element in search order and no member of S^c comes before s^c: the
+    walk visits that set with s^c in the second slot.  Deeper slots are not
+    restricted: conjugating the tail by the prefix's stabilizer can move it
+    below the slot before, which this walk order never visits.
     """
     G, limits = A.G, A.limits
     n = G.order()
@@ -391,7 +447,8 @@ def m(A, *, force_search=False, prime_power_only=True):
         raise CapExceeded(
             f"m search needs order <= {SEARCH_ORDER_CAP}, group has order {n}")
     elems, reps = _search_candidates(G, prime_power_only, limits=limits)
-    best = _search(A.oracle, elems, reps, A.a + A.b, omega(n), limits=limits)
+    best = _search(A.oracle, elems, reps, A.a + A.b, omega(n), limits=limits,
+                   size_only=True)
     if best is None:
         raise GroupError(
             "no independent generating set reached the lower bound a + b")

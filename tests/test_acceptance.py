@@ -2,7 +2,7 @@
 
 Each test prints a single "criterion NN: PASS" line with its elapsed time
 (visible with -s; the pytest -v status line mirrors it) and enforces the
-agreed wall clock budget.  Tests marked slow need --runslow.
+agreed wall clock budget.
 """
 
 import itertools
@@ -107,7 +107,6 @@ def test_criterion_05_a5_nonsoluble():
     _line(5, t0, "m(A5) = 3 and the nonsoluble gap-one check passes")
 
 
-@pytest.mark.slow
 def test_criterion_05_slow_pgl27():
     t0 = time.monotonic()
     an = genset.Analysis(builder.build("PGL2(7)"))

@@ -325,7 +325,6 @@ def test_m_known_values():
     assert genset.m(Analysis(_alt(5))) == 3
 
 
-@pytest.mark.slow
 def test_m_of_s6():
     # m(S_n) = n - 1 (Whiston 2000)
     assert genset.m(Analysis(_sym(6))) == 5
@@ -342,6 +341,57 @@ def test_m_soluble_fast_path_matches_search():
 def test_m_matches_brute_force():
     for G in [_sym(3), _cyclic(6), _klein(), _cyclic(8), _alt(4)]:
         assert genset.m(Analysis(G), force_search=True) == _brute_m(G)
+
+
+class _CountingLimits(Limits):
+    """Limits that count their checks: the engine makes one per node."""
+
+    calls = 0
+
+    def check(self):
+        self.calls += 1
+        super().check()
+
+
+def test_m_second_slot_symmetry():
+    # m's walk tries in its second slot only the least element of each
+    # C_G(r)-orbit, r the first slot; it finds the size the unrestricted
+    # engine finds on the same oracle, candidates and bounds, in fewer nodes
+    for name in ["A5", "S5", "PSL2(7)", "PGL2(7)", "D(A5, C2)", "A6",
+                 "PSL2(11)"]:
+        G = builder.build(name)
+        an = Analysis(G)
+        elems, reps = genset._search_candidates(G, prime_power_only=True)
+        walked = _CountingLimits()
+        full = genset._search(an.oracle, elems, reps, an.a + an.b,
+                              omega(G.order()), limits=walked)
+        restricted = _CountingLimits()
+        counted = Analysis(G, restricted)
+        counted.a, counted.b, counted.oracle = an.a, an.b, an.oracle
+        assert genset.m(counted, force_search=True) == len(full), name
+        assert restricted.calls < walked.calls, name
+
+
+def test_m_orbit_step_stops_on_a_spent_budget(monkeypatch):
+    # the candidates are made before the deadline, so the first check
+    # under the spent budget is the orbit step's, before it builds anything
+    G = builder.build("A6")
+    an = Analysis(G)
+    candidates = genset._search_candidates(G, prime_power_only=True)
+    spent = Analysis(G, Limits(seconds=0.0))
+    spent.a, spent.b, spent.oracle = an.a, an.b, an.oracle
+    built = []
+    monkeypatch.setattr(genset, "_search_candidates",
+                        lambda *args, **kwargs: candidates)
+    monkeypatch.setattr(genset, "orbit_minima",
+                        lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(PermGroup, "ids_of",
+                        lambda self, rows: built.append(rows))
+    with pytest.raises(TimeBudgetExceeded) as raised:
+        genset.m(spent, force_search=True)
+    assert raised.traceback[-2].name in ("_centralizer_orbit_minima",
+                                         "extend")
+    assert built == []
 
 
 def test_m_order_cap():

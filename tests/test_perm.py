@@ -201,12 +201,11 @@ CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _table_groups():
-    """(name, group) for every corpus expression and a few larger groups."""
+    """(name, group) for every corpus expression, the slow ones included."""
     texts = [t for path in report.corpus_files(str(CORPUS_DIR), slow=True)
              for t in report.read_expressions(str(path))]
-    assert len(texts) == 38
-    return [(t, builder.build(t))
-            for t in texts + ["S6", "A6", "PSL2(11)", "PGL2(11)"]]
+    assert len(texts) == 42
+    return [(t, builder.build(t)) for t in texts]
 
 
 def test_element_table_contract():

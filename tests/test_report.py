@@ -256,7 +256,7 @@ def test_run_corpus_uses_cache(tmp_path):
 # these, the slow corpus adding the groups of its ".slow" files
 CORPUS_DIGESTS = {
     False: "c850e813cab4a81536049aa98d9db7f8ba7d314a2df35c0ef073eef9d5f00051",
-    True: "e754b91526caf9e9390faa7cc1338a31029dcd2862e6fcdd3d1c70c20652a801",
+    True: "9e4b2ccad1feb63313e9836e0d62ce6b5fd3923f8fc65dd615bd9e0cabfb306d",
 }
 
 
