@@ -274,8 +274,9 @@ def _centralizer_orbit_minima(oracle, rid, *, limits=DEFAULT_LIMITS):
         if c not in sets[h]:
             gens.append(c)
             h = join_row(h)[c]
-    # x^c = c^-1 * x * c has images c[x[c^-1]]
-    maps = [G.ids_of(table[c][table[:, np.argsort(table[c])]])
+    # x^c = c^-1 * x * c has images c[x[c^-1]]; ids_of needs the first k
+    k = G.prefix_width()
+    maps = [G.ids_of(table[c][table[:, np.argsort(table[c])[:k]]])
             for c in gens]
     return orbit_minima(maps, len(table))
 

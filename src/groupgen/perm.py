@@ -259,13 +259,6 @@ def _sort_key(perm):
     return (perm.order(), perm.images)
 
 
-def _row_keys(rows):
-    """One void scalar per row of an image array, ordered like the rows'
-    image tuples: its bytes are the images, most significant byte first."""
-    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
-    return rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-
-
 class _Stabilizer:
     """One level of a stabilizer chain (deterministic Schreier-Sims).
 
@@ -412,8 +405,9 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "gens", "label", "_chain", "_order", "_table",
-                 "_elements", "_classes", "_minimal_normal", "_fingerprint",
-                 "_lattice_cache", "_lattice_failed_cap", "_soluble")
+                 "_elements", "_search_order", "_classes", "_minimal_normal",
+                 "_fingerprint", "_lattice_cache", "_lattice_failed_cap",
+                 "_soluble")
 
     def __init__(self, degree, gens=(), label=None, _chain=None):
         if not 1 <= degree <= MAX_DEGREE:
@@ -429,6 +423,7 @@ class PermGroup:
         self._order = None
         self._table = None
         self._elements = None
+        self._search_order = None
         self._classes = None
         self._minimal_normal = None
         self._fingerprint = None
@@ -458,6 +453,18 @@ class PermGroup:
     def identity(self):
         return Perm.identity(self.degree)
 
+    def prefix_width(self):
+        """The number k of leading images that determine an element: 1 +
+        the largest base point of the stabilizer chain, 0 for the trivial
+        group.  Points 0..k-1 hold a base, and an element is fixed by its
+        base images."""
+        k = 0
+        lvl = self.chain
+        while lvl.base is not None:
+            k = max(k, lvl.base + 1)
+            lvl = lvl.down
+        return k
+
     def element_table(self, cap=ELEMENT_CAP, *, limits=DEFAULT_LIMITS):
         """All elements as one (order, degree) array of images, uint8 up to
         degree 256 and uint16 above, its rows sorted by image tuple; an
@@ -466,8 +473,9 @@ class PermGroup:
         Built from the stabilizer chain's transversals one level at a
         time, bottom up: the elements of a level are rest * u for rest
         below it and u in its transversal, whose images are u[rest].  The
-        time budget of ``limits`` is checked before each level and before
-        the sort."""
+        rows differ within their first ``prefix_width()`` images, so
+        sorting by those columns sorts by image tuple.  The time budget of
+        ``limits`` is checked before each level and before the sort."""
         if self._table is None:
             n = self.order()
             if cap is not None and n > cap:
@@ -485,14 +493,33 @@ class PermGroup:
                              dtype=dtype)
                 table = u[:, table].reshape(-1, self.degree)
             limits.check()
-            self._table = table[np.lexsort(table.T[::-1])]
+            k = self.prefix_width()
+            if k:  # the trivial group's one row needs no sort
+                table = table[np.lexsort(table.T[k - 1::-1])]
+            self._table = table
         return self._table
+
+    def _keys(self, rows):
+        """The search keys of image rows: the first ``prefix_width()``
+        images of each row read as a number in base ``degree``.  They are
+        int64 while degree ** k < 2 ** 63, and Python ints in an object
+        array above; either way they are exact, and ordered on the group's
+        elements like their image tuples."""
+        k, degree = self.prefix_width(), self.degree
+        dtype = np.int64 if degree ** k < 2 ** 63 else object
+        keys = np.zeros(len(rows), dtype=dtype)
+        for col in rows[:, :k].T:
+            keys *= degree
+            keys += col
+        return keys
 
     def ids_of(self, rows):
         """The ids of the elements whose images are the rows of ``rows``,
-        each of which must be an element of the group."""
-        return np.searchsorted(_row_keys(self.element_table(None)),
-                               _row_keys(rows))
+        each of which must be an element of the group.  Only the first
+        ``prefix_width()`` columns are read, so rows cut down to those
+        columns, or to any more, give the same ids."""
+        return np.searchsorted(self._keys(self.element_table(None)),
+                               self._keys(rows))
 
     def elements(self, cap=ELEMENT_CAP, *, limits=DEFAULT_LIMITS):
         """All elements as Perms, in the order of ``element_table``: sorted
@@ -505,25 +532,32 @@ class PermGroup:
         return self._elements
 
     def sorted_by_search_order(self, *, limits=DEFAULT_LIMITS):
-        """Elements under the search total order (element order, then images).
+        """Elements under the search total order (element order, then
+        images), as a tuple memoized on the group.
 
         The time budget of ``limits`` is checked during the element sweep
         and before the sort."""
-        elems = self.elements(limits=limits)
-        limits.check()
-        return sorted(elems, key=_sort_key)
+        if self._search_order is None:
+            elems = self.elements(limits=limits)
+            limits.check()
+            self._search_order = tuple(sorted(elems, key=_sort_key))
+        return self._search_order
 
     def conjugation_ids(self, *, limits=DEFAULT_LIMITS):
         """One id map per generator g: entry x is the id of x^g = g^-1 * x
-        * g, whose images are g[x[g^-1[p]]].  The time budget of ``limits``
-        is checked while the table is built and before each map."""
+        * g, whose images are g[x[g^-1[p]]], built for the first
+        ``prefix_width()`` points p only.  The time budget of ``limits`` is
+        checked while the table is built and before each map."""
         table = self.element_table(limits=limits)
+        k = self.prefix_width()
+        keys = self._keys(table)
         maps = []
         for g in self.gens:
             limits.check()
             gim = np.array(g.images, dtype=table.dtype)
-            ginv = np.array(g.inverse().images)
-            maps.append(self.ids_of(gim[table[:, ginv]]))
+            ginv = np.array(g.inverse().images[:k], dtype=np.intp)
+            maps.append(np.searchsorted(keys,
+                                        self._keys(gim[table[:, ginv]])))
         return maps
 
     def conjugacy_classes(self, *, limits=DEFAULT_LIMITS):

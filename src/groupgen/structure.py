@@ -212,7 +212,8 @@ def close_ids(G, start, gens, rows):
     half = len(table) // 2
     for g in gens:
         if g not in rows:
-            rows[g] = G.ids_of(table[g][table]).tolist()
+            # ids_of reads only the images of the first prefix_width points
+            rows[g] = G.ids_of(table[g][table[:, :G.prefix_width()]]).tolist()
     grow = [rows[g] for g in gens]
     closed = set(start)
     work = list(closed)

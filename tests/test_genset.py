@@ -394,6 +394,24 @@ def test_m_orbit_step_stops_on_a_spent_budget(monkeypatch):
     assert built == []
 
 
+def test_search_order_is_sorted_once_per_group(monkeypatch):
+    # m and then the spectrum both walk G's elements in search order,
+    # which is memoized on G: one sort keys each element once
+    G = builder.build("A5")
+    G.conjugacy_classes()
+    keyed = []
+
+    def counting(e):
+        keyed.append(e)
+        return (e.order(), e.images)
+
+    monkeypatch.setattr(perm, "_sort_key", counting)
+    an = Analysis(G)
+    assert genset.m(an) == 3
+    assert sorted(genset.spectrum(an)) == [2, 3]
+    assert len(keyed) == G.order()
+
+
 def test_m_order_cap():
     big = _elementary(2, 12)
     with pytest.raises(CapExceeded):

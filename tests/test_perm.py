@@ -4,6 +4,7 @@ Orders and memberships are checked against a brute-force closure oracle
 that never touches the chain code.
 """
 
+import hashlib
 import pathlib
 import random
 
@@ -229,7 +230,7 @@ def test_element_table_contract():
 
 def test_element_table_above_degree_256():
     # two-byte images: the sort and the id lookup must still follow the
-    # image tuples, which differ from the little-endian byte order
+    # image tuples; C300's one-image prefix runs past one byte
     C = _cyclic(300)
     table = C.element_table()
     assert table.dtype == np.uint16
@@ -248,6 +249,38 @@ def test_element_table_above_degree_256():
                for ginv, g in conjugators}
         assert len(cls) == size
         assert min(cls, key=lambda x: (_order_of(x), x)) == rep.images
+
+
+def test_ids_of_beyond_int64_keys():
+    # C2^11 swapping the pairs (2i, 2i+1) of 22 points has base 0, 2, ...,
+    # 20, so its keys read 21 images in base 22, past an int64
+    G = PermGroup(22, [Perm.from_cycles(22, [(2 * i, 2 * i + 1)])
+                       for i in range(11)])
+    assert G.prefix_width() == 21 and 22 ** 21 > 2 ** 63
+    table = G.element_table()
+    assert G.ids_of(table).tolist() == list(range(2048))
+    assert G.ids_of(table[::-1]).tolist() == list(range(2047, -1, -1))
+    classes = G.conjugacy_classes()
+    assert len(classes) == 2048 and {size for _, size in classes} == {1}
+    # the trivial group's prefix is empty: every key is 0
+    C1 = builder.build("C1")
+    assert C1.prefix_width() == 0
+    assert C1.ids_of(C1.element_table()).tolist() == [0]
+    assert C1.conjugacy_classes() == ((C1.identity(), 1),)
+
+
+def test_ids_of_reads_only_the_prefix():
+    # every row of the small tables; every 97th of WREATH(1)'s 112896,
+    # backwards so that the ids are not ascending
+    for text in ("S4", "PGL2(7)", "CROWN(S3, 3)", "C300", "WREATH(1)"):
+        G = builder.build(text)
+        table = G.element_table()
+        step = 1 if len(table) <= 5000 else 97
+        rows = table[::-step]
+        ids = G.ids_of(rows).tolist()
+        assert ids == list(range(len(table)))[::-step], text
+        for w in range(G.prefix_width(), G.degree + 1):
+            assert G.ids_of(rows[:, :w]).tolist() == ids, (text, w)
 
 
 def test_spent_budget_leaves_no_memo():
@@ -520,6 +553,20 @@ def test_conjugacy_classes_pinned():
     for name, expected in CLASSES.items():
         classes = builder.build(name).conjugacy_classes()
         assert [(rep.images, size) for rep, size in classes] == expected
+
+
+def test_wreath_conjugacy_classes_pinned():
+    # WREATH(1) has order 112896 and 33 classes: pinned by count, sorted
+    # sizes and a sha256 prefix of the (representative images, size) list
+    classes = builder.build("WREATH(1)").conjugacy_classes()
+    pairs = [(rep.images, size) for rep, size in classes]
+    assert len(pairs) == 33
+    assert sorted(size for _, size in pairs) == [
+        1, 42, 84, 96, 112, 441, 784, 1764, 1764, 1764, 1764, 2016, 2304,
+        2352, 2352, 2352, 3136, 3136, 3136, 3528, 4032, 4704, 4704, 4704,
+        4704, 4704, 5376, 7056, 7056, 7056, 7056, 9408, 9408]
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest[:16] == "48cb76dd120634ab"
 
 
 def test_conjugacy_classes_against_sympy():
