@@ -16,8 +16,11 @@ the subgroup L_k of L^k of tuples congruent modulo the socle, and
 `crown_generation_check` evaluates the counting criterion for d(L_k) in
 the simple-socle case, with `eulerian` and `aut_order` supplying the two
 sides of the threshold.  `aut_order` searches the images of a generating
-sequence; the first image runs over conjugacy class representatives only,
-and each representative's count is weighted by its class size.
+sequence on element ids: a partial assignment survives while a walk over
+the Cayley graph of the subgroup its generators span extends it to a
+homomorphism, with no stabilizer chain built.  The first image runs over
+conjugacy class representatives only, and each representative's count is
+weighted by its class size.
 """
 
 import random
@@ -27,10 +30,12 @@ import numpy as np
 
 from . import gfp
 from .perm import (DEFAULT_LIMITS, MAX_DEGREE, CapExceeded, GroupError,
-                   Homomorphism, Perm, PermGroup, build_chain,
-                   group_from_elements, quotient)
-from .structure import (chief_series, cocycle_system, factor_centralizer,
-                        is_simple, minimal_normal_subgroups, subgroup_lattice)
+                   Homomorphism, Perm, PermGroup, group_from_elements,
+                   quotient)
+from .structure import (chief_series, close_ids, cocycle_system,
+                        factor_centralizer, is_simple,
+                        minimal_normal_subgroups, right_rows,
+                        subgroup_lattice)
 
 AUT_CAP = 500
 COHOMOLOGY_CAP = 500
@@ -219,11 +224,16 @@ def eulerian(X, m, *, limits=DEFAULT_LIMITS):
 def aut_order(S, *, limits=DEFAULT_LIMITS):
     """|Aut(S)| by exhaustive search over images of a generating sequence.
 
-    The generating sequence is chosen greedily in search order.  Candidate
-    images must match the generator orders; a partial assignment survives
-    while its graph is a group of the same order as the subgroup generated
-    so far (that is, while the partial map extends to a homomorphism), and
-    a complete assignment counts when its images generate all of S.
+    Everything runs on element ids, through the right multiplication rows
+    ``rows[g][x] = id(x * g)`` of ``structure.right_rows``.  The generating
+    sequence w_1, w_2, ... is chosen greedily in search order, an element
+    joining it when ``structure.close_ids`` finds it outside the subgroup
+    generated so far.  Candidate images must match the generator orders.
+    A partial assignment w_j -> y_j for j <= i survives when it extends to
+    a homomorphism f of H = <w_1, ..., w_i>: a breadth-first walk from
+    f(1) = 1 that sets f(x * w_j) = f(x) * y_j over every edge of H's
+    Cayley graph never gives one id two values.  A complete assignment
+    counts when that f is injective, so an automorphism.
 
     The first image runs over conjugacy class representatives only, each
     count weighted by its class size: conjugation by g maps the complete
@@ -240,46 +250,65 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
     if n == 1:
         return 1
     elems = S.sorted_by_search_order(limits=limits)
-    word = []
-    prefix_orders = []
-    current = PermGroup(S.degree, ())
+    ids = {e: i for i, e in enumerate(S.elements(limits=limits))}
+    rows = {}
+    word, gens = [], []
+    # the identity's images sort first, so its id is 0
+    span = frozenset([0])
     for e in elems:
-        if e.is_identity() or e in current:
-            continue
-        word.append(e)
-        current = PermGroup(S.degree, tuple(word))
-        prefix_orders.append(current.order())
-        if prefix_orders[-1] == n:
-            break
+        if ids[e] not in span:
+            word.append(e)
+            gens.append(ids[e])
+            span = close_ids(S, span, gens, rows)
+            if span is None:
+                break
     # candidates for the images of word[1:]; word[0]'s come from the classes
-    pools = [[x for x in elems if not x.is_identity()
-              and x.order() == w.order()] for w in word[1:]]
-    deg = S.degree
+    pools = [[ids[x] for x in elems if x.order() == w.order()]
+             for w in word[1:]]
+    first_order = word[0].order()
+    firsts = [(ids[rep], size)
+              for rep, size in S.conjugacy_classes(limits=limits)
+              if rep.order() == first_order]
+    right_rows(S, {*gens, *(y for y, _ in firsts),
+                   *(y for pool in pools for y in pool)}, rows)
 
-    def extends(imgs):
-        pairs = [Perm(w.images + tuple(deg + c for c in im.images))
-                 for w, im in zip(word, imgs)]
-        return build_chain(2 * deg, pairs).order() == prefix_orders[len(imgs) - 1]
+    def extend(imgs):
+        """The homomorphism of <gens[:len(imgs)]> sending each gens[j] to
+        imgs[j], as a list over ids (None off that subgroup), or None when
+        the assignment extends to none."""
+        edges = [(rows[w], rows[y]) for w, y in zip(gens, imgs)]
+        f = [None] * n
+        f[0] = 0
+        walk = [0]
+        for x in walk:
+            fx = f[x]
+            for w_row, y_row in edges:
+                x_w, fx_y = w_row[x], y_row[fx]
+                if f[x_w] is None:
+                    f[x_w] = fx_y
+                    walk.append(x_w)
+                elif f[x_w] != fx_y:
+                    return None
+        return f
 
-    def search(imgs):
-        """The number of complete assignments extending imgs."""
+    def search(imgs, f):
+        """The number of complete assignments extending imgs, whose
+        homomorphism is f."""
         i = len(imgs)
-        if i == len(word):
-            return int(PermGroup(deg, imgs).order() == n)
+        if i == len(gens):
+            return int(len(set(f)) == n)
         found = 0
-        for x in pools[i - 1]:
+        for y in pools[i - 1]:
             limits.check()
-            nxt = imgs + (x,)
-            if extends(nxt):
-                found += search(nxt)
+            nxt = imgs + (y,)
+            g = extend(nxt)
+            if g is not None:
+                found += search(nxt, g)
         return found
 
-    # an image of word[0] of the same order always extends: the graph of
-    # the map is cyclic of that order
-    first_order = word[0].order()
-    return sum(size * search((rep,))
-               for rep, size in S.conjugacy_classes(limits=limits)
-               if rep.order() == first_order)
+    # an image of word[0] of the same order always extends, so the first
+    # walk never returns None
+    return sum(size * search((y,), extend((y,))) for y, size in firsts)
 
 
 def crown_generation_check(L, A, m, k, *, limits=DEFAULT_LIMITS):

@@ -25,8 +25,9 @@ G.elements()), so a subgroup's sorted ids sort like its sorted image
 tuples.  The zuppos are read off the table too: the powers of the
 elements of prime power order, by composing rows.  A join is
 ``close_ids``, a breadth-first walk over ids through one right
-multiplication row per generator; genset.GenOracle closes its joins with
-it too when G's lattice is over the cap.
+multiplication row per generator (``right_rows``); genset.GenOracle closes
+its joins with it too when G's lattice is over the cap, and
+crowns.aut_order walks its homomorphisms along the same rows.
 
 Joins are computed only for one representative H per conjugacy class of
 subgroups, and only with one zuppo per orbit of N_G(H).  A new subgroup
@@ -201,20 +202,30 @@ def _zuppos(G, table, elems, *, limits):
     return zuppo_list, zuppo_of
 
 
+def right_rows(G, gens, rows):
+    """The right multiplication rows of the elements with ids ``gens``, in
+    that order: ``rows[g][x]`` is the id of x * g, read off
+    ``G.element_table()`` into the caller's dict on first use, the rows
+    missing from it in one lookup."""
+    new = [g for g in gens if g not in rows]
+    if new:
+        table = G.element_table(None)
+        # ids_of reads only the images of the first prefix_width points
+        n, k = len(table), G.prefix_width()
+        ids = G.ids_of(table[new][:, table[:, :k]].reshape(len(new) * n, k))
+        rows.update(zip(new, ids.reshape(len(new), n).tolist()))
+    return [rows[g] for g in gens]
+
+
 def close_ids(G, start, gens, rows):
     """The subgroup of G generated by the elements with ids ``gens``, as a
     frozenset of ids, or None when it is the whole group: the closure of
     ``start``, which holds the identity and lies in that subgroup, under
-    right multiplication by ``gens``.  ``rows[g][x]`` is the id of x * g,
-    read off ``G.element_table()`` into the caller's dict on first use.  A
-    walk that passes half the group has found the whole group and stops."""
-    table = G.element_table(None)
-    half = len(table) // 2
-    for g in gens:
-        if g not in rows:
-            # ids_of reads only the images of the first prefix_width points
-            rows[g] = G.ids_of(table[g][table[:, :G.prefix_width()]]).tolist()
-    grow = [rows[g] for g in gens]
+    right multiplication by ``gens``, through the ``right_rows`` kept in
+    the caller's dict ``rows``.  A walk that passes half the group has
+    found the whole group and stops."""
+    half = G.order() // 2
+    grow = right_rows(G, gens, rows)
     closed = set(start)
     work = list(closed)
     wi = 0

@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from groupgen import builder, crowns, genset, gfp, report, structure
+from groupgen import builder, crowns, genset, gfp, perm, report, structure
 from groupgen.perm import (CapExceeded, GroupError, Limits, Perm, PermGroup,
                            TimeBudgetExceeded, quotient)
 
@@ -222,10 +222,15 @@ def test_eulerian_pinned_values():
 
 def test_aut_order_matches_table_oracle():
     # the first image of Dih5 runs over one class of five reflections, and
-    # that of C3 x C3 over eight one-element classes of order 3
+    # that of C3 x C3 over eight one-element classes of order 3.  C2^3 and
+    # C2 x C4 take three-element words: every map of C2^3's extends, so
+    # only the injectivity test rejects there, while C2 x C4's walk rejects
+    # the maps of its third element, whose square lies in the span of the
+    # first two, that break that relation
     for G in [_cyclic(2), _cyclic(3), _cyclic(6), _klein(), _sym(3),
               _dihedral4(), _alt(4), _sym(4), builder.build("Dih5"),
-              builder.build("D(C3, C3)")]:
+              builder.build("D(C3, C3)"), _elementary(2, 3),
+              builder.build("D(C2, C4)")]:
         assert crowns.aut_order(G) == _brute_aut_count(G), G
 
 
@@ -238,11 +243,33 @@ def test_aut_order_pinned_values():
     assert crowns.aut_order(_sym(4)) == 24
     assert crowns.aut_order(builder.build("D(C3, C3)")) == 48  # GL(2, 3)
     assert crowns.aut_order(builder.build("PSL2(7)")) == 336   # PGL(2, 7)
+    assert crowns.aut_order(builder.build("PGL2(7)")) == 336   # complete
+    assert crowns.aut_order(builder.build("A6")) == 1440       # PGammaL(2, 9)
+    assert crowns.aut_order(builder.build("D(S3, S3)")) == 72  # S3 wr C2
 
 
-@pytest.mark.slow
 def test_aut_order_of_s5():
     assert crowns.aut_order(_sym(5)) == 120
+
+
+def test_aut_order_builds_no_chain(monkeypatch):
+    # the generating word, the extension test and the generation test all
+    # walk element-id rows: with A5's chain, table, search order and
+    # classes in place, counting |Aut(A5)| builds no stabilizer chain
+    built = []
+
+    def counting(degree, gens, _real=perm.build_chain):
+        built.append(degree)
+        return _real(degree, gens)
+
+    A5 = _alt(5)
+    A5.element_table()
+    A5.sorted_by_search_order()
+    A5.conjugacy_classes()
+    monkeypatch.setattr(perm, "build_chain", counting)
+    assert crowns.aut_order(A5) == 120
+    assert built == []
+    assert "build_chain" not in vars(crowns)
 
 
 def test_aut_order_checks_the_budget():
