@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import builder
 from . import crowns
 from . import genset
@@ -185,17 +187,26 @@ def cmd_crown(args):
     return EXIT_OK
 
 
+def _json_int(x):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def cmd_h1(args):
     G = _build(args, args.expr)
     try:
         with open(args.modulefile, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        prime = data["prime"]
-        matrices = data["matrices"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"{args.modulefile}: expected JSON with \"prime\" and "
-              f"\"matrices\" (one square matrix per generator): {exc}",
-              file=sys.stderr)
+        prime = _json_int(data["prime"])
+        # a ragged matrix raises ValueError, an entry beyond int64
+        # OverflowError
+        matrices = [np.array([[_json_int(c) for c in row] for row in m],
+                             dtype=np.int64) for m in data["matrices"]]
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        print(f"{args.modulefile}: expected JSON with an integer \"prime\" "
+              f"and \"matrices\" (one square integer matrix per "
+              f"generator): {exc}", file=sys.stderr)
         return EXIT_PARSE
     M = crowns.GfpModule(G, prime, matrices)
     print(crowns.h1_dimension(G, M, limits=_limits(args)))

@@ -8,7 +8,9 @@ cosets of C), the multiplicity delta of the module among the non-Frattini
 chief factors, and the resulting bound
 h = floor((s - 1) / r) + 2 (or h = delta when the action is trivial).
 For a soluble group, d(G) is exactly the maximum of h over its chief
-factor classes, which this module exposes as `soluble_d`.
+factor classes, which this module exposes as `soluble_d`.  A `GfpModule`
+is checked exactly when it is made, by one walk over the Cayley graph of
+G on element ids, and the same walk gives C.
 
 The non-abelian side goes through crown-based powers: `monolithic_of`
 builds the primitive group L attached to a chief factor, `crown_power`
@@ -30,8 +32,7 @@ import numpy as np
 
 from . import gfp
 from .perm import (DEFAULT_LIMITS, MAX_DEGREE, CapExceeded, GroupError,
-                   Homomorphism, Perm, PermGroup, group_from_elements,
-                   quotient)
+                   Perm, PermGroup, group_from_elements, is_prime, quotient)
 from .structure import (chief_series, close_ids, cocycle_system,
                         factor_centralizer, is_simple,
                         minimal_normal_subgroups, right_rows,
@@ -47,9 +48,18 @@ class GfpModule:
     Row vectors transform on the right, and products compose left to right:
     rho(g * h) = rho(g) @ rho(h).  This matches the convention of the chief
     factor modules, so those convert directly via `module_of_factor`.
+
+    Making one checks exactly that the matrices define an action, by one
+    breadth-first walk over the group's Cayley graph on element ids that
+    sets rho(x * g_i) = rho(x) @ M_i and raises GroupError on an edge that
+    disagrees; the ids acting as the identity give `centralizer_kernel`.
+    Above ``perm.ELEMENT_CAP`` elements it raises CapExceeded.
     """
 
-    def __init__(self, group, prime, matrices, centralizer_kernel=None):
+    def __init__(self, group, prime, matrices):
+        if isinstance(prime, bool) or not isinstance(prime, int) \
+                or not is_prime(prime):
+            raise GroupError(f"the modulus must be a prime, got {prime!r}")
         mats = tuple(np.array(m, dtype=np.int64) % prime for m in matrices)
         if len(mats) != len(group.gens):
             raise GroupError("need one matrix per group generator")
@@ -65,28 +75,31 @@ class GfpModule:
         self.prime = prime
         self.dim = n
         self.matrices = mats
-        self._centralizer = centralizer_kernel
-        self._spot_check_relations()
-
-    def _spot_check_relations(self, trials=24, seed=0):
-        """Random products that collide in the group must agree as matrices."""
-        rng = random.Random(seed)
-        p = self.prime
-        seen = {self.group.identity(): gfp.identity(self.dim)}
-        for _ in range(trials):
-            word = [rng.randrange(len(self.matrices))
-                    for _ in range(rng.randrange(1, 9))]
-            perm = self.group.identity()
-            mat = gfp.identity(self.dim)
-            for i in word:
-                perm = perm * self.group.gens[i]
-                mat = (mat @ self.matrices[i]) % p
-            if perm in seen:
-                if not np.array_equal(seen[perm], mat):
+        table = group.element_table()
+        ids = group.ids_of(np.array([g.images for g in group.gens]))
+        steps = np.array(right_rows(group, ids.tolist(), {}))
+        rho = np.empty((len(table), n, n), dtype=np.min_scalar_type(prime - 1))
+        seen = np.zeros(len(table), dtype=bool)
+        # the identity's images sort first, so its id is 0
+        rho[0], seen[0] = gfp.identity(n), True
+        frontier = np.zeros(1, dtype=np.intp)
+        while len(frontier):
+            found = []
+            for row, mat in zip(steps, mats):
+                # right multiplication by g_i is a bijection, so ys are
+                # distinct, and the new ones among them are first reached here
+                ys = row[frontier]
+                images = rho[frontier] @ mat % prime
+                new = ~seen[ys]
+                rho[ys[new]], seen[ys[new]] = images[new], True
+                if not np.array_equal(rho[ys], images):
                     raise GroupError(
                         "matrices are inconsistent with the group's relations")
-            else:
-                seen[perm] = mat
+                found.append(ys[new])
+            frontier = np.concatenate(found)
+        self._kernel_ids = np.flatnonzero(
+            (rho == gfp.identity(n)).all(axis=(1, 2)))
+        self._centralizer = None
 
     def is_trivial_action(self):
         eye = gfp.identity(self.dim)
@@ -105,44 +118,22 @@ class GfpModule:
                 return False
         return True
 
-    def realization(self):
-        """The action on the p^dim row vectors as a verified homomorphism."""
-        points = self.prime ** self.dim
-        if points > MAX_DEGREE:
-            raise CapExceeded(
-                f"module realization degree {points} exceeds {MAX_DEGREE}")
-        vecs = [tuple(int(c) for c in v)
-                for v in gfp.all_vectors(self.dim, self.prime)]
-        index = {v: i for i, v in enumerate(vecs)}
-        arr = np.array(vecs, dtype=np.int64)
-        perms = []
-        for mat in self.matrices:
-            moved = (arr @ mat) % self.prime
-            perms.append(Perm(tuple(index[tuple(int(c) for c in row)]
-                                    for row in moved)))
-        target = PermGroup(points, tuple(perms))
-        hom = Homomorphism(self.group, target, tuple(perms))
-        if not hom.is_valid():
-            raise GroupError("matrices do not define an action of the group")
-        return hom
-
     def centralizer_kernel(self):
-        """C_G(M): the kernel of the representation."""
+        """C_G(M), the kernel of the representation: the elements the walk
+        found acting as the identity, taken in id order as
+        `structure.factor_centralizer` takes them, so the two give the same
+        generators."""
         if self._centralizer is None:
-            hom = self.realization()
-            ident = Perm.identity(hom.target.degree)
-            kept = [g for g in self.group.elements()
-                    if hom(g) == ident]
-            self._centralizer = group_from_elements(self.group.degree, kept)
+            table = self.group.element_table(None)
+            self._centralizer = group_from_elements(
+                self.group.degree, table[self._kernel_ids].tolist())
         return self._centralizer
 
 
 def module_of_factor(factor):
     """The GfpModule carried by an abelian chief factor."""
     fm = factor.module
-    C = factor_centralizer(factor.group, factor.above, factor.below,
-                           limits=factor.limits)
-    return GfpModule(factor.group, fm.prime, fm.matrices, centralizer_kernel=C)
+    return GfpModule(factor.group, fm.prime, fm.matrices)
 
 
 def monolithic_of(G, F, *, limits=DEFAULT_LIMITS):

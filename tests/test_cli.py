@@ -142,6 +142,50 @@ def test_h1_command(capsys, tmp_path):
     assert "matrices" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"prime": 3.5, "matrices": [[[1]], [[1]]]},
+    {"prime": True, "matrices": [[[1]], [[1]]]},
+    {"prime": "3", "matrices": [[[1]], [[1]]]},
+    {"prime": 5, "matrices": [[["a"]], [[1]]]},
+    {"prime": 5, "matrices": [[[2.9]], [[1]]]},
+    {"prime": 5, "matrices": [[[False]], [[1]]]},
+    {"prime": 5, "matrices": [[[1, 0], [1]], [[1, 0], [0, 1]]]},
+    {"prime": 5, "matrices": [[1], [1]]},
+    {"prime": 5, "matrices": [[[2 ** 70]], [[1]]]},
+])
+def test_h1_rejects_a_module_file_that_is_not_integer_matrices(
+        capsys, tmp_path, data):
+    mod = tmp_path / "module.json"
+    mod.write_text(json.dumps(data))
+    code, out, err = run(capsys, "h1", "S3", str(mod))
+    assert code == 2
+    assert out == ""
+    assert "integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"prime": 4, "matrices": [[[1]], [[1]]]}, "prime"),
+    # S3's 3-cycle cannot act as 2, of multiplicative order 4 mod 5
+    ({"prime": 5, "matrices": [[[2]], [[1]]]}, "inconsistent"),
+])
+def test_h1_rejects_a_module_that_is_not_an_action(capsys, tmp_path, data,
+                                                   message):
+    mod = tmp_path / "module.json"
+    mod.write_text(json.dumps(data))
+    code, out, err = run(capsys, "h1", "S3", str(mod))
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_h1_above_the_element_cap_is_a_cap_error(capsys, tmp_path):
+    mod = tmp_path / "module.json"
+    mod.write_text(json.dumps({"prime": 2, "matrices": [[[1]], [[1]]]}))
+    code, out, err = run(capsys, "h1", "S9", str(mod))
+    assert code == 3
+    assert "cap" in err
+
+
 def test_corpus_command(capsys, tmp_path):
     d = tmp_path / "corpus"
     d.mkdir()

@@ -60,8 +60,7 @@ def _elementary(p, k):
 
 def _trivial_module(G, p, dim=1):
     """The module GF(p)^dim with every generator acting as the identity."""
-    return crowns.GfpModule(G, p, [gfp.identity(dim) for _ in G.gens],
-                            centralizer_kernel=G)
+    return crowns.GfpModule(G, p, [gfp.identity(dim) for _ in G.gens])
 
 
 def _product_with_c2(G):
@@ -459,16 +458,29 @@ def test_h1_cap():
 
 
 def test_gfp_module_rejects_inconsistent_matrices():
-    # a C2 generator cannot act with multiplicative order four
-    with pytest.raises(GroupError):
-        _module(_cyclic(2), [[[2]]], 5)
+    # 2 has multiplicative order four mod 5, so it cannot act for a
+    # generator of order 2 or 31, nor for the trivial group's identity
+    for G in (_cyclic(2), _cyclic(31), PermGroup(1, (Perm.identity(1),))):
+        with pytest.raises(GroupError, match="inconsistent"):
+            _module(G, [[[2]]], 5)
 
 
-def test_gfp_module_realization_and_kernel():
+def test_gfp_module_rejects_a_modulus_that_is_not_a_prime():
+    G = _cyclic(2)
+    for bad in (4, 1, 0, -3, 3.5, 3.0, "3", True, None):
+        with pytest.raises(GroupError, match="prime"):
+            crowns.GfpModule(G, bad, [[[1]]])
+
+
+def test_gfp_module_refuses_a_group_above_the_element_cap():
+    S9 = _sym(9)
+    assert S9.order() > perm.ELEMENT_CAP
+    with pytest.raises(CapExceeded):
+        _module(S9, [[[1]], [[1]]], 2)
+
+
+def test_gfp_module_kernel():
     G, M = _s3_natural()
-    hom = M.realization()
-    assert hom.is_valid()
-    assert hom.image_group().order() == 2
     K = M.centralizer_kernel()
     assert K.order() == 3  # the rotations act trivially
     triv = _module(G, [[[1]], [[1]]], 5)
@@ -543,9 +555,9 @@ def test_t_matches_h1_of_the_quotient_by_the_kernel():
             for f, inv in crowns.factor_invariants(G):
                 M = crowns.module_of_factor(f)
                 Q = quotient(G, M.centralizer_kernel())
-                MQ = crowns.GfpModule(Q, M.prime, M.matrices,
-                                      centralizer_kernel=PermGroup(Q.degree,
-                                                                   ()))
+                MQ = crowns.GfpModule(Q, M.prime, M.matrices)
+                # M is a faithful module of G/C_G(M)
+                assert MQ.centralizer_kernel().order() == 1, (text, f)
                 assert inv.t * inv.end_dim == crowns.h1_dimension(Q, MQ), \
                     (text, f)
                 checked += 1
@@ -562,6 +574,24 @@ def test_soluble_d_matches_search():
     assert crowns.soluble_d(PermGroup(2, ())) == 0
     with pytest.raises(GroupError):
         crowns.soluble_d(_alt(5))
+
+
+def test_walk_kernel_matches_factor_centralizer():
+    # the Perm-level sweep over G's elements is the oracle for the kernel
+    # the module's walk reads off the element ids
+    checked = 0
+    for path in report.corpus_files(str(CORPUS_DIR), slow=False):
+        for text in report.read_expressions(path):
+            G = builder.build(text)
+            for f in structure.chief_series(G):
+                if not f.is_abelian:
+                    continue
+                K = crowns.module_of_factor(f).centralizer_kernel()
+                C = structure.factor_centralizer(G, f.above, f.below)
+                assert K.gens == C.gens, (text, f)
+                assert K.order() == C.order(), (text, f)
+                checked += 1
+    assert checked >= 80
 
 
 def test_module_of_factor_round_trip():
