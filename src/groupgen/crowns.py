@@ -53,19 +53,24 @@ class GfpModule:
     breadth-first walk over the group's Cayley graph on element ids that
     sets rho(x * g_i) = rho(x) @ M_i and raises GroupError on an edge that
     disagrees; the ids acting as the identity give `centralizer_kernel`.
-    Above ``perm.ELEMENT_CAP`` elements it raises CapExceeded.
+    Above ``perm.ELEMENT_CAP`` elements it raises CapExceeded; a prime with
+    dim * (p - 1)^2 >= 2^63 is refused, as its int64 products would overflow.
     """
 
     def __init__(self, group, prime, matrices):
-        if isinstance(prime, bool) or not isinstance(prime, int) \
-                or not is_prime(prime):
+        if isinstance(prime, bool) or not isinstance(prime, int):
+            raise GroupError(f"the modulus must be a prime, got {prime!r}")
+        if len(matrices) != len(group.gens):
+            raise GroupError("need one matrix per group generator")
+        if not matrices:
+            raise GroupError("the group must come with at least one generator")
+        n = len(matrices[0])
+        if prime > 1 and n * (prime - 1) ** 2 >= 2 ** 63:
+            raise GroupError(f"GF({prime}) is too large for dimension {n}:"
+                             " int64 arithmetic needs dim * (p - 1)^2 < 2^63")
+        if not is_prime(prime):
             raise GroupError(f"the modulus must be a prime, got {prime!r}")
         mats = tuple(np.array(m, dtype=np.int64) % prime for m in matrices)
-        if len(mats) != len(group.gens):
-            raise GroupError("need one matrix per group generator")
-        if not mats:
-            raise GroupError("the group must come with at least one generator")
-        n = mats[0].shape[0]
         for m in mats:
             if m.shape != (n, n):
                 raise GroupError("matrices must be square and all of one size")

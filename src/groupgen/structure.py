@@ -511,9 +511,9 @@ class FactorModule:
     """An abelian chief factor X/Y as a GF(p) module for G.
 
     The basis is the generators of X whose cosets of Y the earlier ones do
-    not span, taken in order; coordinates come from the tree edges of
-    ``perm.coset_walk(Y, basis)``.  Row vectors transform as v -> v @
-    rho(g), with rho(g)[j] the coordinates of the conjugate (b_j)^g.
+    not span, taken in order; each new b_j extends every known coset r by
+    r * b_j^k, with r's coordinates plus k in place j.  Row vectors
+    transform as v -> v @ rho(g), with rho(g)[j] the coordinates of (b_j)^g.
     """
 
     def __init__(self, group, above, below):
@@ -526,23 +526,22 @@ class FactorModule:
             raise GroupError("factor is not of prime power order")
         (self.prime, self.dim), = fact.items()
         p, n = self.prime, self.dim
-        self._key = below.coset_key
-        basis = []
-        _, index, rows = coset_walk(below, basis)
+        self._key = key = below.coset_key
+        basis, cosets = [], [(below.identity(), np.zeros(n, dtype=np.int64))]
+        self._coords = {key(cosets[0][0]): cosets[0][1]}
         for x in above.gens:
-            if self._key(x) not in index:
-                basis.append(x)
-                _, index, rows = coset_walk(below, basis)
-        if len(index) != order or len(basis) != n:
-            raise GroupError("factor module construction failed")
-        coords = [np.zeros(n, dtype=np.int64)]
-        for k, v in enumerate(coords):  # grows while it is read
-            for j, row in enumerate(rows):
-                if row[k] == len(coords):
+            if len(basis) == n or key(x) in self._coords:
+                continue
+            for y, v in cosets[:]:
+                for k in range(1, p):
+                    y = y * x
                     w = v.copy()
-                    w[j] = (w[j] + 1) % p
-                    coords.append(w)
-        self._coords = {key: coords[k] for key, k in index.items()}
+                    w[len(basis)] = k
+                    cosets.append((y, w))
+                    self._coords[key(y)] = w
+            basis.append(x)
+        if len(self._coords) != order:
+            raise GroupError("factor module construction failed")
         self.basis = tuple(basis)
         self.matrices = tuple(self._action_matrix(g) for g in group.gens)
 

@@ -25,9 +25,13 @@ group admitting several decompositions gets a deterministic answer.  Case
 2 matches a homogeneous component of the socle rather than the full socle
 and does not insist that the complement acts faithfully: the motivating
 example (C3^t : C2) x C2 has a central factor in every complement, yet is
-the intended witness for case 2 with an abelian complement.  An elementary
-abelian normal W has a complement exactly when the splitting system of the
-Frattini flags is solvable; the complement's properties are read off G/W.
+the intended witness for case 2 with an abelian complement.  Cases 1 and 2
+run once Frat(G) = 1, and an abelian normal W meeting Frat(G) trivially has
+a complement (Gaschuetz, 1952): W splits, and a(G/W) = a(G) - t gives
+m(G/W) = 2 for each case-2 candidate, so neither is computed.  Case 3's
+quotient may have Frat != 1, so there W's splitting system is solved
+(structure.FactorModule.has_complement).  A complement's properties are
+read off G/W.
 """
 
 from dataclasses import dataclass, field
@@ -72,15 +76,6 @@ def _trivial(G):
     return PermGroup(G.degree, ())
 
 
-def _has_complement(G, W, limits, factor=None):
-    """Whether the elementary abelian normal W has a complement in G, by the
-    splitting system of W as a GF(p) module (Gaschuetz); the chief factor
-    ``factor`` = W/1 lends its module when given."""
-    module = (factor.module if factor is not None
-              else structure.FactorModule(G, W, _trivial(G)))
-    return module.has_complement(limits=limits)
-
-
 def _socle_components(A):
     """Homogeneous pieces of the abelian part of the socle of A.G.
 
@@ -106,8 +101,6 @@ def _socle_components(A):
         gens = tuple(g for N in members for g in N.gens)
         W = PermGroup(G.degree, gens)
         dim_w = factorint(W.order())[factor.prime]
-        if dim_w % factor.dim:
-            continue  # pragma: no cover - homogeneous products split evenly
         out.append((W, factor, dim_w // factor.dim))
     return out
 
@@ -215,7 +208,7 @@ def verify_nonsoluble(A):
 
 def _match_case2(A):
     """G = V^t : H with m(H) = 2 and t = 1 or H abelian; d = t + 1."""
-    G, d, limits = A.G, A.d, A.limits
+    G, d = A.G, A.d
     candidates = []
     for W, factor, t in _socle_components(A):
         if t != d - 1:
@@ -223,10 +216,7 @@ def _match_case2(A):
         H = quotient(G, W)
         if not (t == 1 or H.is_abelian()):
             continue
-        if not _has_complement(G, W, limits, factor if t == 1 else None):
-            continue
-        if genset.Analysis(H, limits).m != 2:
-            continue
+        # Frat(G) = 1: W splits (Gaschuetz), and m(H) = a(G) - t = 2
         candidates.append((W, factor, t, H))
     if not candidates:
         return None
@@ -243,7 +233,7 @@ def _match_case1(A):
     """G = V : P with P a non-cyclic p-group, V of different prime
     characteristic; d = d(P), the p-rank of P/P' (Burnside's basis
     theorem), so P needs no search."""
-    G, d, limits = A.G, A.d, A.limits
+    G, d = A.G, A.d
     for V in A.minimal_normal:
         if not V.is_abelian():
             continue
@@ -257,8 +247,7 @@ def _match_case1(A):
             continue
         if genset.lower_bound_d(Q) != d:
             continue
-        if not _has_complement(G, V, limits):
-            continue
+        # Frat(G) = 1, so V has a complement (Gaschuetz)
         return {"module_order": V.order(), "module_prime": r,
                 "p_group_order": qo, "p_group_prime": p, "d_of_p_group": d}
     return None
@@ -279,7 +268,9 @@ def _match_quotient_shape(Q, d, limits):
         ho = H.order()
         if ho == 1 or not is_prime_power(ho) or not H.is_cyclic():
             continue
-        if not _has_complement(Q, W, limits, factor if t == 1 else None):
+        # Q = Q1 may have Frat(Q) != 1, so W need not split there
+        module = structure.FactorModule(Q, W, _trivial(Q))
+        if not module.has_complement(limits=limits):
             continue
         return {"t": t, "module_order": factor.order,
                 "module_prime": factor.prime, "complement_order": ho}

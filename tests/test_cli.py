@@ -167,6 +167,8 @@ def test_h1_rejects_a_module_file_that_is_not_integer_matrices(
     ({"prime": 4, "matrices": [[[1]], [[1]]]}, "prime"),
     # S3's 3-cycle cannot act as 2, of multiplicative order 4 mod 5
     ({"prime": 5, "matrices": [[[2]], [[1]]]}, "inconsistent"),
+    # S3's sign module over a prime whose products overflow int64
+    ({"prime": 4294967311, "matrices": [[[1]], [[4294967310]]]}, "2^63"),
 ])
 def test_h1_rejects_a_module_that_is_not_an_action(capsys, tmp_path, data,
                                                    message):

@@ -472,6 +472,22 @@ def test_gfp_module_rejects_a_modulus_that_is_not_a_prime():
             crowns.GfpModule(G, bad, [[[1]]])
 
 
+def test_gfp_module_refuses_a_prime_that_overflows_int64():
+    # S3's sign module: entries below p, so one product of two of them
+    # passes 2^63 from p = 4294967311 on, and the walk would see garbage
+    S3 = _sym(3)
+    p = 4294967311
+    with pytest.raises(GroupError, match=r"dim \* \(p - 1\)\^2 < 2\^63"):
+        crowns.GfpModule(S3, p, [[[1]], [[p - 1]]])
+    with pytest.raises(GroupError, match=r"2\^63"):
+        crowns.GfpModule(S3, 2 ** 61 - 1, [[[1]], [[1]]])
+    # the largest prime with (p - 1)^2 < 2^63 still works
+    p = 3037000493
+    M = crowns.GfpModule(S3, p, [[[1]], [[p - 1]]])
+    assert M.centralizer_kernel().order() == 3
+    assert crowns.h1_dimension(S3, M) == 0
+
+
 def test_gfp_module_refuses_a_group_above_the_element_cap():
     S9 = _sym(9)
     assert S9.order() > perm.ELEMENT_CAP

@@ -5,10 +5,10 @@ import pathlib
 
 import pytest
 
-from groupgen import builder, report, structure, verify
+from groupgen import builder, genset, report, structure, verify
 from groupgen.builder import build, paper_family
 from groupgen.genset import Analysis
-from groupgen.perm import DEFAULT_LIMITS, PermGroup, quotient
+from groupgen.perm import PermGroup, quotient
 from groupgen.verify import (MD_EQUAL, NONSOLUBLE_MONOLITHIC, SOLUBLE_CASES,
                              TheoremVerdict, verify_all, verify_md_equal,
                              verify_nonsoluble, verify_soluble_cases)
@@ -286,6 +286,13 @@ def _lattice_complement(G, W):
     return None
 
 
+def _splits(G, W):
+    """Whether the splitting system of W as a GF(p) module for G is
+    solvable: the one way the package asks whether W has a complement."""
+    module = structure.FactorModule(G, W, PermGroup(G.degree, ()))
+    return module.has_complement()
+
+
 @pytest.mark.parametrize("text", list(VERDICT_DIGESTS))
 def test_complement_check_matches_a_lattice_scan(text):
     # the splitting system finds a complement exactly when the lattice has
@@ -293,14 +300,11 @@ def test_complement_check_matches_a_lattice_scan(text):
     # the quotient it is isomorphic to
     G = build(text)
     A = Analysis(G)
-    pieces = [(N, None) for N in A.minimal_normal if N.is_abelian()]
-    pieces += [(W, factor) for W, factor, t in verify._socle_components(A)
-               if t == 1]
-    pieces += [(W, None) for W, _, _ in verify._socle_components(A)]
-    for W, factor in pieces:
+    pieces = [N for N in A.minimal_normal if N.is_abelian()]
+    pieces += [W for W, _, _ in verify._socle_components(A)]
+    for W in pieces:
         H = _lattice_complement(G, W)
-        split = verify._has_complement(G, W, DEFAULT_LIMITS, factor)
-        assert split == (H is not None)
+        assert _splits(G, W) == (H is not None)
         if H is not None:
             Q = quotient(G, W)
             assert ((H.order(), H.is_abelian(), H.is_cyclic())
@@ -315,4 +319,57 @@ def test_complement_check_without_a_complement():
         N, = Analysis(G).minimal_normal
         assert N.order() == 2
         assert _lattice_complement(G, N) is None
-        assert not verify._has_complement(G, N, DEFAULT_LIMITS)
+        assert not _splits(G, N)
+
+
+def test_frattini_free_socle_splits():
+    # what the soluble matchers take as given once Frat(G) = 1: an abelian
+    # normal subgroup meeting Frat(G) trivially has a complement
+    # (Gaschuetz), and then a(G/W) = a(G) - t, so m(G/W) = (d + 1) - (d - 1)
+    # = 2 for every case-2 candidate W of a gap-one group
+    candidates = 0
+    for text in VERDICT_DIGESTS:
+        G = build(text)
+        A = Analysis(G)
+        if A.frattini.order() != 1 or not G.is_soluble():
+            continue
+        components = verify._socle_components(A)
+        pieces = [N for N in A.minimal_normal if N.is_abelian()]
+        for W in pieces + [W for W, _, _ in components]:
+            assert _splits(G, W), (text, W.order())
+        if A.m - A.d != 1:
+            continue
+        for W, _, t in components:
+            H = quotient(G, W)
+            if t == A.d - 1 and (t == 1 or H.is_abelian()):
+                assert Analysis(H).m == 2, (text, W.order())
+                candidates += 1
+    assert candidates == 14  # so the loop above is not vacuous
+
+
+def test_soluble_matchers_make_no_complement_solve(monkeypatch):
+    # with Frat(G) = 1 known, cases 2 and 1 need no splitting system and no
+    # analysis of G/W: Gaschuetz settles both
+    solves, analyses = [], []
+    real_solve = structure.FactorModule.has_complement
+
+    def counting_solve(self, **kwargs):
+        solves.append(self)
+        return real_solve(self, **kwargs)
+
+    class CountingAnalysis(genset.Analysis):
+        def __init__(self, G, *args, **kwargs):
+            analyses.append(G)
+            super().__init__(G, *args, **kwargs)
+
+    for text, case in (("EX2B(1)", 2), ("EX1(2)", 1)):
+        A = Analysis(build(text))
+        # d, m and the chief series with its Frattini flags come first
+        assert A.m == A.d + 1 == A.a and A.frattini.order() == 1
+        with monkeypatch.context() as mp:
+            mp.setattr(structure.FactorModule, "has_complement",
+                       counting_solve)
+            mp.setattr(genset, "Analysis", CountingAnalysis)
+            v = verify_soluble_cases(A)
+        assert v.applicable and v.ok and v.case == case, text
+        assert (solves, analyses) == ([], []), text
