@@ -3,14 +3,17 @@
 The abelian side of minimal generation is driven by a handful of numbers
 attached to an irreducible GF(p) module M of a group G: the dimension r
 over the endomorphism field, the first-cohomology dimensions s (of G) and
-t (of G modulo the kernel C of the action, read in G off the walk over the
-cosets of C), the multiplicity delta of the module among the non-Frattini
-chief factors, and the resulting bound
+t (of G modulo the kernel C of the action), the multiplicity delta of the
+module among the non-Frattini chief factors, and the resulting bound
 h = floor((s - 1) / r) + 2 (or h = delta when the action is trivial).
 For a soluble group, d(G) is exactly the maximum of h over its chief
 factor classes, which this module exposes as `soluble_d`.  A `GfpModule`
 is checked exactly when it is made, by one walk over the Cayley graph of
-G on element ids, and the same walk gives C.
+G on element ids, and the same walk gives C.  s and t come from one more
+walk of that kind that also carries the derivation coefficients: s from
+its edge equations, and t from those plus delta = 0 on the ids of C, read
+in G, since the derivations of G/C are the derivations of G vanishing
+on C.
 
 The non-abelian side goes through crown-based powers: `monolithic_of`
 builds the primitive group L attached to a chief factor, `crown_power`
@@ -33,7 +36,7 @@ import numpy as np
 from . import gfp
 from .perm import (DEFAULT_LIMITS, MAX_DEGREE, CapExceeded, GroupError,
                    Perm, PermGroup, group_from_elements, is_prime, quotient)
-from .structure import (chief_series, close_ids, cocycle_system,
+from .structure import (chief_series, close_ids,
                         factor_centralizer, is_simple,
                         minimal_normal_subgroups, right_rows,
                         subgroup_lattice)
@@ -50,9 +53,10 @@ class GfpModule:
     factor modules, so those convert directly via `module_of_factor`.
 
     Making one checks exactly that the matrices define an action, by one
-    breadth-first walk over the group's Cayley graph on element ids that
-    sets rho(x * g_i) = rho(x) @ M_i and raises GroupError on an edge that
-    disagrees; the ids acting as the identity give `centralizer_kernel`.
+    breadth-first walk (`_walk`) over the group's Cayley graph on element
+    ids that sets rho(x * g_i) = rho(x) @ M_i and raises GroupError on an
+    edge that disagrees; the ids acting as the identity give
+    `centralizer_kernel`, and H^1 walks the same id rows again.
     Above ``perm.ELEMENT_CAP`` elements it raises CapExceeded; a prime with
     dim * (p - 1)^2 >= 2^63 is refused, as its int64 products would overflow.
     """
@@ -80,28 +84,8 @@ class GfpModule:
         self.prime = prime
         self.dim = n
         self.matrices = mats
-        table = group.element_table()
-        ids = group.ids_of(np.array([g.images for g in group.gens]))
-        steps = np.array(right_rows(group, ids.tolist(), {}))
-        rho = np.empty((len(table), n, n), dtype=np.min_scalar_type(prime - 1))
-        seen = np.zeros(len(table), dtype=bool)
-        # the identity's images sort first, so its id is 0
-        rho[0], seen[0] = gfp.identity(n), True
-        frontier = np.zeros(1, dtype=np.intp)
-        while len(frontier):
-            found = []
-            for row, mat in zip(steps, mats):
-                # right multiplication by g_i is a bijection, so ys are
-                # distinct, and the new ones among them are first reached here
-                ys = row[frontier]
-                images = rho[frontier] @ mat % prime
-                new = ~seen[ys]
-                rho[ys[new]], seen[ys[new]] = images[new], True
-                if not np.array_equal(rho[ys], images):
-                    raise GroupError(
-                        "matrices are inconsistent with the group's relations")
-                found.append(ys[new])
-            frontier = np.concatenate(found)
+        self._steps = _id_rows(group)
+        rho = _walk(self._steps, prime, mats)[0][:, -1]
         self._kernel_ids = np.flatnonzero(
             (rho == gfp.identity(n)).all(axis=(1, 2)))
         self._centralizer = None
@@ -133,6 +117,73 @@ class GfpModule:
             self._centralizer = group_from_elements(
                 self.group.degree, table[self._kernel_ids].tolist())
         return self._centralizer
+
+
+def _id_rows(group):
+    """The rows ``steps[i][x] = id(x * g_i)`` of the generators of
+    ``group``, read off its element table; refused above
+    ``perm.ELEMENT_CAP`` elements."""
+    group.element_table()
+    ids = group.ids_of(np.array([g.images for g in group.gens]))
+    return np.array(right_rows(group, ids.tolist(), {}))
+
+
+def _walk(steps, prime, mats, cocycles=False, limits=DEFAULT_LIMITS):
+    """One breadth-first walk, a level at a time, over the Cayley graph
+    of a group on element ids, through the rows ``steps[i][x] = id(x *
+    g_i)``, with rho(g_i) = mats[i]; returns ``(states, system)``.
+
+    The state of x ends in rho(x).  A tree edge x -> x * g_i sets the state
+    of x * g_i; every other edge must agree on rho, or GroupError is raised.
+    With ``cocycles`` the state starts with the coefficient matrices of
+    u_1..u_r in c(x), where c(x * g_i) = c(x) rho(g_i) + u_i, and each edge
+    off the tree adds its n equations c(x * g_i) - c(x) rho(g_i) - u_i = 0
+    to ``system``, one row per coordinate over the r * n unknowns; its
+    solutions are the derivations, whatever tree the walk took, since the
+    equations are homogeneous.  Without ``cocycles`` rho is kept in the
+    smallest unsigned type that holds p - 1, so large groups stay compact.
+    The time budget of ``limits`` is checked once per level.
+    """
+    r = len(mats) if cocycles else 0
+    n = mats[0].shape[0]
+    eye = gfp.identity(n)
+    dtype = np.int64 if cocycles else np.min_scalar_type(prime - 1)
+    states = np.zeros((steps.shape[1], r + 1, n, n), dtype=dtype)
+    seen = np.zeros(len(states), dtype=bool)
+    # the identity's images sort first, so its id is 0
+    states[0, r], seen[0] = eye, True
+    frontier = np.zeros(1, dtype=np.intp)
+    diffs = []
+    while len(frontier):
+        limits.check()
+        found = []
+        here = states[frontier]
+        for i, (row, mat) in enumerate(zip(steps, mats)):
+            # right multiplication by g_i is a bijection, so ys are
+            # distinct, and the new ones among them are first reached here
+            ys = row[frontier]
+            images = here @ mat
+            if cocycles:
+                images[:, i] += eye
+            images %= prime
+            new = ~seen[ys]
+            fresh = ys[new]
+            states[fresh], seen[fresh] = images[new], True
+            found.append(fresh)
+            if len(fresh) == len(ys):
+                continue
+            ends, images = states[ys[~new]], images[~new]
+            if (ends[:, r] != images[:, r]).any():
+                raise GroupError(
+                    "matrices are inconsistent with the group's relations")
+            if cocycles:
+                diffs.append(ends[:, :r] - images[:, :r])
+        frontier = np.concatenate(found)
+    if not cocycles:
+        return states, None
+    # row (edge, c) holds coordinate c of the edge's n equations
+    system = np.concatenate(diffs).transpose(0, 3, 1, 2).reshape(-1, r * n)
+    return states, system % prime
 
 
 def module_of_factor(factor):
@@ -326,32 +377,48 @@ def crown_generation_check(L, A, m, k, *, limits=DEFAULT_LIMITS):
     return k * gamma <= phi
 
 
-def _h1(G, N, matrices, p, limits):
-    """The GF(p) dimension of H^1(G/N, M), for the module M of G with
-    rho(g_i) = matrices[i] on which the normal subgroup N acts trivially.
+def check_cohomology_order(G):
+    """Refuse, with CapExceeded, a group of more than COHOMOLOGY_CAP
+    elements; return its order."""
+    order = G.order()
+    if order > COHOMOLOGY_CAP:
+        raise CapExceeded(
+            f"cohomology cap: needs order <= {COHOMOLOGY_CAP}, "
+            f"group has order {order}")
+    return order
 
-    Derivations of G/N are solved for on generator values only, as the
-    homogeneous `structure.cocycle_system` of the walk over the cosets of
-    N; inner derivations are then subtracted off as the rank of the
-    stacked rho(g_i) - 1.
+
+def _derivations(G, M, limits):
+    """The derivation system of M over G and its rows on C_G(M), from one
+    `_walk` over G's Cayley graph on element ids, as ``(A, K, inner)``
+    over the unknowns u_i = delta(g_i): A u = 0 says that u extends to a
+    derivation delta of G, and K u = 0 that delta vanishes on the ids x
+    with rho(x) = 1, so that it is inflated from G/C_G(M), as C_G(M) acts
+    trivially; ``inner`` is the rank of the stacked rho(g_i) - 1, the
+    dimension of the inner derivations of G and of G/C_G(M) alike.  M's
+    id rows are reused when G is M's group; the walk checks M's matrices
+    against G's relations either way.
     """
-    n = matrices[0].shape[0]
-    A, _ = cocycle_system(G, N, matrices, p, limits=limits)
-    inner = np.hstack([(mat - gfp.identity(n)) % p for mat in matrices])
-    return len(G.gens) * n - gfp.rank(A, p) - gfp.rank(inner, p)
+    if len(M.matrices) != len(G.gens):
+        raise GroupError("need one matrix per group generator")
+    p, n, r = M.prime, M.dim, len(M.matrices)
+    eye = gfp.identity(n)
+    steps = M._steps if G is M.group else _id_rows(G)
+    states, A = _walk(steps, p, M.matrices, cocycles=True, limits=limits)
+    kernel = (states[:, r] == eye).all(axis=(1, 2))
+    K = states[kernel, :r].transpose(0, 3, 1, 2).reshape(-1, r * n)
+    inner = np.hstack([(m - eye) % p for m in M.matrices])
+    return A[A.any(axis=1)], K[K.any(axis=1)], gfp.rank(inner, p)
 
 
 def h1_dimension(G, M, *, limits=DEFAULT_LIMITS):
     """The GF(p) dimension of the first cohomology group H^1(G, M): the
-    walk over the cosets of the trivial subgroup."""
-    order = G.order()
-    if order > COHOMOLOGY_CAP:
-        raise CapExceeded(
-            f"cohomology needs order <= {COHOMOLOGY_CAP}, "
-            f"group has order {order}")
-    if order == 1 or not G.gens:
+    derivations of G, solved for on generator values, less the inner
+    ones."""
+    if check_cohomology_order(G) == 1:
         return 0
-    return _h1(G, PermGroup(G.degree, ()), M.matrices, M.prime, limits)
+    A, _, inner = _derivations(G, M, limits)
+    return len(G.gens) * M.dim - gfp.rank(A, M.prime) - inner
 
 
 @dataclass(frozen=True)
@@ -400,15 +467,19 @@ def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
     if rem:
         raise GroupError(
             "endomorphism dimension does not divide the module dimension")
-    s, rem = divmod(h1_dimension(G, M, limits=limits), end_dim)
-    if rem:
+    if check_cohomology_order(G) == 1:
+        dims = (0, 0)
+    else:
+        # the derivations of G/C_G(M) are those of G that vanish on
+        # C_G(M), so t's system is A's pivot rows plus K, off one walk
+        A, K, inner = _derivations(G, M, limits)
+        reduced, pivots = gfp.rref(A, p)
+        free = len(G.gens) * n - inner
+        dims = (free - len(pivots),
+                free - gfp.rank(np.vstack([reduced[:len(pivots)], K]), p))
+    if any(dim % end_dim for dim in dims):
         raise GroupError("H^1 dimension is not a multiple of end_dim")
-    # the walk over the cosets of C = C_G(M) is G/C's, so t needs no G/C;
-    # h1_dimension(G, M) has already bounded |G/C| by COHOMOLOGY_CAP
-    t, rem = divmod(_h1(G, M.centralizer_kernel(), M.matrices, p, limits),
-                    end_dim)
-    if rem:
-        raise GroupError("H^1 dimension is not a multiple of end_dim")
+    s, t = (dim // end_dim for dim in dims)
     if series is None:
         series = chief_series(G, limits=limits)
     delta = 0

@@ -11,8 +11,8 @@ term.  The centralizer C_G(X/Y) of a chief factor is one element sweep.
 
 An abelian chief factor X/Y is a GF(p) module of G itself, built once per
 factor; whether it has a complement in G/Y (so whether it is Frattini) is
-one linear system read off ``perm.coset_walk`` over the cosets of X in G.
-No quotient group is built.
+one affine linear system, ``cocycle_system``, read off ``perm.coset_walk``
+over the cosets of X in G.  No quotient group is built.
 
 The subgroup lattice is built by closing the zuppos (cyclic subgroups of
 prime power order) under joins with one another: Neubuser's cyclic
@@ -26,8 +26,9 @@ tuples.  The zuppos are read off the table too: the powers of the
 elements of prime power order, by composing rows.  A join is
 ``close_ids``, a breadth-first walk over ids through one right
 multiplication row per generator (``right_rows``); genset.GenOracle closes
-its joins with it too when G's lattice is over the cap, and
-crowns.aut_order walks its homomorphisms along the same rows.
+its joins with it too when G's lattice is over the cap,
+crowns.aut_order walks its homomorphisms along the same rows, and
+crowns.GfpModule its module check and the derivations behind H^1.
 
 Joins are computed only for one representative H per conjugacy class of
 subgroups, and only with one zuppo per orbit of N_G(H).  A new subgroup
@@ -453,28 +454,26 @@ def is_elementary_abelian(G):
     return all(g.is_identity() or g.order() == p for g in G.gens)
 
 
-def cocycle_system(G, N, matrices, p, coords_of=None, *,
-                   limits=DEFAULT_LIMITS):
-    """The linear system A u = b over GF(p) in the values u_i, on the
-    generators g_i of G, of a map into the module with rho(g_i) =
-    matrices[i], on which the normal subgroup N acts trivially.
+def cocycle_system(G, N, matrices, p, coords_of, *, limits=DEFAULT_LIMITS):
+    """The splitting system A u = b over GF(p) of the module N/Y of G with
+    rho(g_i) = matrices[i], in the values u_i on the generators g_i of G,
+    where ``coords_of`` gives the coordinates of N modulo a normal Y of G,
+    with N/Y elementary abelian.
 
     ``perm.coset_walk(N, G.gens)`` spans a tree on which c(x g_i) =
     c(x) rho(g_i) + u_i; each later edge x -> y gives n equations c(y) -
-    c(x) rho(g_i) - u_i = z, in (coset, generator) order.  Without
-    ``coords_of``, z = 0 and the solutions are the cocycles of G/N.  With
-    ``coords_of`` (coordinates of N modulo a normal Y of G, with N/Y
-    elementary abelian), z is the relator rep(y)^-1 * rep(x) * g_i, and the
-    solutions are the t_i for which the g_i * t_i generate a complement of
-    N/Y in G/Y.  The edges also check the matrices against the group's
-    multiplication.
+    c(x) rho(g_i) - u_i = z, in (coset, generator) order, where z is the
+    relator rep(y)^-1 * rep(x) * g_i.  The solutions are the t_i for which
+    the g_i * t_i generate a complement of N/Y in G/Y.  The system is
+    affine, so its relators hold only on this walk's tree, where rep(y) =
+    rep(x) * g_i along each tree edge.  The edges also check the matrices
+    against the group's multiplication.
     """
     reps, _, rows = coset_walk(N, G.gens, limits=limits)
     if len(reps) != G.order() // N.order():
         raise GroupError("the generators do not generate the group")
     r, n = len(G.gens), matrices[0].shape[0]
     eye = gfp.identity(n)
-    zero = np.zeros(n, dtype=np.int64)
     # a coset's state: the coefficient matrices of u_1..u_r in its value,
     # then rho of its representative; it comes from the tree edge
     state = np.zeros((r + 1, n, n), dtype=np.int64)
@@ -495,9 +494,7 @@ def cocycle_system(G, N, matrices, p, coords_of=None, *,
                 raise GroupError(
                     "matrices are inconsistent with the group's relations")
             diffs.append(s[:r] - sy[:r])
-            consts.append(zero if coords_of is None
-                          else coords_of(reps[c].inverse() * reps[k]
-                                         * G.gens[i]))
+            consts.append(coords_of(reps[c].inverse() * reps[k] * G.gens[i]))
     # row (edge, c) holds coordinate c of the edge's n equations
     A = np.array(diffs, dtype=np.int64).reshape(-1, r, n, n)
     A = np.mod(A.transpose(0, 3, 1, 2), p)

@@ -4,6 +4,7 @@ import pytest
 
 from groupgen import cli
 from groupgen import genset
+from groupgen.perm import PermGroup
 
 
 def run(capsys, *argv):
@@ -186,6 +187,27 @@ def test_h1_above_the_element_cap_is_a_cap_error(capsys, tmp_path):
     code, out, err = run(capsys, "h1", "S9", str(mod))
     assert code == 3
     assert "cap" in err
+
+
+def test_h1_refuses_a_group_above_the_cohomology_cap_before_its_table(
+        capsys, tmp_path, monkeypatch):
+    # the walk would build C1000's element table, 2 MB, and a cyclic group
+    # of large degree a table of gigabytes; the cap refuses it first
+    tables = []
+    real = PermGroup.element_table
+
+    def counting(self, *args, **kwargs):
+        tables.append(self.order())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "element_table", counting)
+    mod = tmp_path / "module.json"
+    mod.write_text(json.dumps({"prime": 2, "matrices": [[[1]]]}))
+    code, out, err = run(capsys, "h1", "C1000", str(mod))
+    assert code == 3
+    assert out == ""
+    assert "cohomology cap: needs order <= 500, group has order 1000" in err
+    assert tables == []
 
 
 def test_corpus_command(capsys, tmp_path):

@@ -7,6 +7,7 @@ dimensions against complement counting in an explicitly built semidirect
 product.
 """
 
+import hashlib
 import itertools
 import pathlib
 import random
@@ -19,6 +20,46 @@ from groupgen.perm import (CapExceeded, GroupError, Limits, Perm, PermGroup,
                            TimeBudgetExceeded, quotient)
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+# sha256 prefix of [(r, s, t, delta, h, end_dim), ...] over the factors
+# `factor_invariants` lists for each quick-corpus group, as the walk over
+# the cosets of C_G(M) gave them
+INVARIANT_DIGESTS = {
+    'C2': 'f6b63f6ba5a04271',
+    'C3': 'f6b63f6ba5a04271',
+    'C4': 'f6b63f6ba5a04271',
+    'C6': '1f6f48de4663695c',
+    'C12': '1f6f48de4663695c',
+    'C15': '1f6f48de4663695c',
+    'K4': '9e350cf3128ca997',
+    'D(C2, C2, C2)': 'f51d168fe2ecb63c',
+    'D(C4, C2)': '9e350cf3128ca997',
+    'D(C3, C3)': '9e350cf3128ca997',
+    'S3': '315f161ad222cb46',
+    'Dih4': '9e350cf3128ca997',
+    'Dih5': '315f161ad222cb46',
+    'Dih6': '27d0908167a3a2ee',
+    'A4': '796bb0bbe346ba41',
+    'S4': '2045c20394dc931a',
+    'EX1(1)': '27d0908167a3a2ee',
+    'EX1(2)': 'ce57678de04ccd46',
+    'EX1(3)': 'd5d9d25f24a1fe3a',
+    'EX2B(1)': '27d0908167a3a2ee',
+    'EX2B(2)': '15420baecd1e520f',
+    'D(S3, C3)': '30c90c34bd1facb4',
+    'W(C2, 3)': 'c9b084cb1360f1da',
+    'W(C3, 2)': '30c90c34bd1facb4',
+    'SD(D(C3, C3), C4, [g1 -> [g2, g1*g1]])': '796bb0bbe346ba41',
+    'SD(C5, C4, [g1 -> [g1*g1]])': '315f161ad222cb46',
+    'Q(S4; g1*g2)': 'f6b63f6ba5a04271',
+    'SUB(S4; g1*g1, g2)': '9e350cf3128ca997',
+    'CROWN(S3, 2)': '3650f1f6530454f3',
+    'CROWN(S3, 3)': 'f936a2788dbf4d44',
+    'CROWN(S4, 2)': 'a974458c787db938',
+    'A5': '4f53cda18c2baa0c',
+    'PSL2(5)': '4f53cda18c2baa0c',
+    'S5': 'f6b63f6ba5a04271',
+}
 
 
 def _sym(n):
@@ -451,6 +492,23 @@ def test_h1_trivial_module_counts_abelianization():
         assert crowns.h1_dimension(G, _trivial_module(G, p)) == expected
 
 
+def test_h1_checks_the_module_against_the_group():
+    # the natural GF(2) module of S3 on D(C3, C2), whose two generators
+    # commute while the 3-cycle's and the transposition's matrices do not
+    S3 = builder.build("S3")
+    M = _module(S3, [[[0, 1], [1, 1]], [[0, 1], [1, 0]]], 2)
+    G = builder.build("D(C3, C2)")
+    assert len(G.gens) == 2 and G.gens[0] * G.gens[1] == G.gens[1] * G.gens[0]
+    with pytest.raises(GroupError, match="inconsistent"):
+        crowns.h1_dimension(G, M)
+
+
+def test_h1_refuses_a_module_with_another_generator_count():
+    # a module of C2, one matrix, for S3's two generators
+    with pytest.raises(GroupError, match="one matrix per group generator"):
+        crowns.h1_dimension(_sym(3), _module(_cyclic(2), [[[1]]], 2))
+
+
 def test_h1_cap():
     big = _elementary(2, 12)
     with pytest.raises(CapExceeded):
@@ -578,6 +636,51 @@ def test_t_matches_h1_of_the_quotient_by_the_kernel():
                     (text, f)
                 checked += 1
     assert checked >= 50
+
+
+def test_invariant_digests_cover_the_quick_corpus():
+    texts = [text for path in report.corpus_files(str(CORPUS_DIR))
+             for text in report.read_expressions(path)]
+    assert texts == list(INVARIANT_DIGESTS)
+
+
+@pytest.mark.parametrize("text", list(INVARIANT_DIGESTS))
+def test_invariant_digest(text):
+    invs = [(inv.r, inv.s, inv.t, inv.delta, inv.h, inv.end_dim)
+            for _, inv in crowns.factor_invariants(builder.build(text))]
+    digest = hashlib.sha256(repr(invs).encode()).hexdigest()[:16]
+    assert digest == INVARIANT_DIGESTS[text]
+
+
+def test_module_invariants_walks_no_cosets(monkeypatch):
+    # s and t come from one walk on element ids: no coset walk, and no
+    # C_G(M) built as a group
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for text in ("EX1(2)", "CROWN(S3, 2)"):
+        G = builder.build(text)
+        series = structure.chief_series(G)
+        modules = [crowns.module_of_factor(f) for f in series
+                   if f.is_abelian and not f.is_frattini]
+        assert modules, text
+        with monkeypatch.context() as mp:
+            for module in (perm, structure):
+                mp.setattr(module, "coset_walk",
+                           counting(module, "coset_walk"))
+            for module in (perm, structure, crowns):
+                mp.setattr(module, "group_from_elements",
+                           counting(module, "group_from_elements"))
+            for M in modules:
+                crowns.module_invariants(G, M, series)
+        assert calls == [], text
 
 
 def test_soluble_d_matches_search():

@@ -845,10 +845,12 @@ def test_abelian_factors_are_decided_in_g(monkeypatch):
 
 
 def test_cocycle_system_checks_the_matrices():
-    # a C2 generator cannot act with multiplicative order four
+    # a C2 generator cannot act with multiplicative order four; the edge
+    # check raises before any relator needs coordinates
     with pytest.raises(GroupError):
         structure.cocycle_system(_cyclic(2), PermGroup(2, ()),
-                                 [np.array([[2]])], 5)
+                                 [np.array([[2]])], 5,
+                                 lambda e: np.zeros(1, dtype=np.int64))
 
 
 def test_gequivalent():
