@@ -434,13 +434,17 @@ class ModuleInvariants:
 
 
 def _field_check(basis, p, seed=0):
-    """Every nonzero element sampled from the span must be invertible."""
-    rng = random.Random(seed)
+    """Every nonzero element sampled from the span must be invertible.
+
+    A one-element span is checked by its element alone: c * B is
+    invertible exactly when B is, for c != 0."""
     samples = list(basis)
-    for _ in range(8):
-        mix = sum((rng.randrange(p) * b for b in basis),
-                  np.zeros_like(basis[0])) % p
-        samples.append(mix)
+    if len(basis) > 1:
+        rng = random.Random(seed)
+        for _ in range(8):
+            mix = sum((rng.randrange(p) * b for b in basis),
+                      np.zeros_like(basis[0])) % p
+            samples.append(mix)
     for s in samples:
         if np.any(s) and not gfp.is_invertible(s, p):
             raise GroupError(
@@ -456,6 +460,12 @@ def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
     factors carrying an equivalent module.  h is delta for a trivial
     module and floor((s-1)/r) + 2 otherwise; identities s = t + delta and
     h <= delta + 1 hold throughout.
+
+    End_G(M) is the intertwiner space of M with itself; for delta, a
+    factor whose matrices equal M's (M's own factor among them) counts
+    without solving for an intertwiner, and only the others are solved
+    against M.  Over 1-dim modules `gfp.intertwiner_space` compares the
+    entries directly.
     """
     p, n = M.prime, M.dim
     if not M.is_irreducible():
@@ -487,7 +497,10 @@ def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
         if (not f.is_abelian or f.is_frattini or f.prime != p
                 or f.dim != n):
             continue
-        if gfp.intertwiner_space(list(f.module.matrices), list(M.matrices), p):
+        # equal matrices are the same representation, so equivalent
+        mats = f.module.matrices
+        if (np.array_equal(mats, M.matrices)
+                or gfp.intertwiner_space(list(mats), list(M.matrices), p)):
             delta += 1
     if M.is_trivial_action():
         h = delta

@@ -3,11 +3,20 @@
 Matrices are numpy int64 arrays with entries reduced mod p.  Vectors are
 rows throughout the package: a group element g acts as v -> v @ rho(g), so
 rho(g * h) = rho(g) @ rho(h) under left-to-right composition.
+
+`rref` is Gauss-Jordan elimination with one array update per pivot: the
+pivot row is scaled to a leading 1 and its column is cleared from every
+other row at once, so a tall system costs a few numpy calls per column,
+not per row.  1 x 1 matrices take closed forms: `inverse` is the inverse
+of the entry, and `intertwiner_space` of 1-dim representations is the
+scalars when the two agree on every generator and zero otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .perm import GroupError
 
 
 def normalized(a, p):
@@ -28,28 +37,25 @@ def inv_mod(x, p):
 
 def rref(a, p):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = normalized(a, p).copy()
+    m = normalized(a, p)
     rows, cols = m.shape
     pivots = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        below = np.flatnonzero(m[r:, c])
+        if not len(below):
             continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        m[r] = (m[r] * inv_mod(m[r, c], p)) % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
+        i = r + below[0]
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        pivot = m[r] * inv_mod(m[r, c], p) % p
+        # the pivot row clears its own row too, so it is put back after
+        m -= np.outer(m[:, c], pivot)
+        m[r] = pivot
+        m %= p
         pivots.append(c)
-        r += 1
     return m, pivots
 
 
@@ -77,6 +83,9 @@ def null_right(a, p):
 def inverse(a, p):
     """Matrix inverse mod p, or None if singular."""
     a = normalized(a, p)
+    if a.shape == (1, 1):
+        x = a[0, 0]
+        return np.array([[inv_mod(x, p)]], dtype=np.int64) if x else None
     n = a.shape[0]
     aug = np.concatenate([a, identity(n)], axis=1)
     r, pivots = rref(aug, p)
@@ -95,47 +104,56 @@ def row_basis(a, p):
     return r[: len(pivots)]
 
 
-def in_row_space(rows, v, p):
-    if rows.shape[0] == 0:
-        return not np.any(normalized(v, p))
-    return rank(rows, p) == rank(np.vstack([rows, v]), p)
-
-
 def spin(vectors, mats, p):
     """Smallest subspace containing the vectors and closed under v -> v @ M
-    for every M in mats; returned as a canonical row basis."""
+    for every M in mats; returned as a canonical row basis.
+
+    Each candidate costs one echelon form, of the basis with the
+    candidate stacked under it, which both tests it and gives the grown
+    basis; the walk stops once the basis spans the whole space."""
     n = mats[0].shape[0] if mats else len(vectors[0])
     basis = zeros(0, n)
     queue = []
-    for v in vectors:
-        v = normalized(v, p).reshape(-1)
-        if not in_row_space(basis, v, p):
-            basis = row_basis(np.vstack([basis, v.reshape(1, -1)]), p)
+
+    def grow(v):
+        nonlocal basis
+        grown = row_basis(np.vstack([basis, v.reshape(1, -1)]), p)
+        if len(grown) > len(basis):
+            basis = grown
             queue.append(v)
-    while queue:
+
+    for v in vectors:
+        grow(normalized(v, p).reshape(-1))
+    while queue and len(basis) < n:
         v = queue.pop(0)
         for m in mats:
-            w = np.mod(v @ m, p)
-            if not in_row_space(basis, w, p):
-                basis = row_basis(np.vstack([basis, w.reshape(1, -1)]), p)
-                queue.append(w)
+            grow(np.mod(v @ m, p))
     return basis
 
 
 def intertwiner_space(reps_a, reps_b, p):
     """Basis of {T : T @ A_i == B_i @ T for all i}, flattened row-major.
 
-    reps_a and reps_b are matched lists of n x n matrices.  The basis is
-    returned as a list of n x n matrices.
+    reps_a and reps_b are matched nonempty lists of n x n matrices; lists
+    of unequal length or of mixed sizes raise GroupError.  The basis is
+    returned as a list of n x n matrices.  For n = 1 the condition is
+    t * a_i == b_i * t, so the space is the scalars, basis [[1]], exactly
+    when a_i == b_i mod p for every i, and zero otherwise.
     """
+    if not reps_a or len(reps_a) != len(reps_b):
+        raise GroupError("intertwiners need two matched nonempty lists")
     n = reps_a[0].shape[0]
+    if any(m.shape != (n, n) for m in (*reps_a, *reps_b)):
+        raise GroupError("intertwiners need n x n matrices of one size n")
+    if n == 1:
+        if any((a[0, 0] - b[0, 0]) % p for a, b in zip(reps_a, reps_b)):
+            return []
+        return [identity(1)]
     eye = identity(n)
     blocks = []
     for a, b in zip(reps_a, reps_b):
         # row-major vec: vec(T A) = kron(I, A^T) vec(T), vec(B T) = kron(B, I) vec(T)
         blocks.append(np.kron(eye, a.T % p) - np.kron(b % p, eye))
-    if not blocks:
-        blocks = [zeros(1, n * n)]
     system = np.mod(np.vstack(blocks), p)
     return [vec.reshape(n, n) for vec in null_right(system, p)]
 

@@ -673,17 +673,22 @@ def gequivalent_abelian(f1, f2):
     Both factors are irreducible modules for G, so by Schur's lemma any
     nonzero intertwiner between them is invertible; equivalence reduces to
     the intertwiner space being nonzero (after matching prime, dimension
-    and the matrices of the same generator list).  Similar representations
-    have equal kernels, so matching centralizers come for free.
+    and the matrices of the same generator list: when the two groups
+    come with different generators, f2's action is read on f1's).
+    Similar representations have equal kernels, so matching centralizers
+    come for free.
     """
-    if f1.group is not f2.group and not f1.group.same_group_as(f2.group):
+    g1, g2 = f1.group, f2.group
+    if g1 is not g2 and not g1.same_group_as(g2):
         raise GroupError("factors belong to different groups")
     if not (f1.is_abelian and f2.is_abelian):
         raise GroupError("G-equivalence is defined here for abelian factors")
     if f1.prime != f2.prime or f1.dim != f2.dim:
         return False
-    m1, m2 = f1.module, f2.module
-    space = gfp.intertwiner_space(list(m1.matrices), list(m2.matrices), f1.prime)
+    m1, m2 = f1.module.matrices, f2.module.matrices
+    if g1.gens != g2.gens:
+        m2 = [f2.module._action_matrix(g) for g in g1.gens]
+    space = gfp.intertwiner_space(list(m1), list(m2), f1.prime)
     if not space:
         return False
     t = next(s for s in space if np.any(s))

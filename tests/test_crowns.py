@@ -652,6 +652,50 @@ def test_invariant_digest(text):
     assert digest == INVARIANT_DIGESTS[text]
 
 
+def test_field_check_refuses_a_singular_nonzero_element():
+    p = 3
+    eye = gfp.identity(2)
+    idempotent = np.array([[1, 0], [0, 0]], dtype=np.int64)
+    with pytest.raises(GroupError):
+        crowns._field_check([idempotent], p)
+    with pytest.raises(GroupError):
+        crowns._field_check([eye, idempotent], p)
+    # both basis elements are invertible, but I + X and I - X are not
+    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    with pytest.raises(GroupError):
+        crowns._field_check([eye, swap], p)
+    # GF(9) as GF(3)[J] with J^2 = -1, and the scalars, are fields
+    crowns._field_check([eye, np.array([[0, 2], [1, 0]], dtype=np.int64)], p)
+    crowns._field_check([2 * eye], p)
+
+
+def test_field_check_tests_a_one_element_basis_once(monkeypatch):
+    # c * B is invertible exactly when B is, for c != 0
+    calls = []
+    real = gfp.is_invertible
+    monkeypatch.setattr(gfp, "is_invertible",
+                        lambda a, p: calls.append(a) or real(a, p))
+    crowns._field_check([2 * gfp.identity(2)], 3)
+    assert len(calls) == 1
+
+
+def test_module_invariants_counts_equal_factors_without_solving(monkeypatch):
+    # S4's Klein factor is its only 2-dim GF(2) factor: End_G(M) is the
+    # one intertwiner space solved, and delta counts M's own factor by
+    # its equal matrices
+    G = _sym(4)
+    series = structure.chief_series(G)
+    klein, = [f for f in series if f.order == 4]
+    M = crowns.module_of_factor(klein)
+    calls = []
+    real = gfp.intertwiner_space
+    monkeypatch.setattr(gfp, "intertwiner_space",
+                        lambda a, b, p: calls.append((a, b)) or real(a, b, p))
+    inv = crowns.module_invariants(G, M, series)
+    assert (inv.r, inv.delta, inv.end_dim) == (2, 1, 1)
+    assert len(calls) == 1
+
+
 def test_module_invariants_walks_no_cosets(monkeypatch):
     # s and t come from one walk on element ids: no coset walk, and no
     # C_G(M) built as a group

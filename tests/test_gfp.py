@@ -1,10 +1,13 @@
-"""GF(p) linear algebra, checked against brute-force span enumeration."""
+"""GF(p) linear algebra, checked against brute-force span enumeration and
+a pure-Python Gauss-Jordan elimination on ints."""
 
 import random
 
 import numpy as np
+import pytest
 
 from groupgen import gfp
+from groupgen.perm import GroupError
 
 
 def _random_matrix(rng, rows, cols, p):
@@ -90,15 +93,6 @@ def test_inverse():
     assert not gfp.is_invertible(np.array([[2, 0], [0, 1]]), 2)
 
 
-def test_in_row_space():
-    rows = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64)
-    assert gfp.in_row_space(rows, np.array([1, 1, 0]), 2)
-    assert not gfp.in_row_space(rows, np.array([0, 0, 1]), 2)
-    empty = gfp.zeros(0, 3)
-    assert gfp.in_row_space(empty, np.array([0, 0, 0]), 2)
-    assert not gfp.in_row_space(empty, np.array([1, 0, 0]), 2)
-
-
 def test_spin_closure_and_minimality():
     p = 2
     # the 3-dimensional module for a cyclic rotation of coordinates
@@ -149,7 +143,7 @@ def test_intertwiner_space():
         assert np.array_equal((t @ a) % p, (b @ t) % p)
     known = gfp.inverse(change, p)
     flat = np.array([t.flatten() for t in basis], dtype=np.int64)
-    assert gfp.in_row_space(flat, known.flatten(), p)
+    assert gfp.rank(flat, p) == gfp.rank(np.vstack([flat, known.flatten()]), p)
     # no nonzero intertwiner between the trivial and the sign action of C2
     triv = np.array([[1]], dtype=np.int64)
     sign = np.array([[2]], dtype=np.int64)
@@ -161,3 +155,150 @@ def test_all_vectors():
     assert len(vs) == 9
     assert [tuple(v) for v in vs[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
     assert len({tuple(v) for v in vs}) == 9
+
+
+PRIMES = (2, 3, 5, 7, 31, 65537)
+
+
+def _gauss_jordan(rows, p):
+    """Reduced row echelon form of a list of int rows, one row operation
+    at a time; returns (rows, pivot columns)."""
+    m = [[x % p for x in row] for row in rows]
+    cols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [(x - f * y) % p for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _reference_matrices(seed):
+    """(p, matrix) pairs: every shape 0-8 x 0-8 over each prime, half of
+    them of low rank so that pivots skip columns and rows swap, plus the
+    tall shapes of the derivation and splitting systems."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for p in PRIMES:
+        for rows in range(9):
+            for cols in range(9):
+                out.append((p, rng.integers(0, p, size=(rows, cols))))
+                k = int(rng.integers(0, 3))
+                low = rng.integers(0, p, size=(rows, k)) @ rng.integers(
+                    0, p, size=(k, cols))
+                out.append((p, low % p))
+        for rows, cols in ((200, 3), (1000, 8)):
+            k = int(rng.integers(1, cols))
+            low = rng.integers(0, p, size=(rows, k)) @ rng.integers(
+                0, p, size=(k, cols))
+            out.append((p, low % p))
+            out.append((p, rng.integers(0, p, size=(rows, cols))))
+    return out
+
+
+def test_rref_matches_gauss_jordan_reference():
+    for p, a in _reference_matrices(11):
+        r, pivots = gfp.rref(a, p)
+        want, want_pivots = _gauss_jordan(a.tolist(), p)
+        assert r.shape == a.shape and r.dtype == np.int64
+        assert r.tolist() == want and pivots == want_pivots
+        assert gfp.rank(a, p) == len(want_pivots)
+
+
+def test_rref_leaves_its_input_alone():
+    a = np.array([[2, 1], [1, 1]], dtype=np.int64)
+    gfp.rref(a, 3)
+    assert a.tolist() == [[2, 1], [1, 1]]
+
+
+def test_null_right_matches_gauss_jordan_reference():
+    for p, a in _reference_matrices(12):
+        rows, cols = a.shape
+        want, pivots = _gauss_jordan(a.tolist(), p)
+        basis = []
+        for fc in (c for c in range(cols) if c not in pivots):
+            v = [0] * cols
+            v[fc] = 1
+            for i, pc in enumerate(pivots):
+                v[pc] = -want[i][fc] % p
+            basis.append(v)
+        ns = gfp.null_right(a, p)
+        assert ns.shape == (len(basis), cols) and ns.tolist() == basis
+
+
+def test_inverse_matches_gauss_jordan_reference():
+    rng = np.random.default_rng(13)
+    for p in PRIMES:
+        cases = [np.zeros((1, 1), dtype=np.int64),
+                 np.array([[1]]), np.array([[p - 1]])]
+        for n in range(1, 9):
+            cases.append(rng.integers(0, p, size=(n, n)))
+            cases.append(rng.integers(0, 2, size=(n, n)))
+        for a in cases:
+            n = a.shape[0]
+            aug = [row + [int(i == j) for j in range(n)]
+                   for i, row in enumerate(a.tolist())]
+            want, pivots = _gauss_jordan(aug, p)
+            inv = gfp.inverse(a, p)
+            if pivots[:n] != list(range(n)):
+                assert inv is None and not gfp.is_invertible(a, p)
+                continue
+            assert inv.dtype == np.int64 and gfp.is_invertible(a, p)
+            assert inv.tolist() == [row[n:] for row in want]
+    assert gfp.inverse(np.array([[0]]), 5) is None
+    assert gfp.inverse(np.array([[10]]), 5) is None
+    assert gfp.inverse(np.array([[3]]), 5).tolist() == [[2]]
+
+
+def _kron_intertwiners(reps_a, reps_b, p):
+    """Intertwiners T A_i = B_i T as the null space of the Kronecker system
+    vec(T A_i) - vec(B_i T) = 0, row-major."""
+    n = reps_a[0].shape[0]
+    eye = gfp.identity(n)
+    system = np.vstack([np.kron(eye, a.T % p) - np.kron(b % p, eye)
+                        for a, b in zip(reps_a, reps_b)]) % p
+    return [vec.reshape(n, n) for vec in gfp.null_right(system, p)]
+
+
+def test_intertwiner_space_matches_kronecker_system():
+    rng = np.random.default_rng(17)
+    for p in PRIMES:
+        for k in (1, 2, 3):
+            for n in (1, 1, 1, 2, 3):
+                a = [rng.integers(0, p, size=(n, n)) for _ in range(k)]
+                # b equals a, differs from it, or equals it off the
+                # reduction mod p
+                for b in (a, [rng.integers(0, p, size=(n, n)) for _ in a],
+                          [m + p for m in a]):
+                    got = gfp.intertwiner_space(a, b, p)
+                    want = _kron_intertwiners(a, b, p)
+                    assert [t.tolist() for t in got] == [
+                        t.tolist() for t in want]
+                    assert all(t.dtype == np.int64 for t in got)
+    one, two = np.array([[1]]), np.array([[2]])
+    assert [t.tolist() for t in gfp.intertwiner_space([one], [one], 3)] == [[[1]]]
+    assert gfp.intertwiner_space([one, two], [one, one], 3) == []
+
+
+def test_intertwiner_space_refuses_unmatched_lists():
+    a = np.array([[1]])
+    b = gfp.identity(2)
+    with pytest.raises(GroupError):
+        gfp.intertwiner_space([a, a], [a], 3)
+    with pytest.raises(GroupError):
+        gfp.intertwiner_space([a], [b], 3)
+    with pytest.raises(GroupError):
+        gfp.intertwiner_space([b, a], [b, b], 3)
+    with pytest.raises(GroupError):
+        gfp.intertwiner_space([], [], 3)

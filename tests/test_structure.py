@@ -875,6 +875,31 @@ def test_gequivalent():
     assert structure.delta(G, threes[0], series) == 1
 
 
+def test_gequivalent_across_generator_lists():
+    # the same S3 given by its generators in the opposite order: each
+    # factor is the same module, whatever generators the groups list
+    G1 = builder.build("S3")
+    G2 = PermGroup(3, tuple(reversed(G1.gens)))
+    s1, s2 = structure.chief_series(G1), structure.chief_series(G2)
+    for order in (2, 3):
+        f1, = [f for f in s1 if f.order == order]
+        f2, = [f for f in s2 if f.order == order]
+        assert structure.gequivalent_abelian(f1, f2)
+        assert structure.gequivalent_abelian(f2, f1)
+    three, = [f for f in s1 if f.order == 3]
+    two, = [f for f in s2 if f.order == 2]
+    assert not structure.gequivalent_abelian(three, two)
+    # S3 x C3 with its generators in two orders: the natural C3 is not the
+    # central one in either
+    gens = [Perm.from_cycles(6, [(0, 1, 2)]), Perm.from_cycles(6, [(0, 1)]),
+            Perm.from_cycles(6, [(3, 4, 5)])]
+    H1, H2 = PermGroup(6, gens), PermGroup(6, gens[::-1])
+    t1 = [f for f in structure.chief_series(H1) if f.order == 3]
+    t2 = [f for f in structure.chief_series(H2) if f.order == 3]
+    matches = [[structure.gequivalent_abelian(a, b) for b in t2] for a in t1]
+    assert sorted(map(sorted, matches)) == [[False, True], [False, True]]
+
+
 def test_delta_skips_frattini_factors():
     # both factors of C4 carry the trivial GF(2) module, but the bottom
     # one lies in the Frattini subgroup and must not be counted
