@@ -388,6 +388,17 @@ def check_cohomology_order(G):
     return order
 
 
+def _check_generators(G, M):
+    """Refuse a module whose matrices sit on other generators than G's: they
+    are read by position, so the same group listing its generators in
+    another order would silently give another module."""
+    if len(M.matrices) != len(G.gens):
+        raise GroupError("need one matrix per group generator")
+    if G.gens != M.group.gens:
+        raise GroupError("module is inconsistent with the group: its "
+                         "matrices act on other generators than G's")
+
+
 def _derivations(G, M, limits):
     """The derivation system of M over G and its rows on C_G(M), from one
     `_walk` over G's Cayley graph on element ids, as ``(A, K, inner)``
@@ -399,8 +410,6 @@ def _derivations(G, M, limits):
     id rows are reused when G is M's group; the walk checks M's matrices
     against G's relations either way.
     """
-    if len(M.matrices) != len(G.gens):
-        raise GroupError("need one matrix per group generator")
     p, n, r = M.prime, M.dim, len(M.matrices)
     eye = gfp.identity(n)
     steps = M._steps if G is M.group else _id_rows(G)
@@ -414,7 +423,8 @@ def _derivations(G, M, limits):
 def h1_dimension(G, M, *, limits=DEFAULT_LIMITS):
     """The GF(p) dimension of the first cohomology group H^1(G, M): the
     derivations of G, solved for on generator values, less the inner
-    ones."""
+    ones.  G must list the generators M's matrices act on."""
+    _check_generators(G, M)
     if check_cohomology_order(G) == 1:
         return 0
     A, _, inner = _derivations(G, M, limits)
@@ -465,8 +475,9 @@ def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
     factor whose matrices equal M's (M's own factor among them) counts
     without solving for an intertwiner, and only the others are solved
     against M.  Over 1-dim modules `gfp.intertwiner_space` compares the
-    entries directly.
+    entries directly.  G must list the generators M's matrices act on.
     """
+    _check_generators(G, M)
     p, n = M.prime, M.dim
     if not M.is_irreducible():
         raise GroupError("module invariants need an irreducible module")

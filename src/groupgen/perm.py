@@ -3,10 +3,18 @@
 Composition is fixed left-to-right everywhere: (a * b)(x) = b(a(x)), i.e. a
 is applied first.  Points are 0-based internally; cycle notation printed or
 parsed at the boundary is 1-based.
+
+A stabilizer chain works on raw image tuples: its transversal pairs and
+strong generators are tuples, a product a * b is ``tuple(map(b.__getitem__,
+a))`` and the identity test compares with the degree's identity tuple, so
+sifting, Schreier generators and the conjugates of ``normal_closure`` make
+no Perm.  Perms enter a chain at ``add`` and leave it as ``sift``'s
+residue.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -100,6 +108,19 @@ def is_prime_power(n):
     return n > 1 and len(factorint(n)) == 1
 
 
+@functools.cache
+def _identity_images(degree):
+    """The identity's image tuple, one shared tuple per degree."""
+    return tuple(range(degree))
+
+
+def _inverse_images(images):
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
+
+
 class Perm:
     """A permutation of {0, ..., degree-1} stored as a tuple of images."""
 
@@ -110,7 +131,7 @@ class Perm:
 
     @classmethod
     def identity(cls, degree):
-        return cls(tuple(range(degree)))
+        return cls(_identity_images(degree))
 
     @classmethod
     def from_cycles(cls, degree, cycles):
@@ -143,11 +164,7 @@ class Perm:
         return Perm(tuple(map(b.__getitem__, a)))
 
     def inverse(self):
-        images = self.images
-        inv = [0] * len(images)
-        for i, j in enumerate(images):
-            inv[j] = i
-        return Perm(tuple(inv))
+        return Perm(_inverse_images(self.images))
 
     def __pow__(self, n):
         if n < 0:
@@ -166,15 +183,7 @@ class Perm:
         return h.inverse() * self * h
 
     def is_identity(self):
-        images = self.images
-        return all(i == j for i, j in enumerate(images))
-
-    def min_moved(self):
-        """Smallest moved point, or None for the identity."""
-        for i, j in enumerate(self.images):
-            if i != j:
-                return i
-        return None
+        return self.images == _identity_images(len(self.images))
 
     def cycles(self):
         """Disjoint cycles, each starting at its smallest point, sorted."""
@@ -260,14 +269,18 @@ def _sort_key(perm):
 
 
 class _Stabilizer:
-    """One level of a stabilizer chain (deterministic Schreier-Sims).
+    """One level of a stabilizer chain (deterministic Schreier-Sims), on
+    image tuples.
 
     Levels form a linked list via `down`.  The effective generating set of a
     level is its own generators plus all deeper ones (which fix this level's
     base point but still matter for the orbit and the Schreier closure).
-    `tree` maps orbit points to (u, u_inverse) with u(base) = point; entries
-    are only ever added, never rebuilt, so discovery order is reproducible
-    and certified Schreier pairs stay certified.
+    `tree` maps orbit points to (u, u_inverse) with u(base) = point; the
+    pairs and the generators are image tuples.  Entries are only ever added,
+    never rebuilt, so discovery order is reproducible and certified Schreier
+    pairs stay certified.  The pair (p, s) that adds the entry q = s(p) has
+    u_q = u_p * s, so its Schreier generator u_p * s * u_q^-1 is the
+    identity: it is certified as the entry is made.
     """
 
     __slots__ = ("degree", "base", "gens", "tree", "down", "_done", "_woven")
@@ -290,28 +303,32 @@ class _Stabilizer:
     def order(self):
         total = 1
         lvl = self
-        while lvl is not None and lvl.base is not None:
+        while lvl.base is not None:
             total *= len(lvl.tree)
             lvl = lvl.down
         return total
 
-    def sift(self, g):
+    def _sift(self, g):
+        """The image tuple g divided by a transversal element at each level
+        whose orbit holds its base image, down to the first level whose
+        orbit does not."""
         lvl = self
-        while lvl is not None and lvl.base is not None:
-            p = g.images[lvl.base]
-            if p == lvl.base:
-                lvl = lvl.down
-                continue
-            pair = lvl.tree.get(p)
-            if pair is None:
-                return g, lvl
-            g = g * pair[1]
+        while lvl.base is not None:
+            p = g[lvl.base]
+            if p != lvl.base:
+                pair = lvl.tree.get(p)
+                if pair is None:
+                    return g
+                g = tuple(map(pair[1].__getitem__, g))
             lvl = lvl.down
-        return g, lvl
+        return g
+
+    def sift(self, g):
+        """The residue of the Perm g, as a Perm."""
+        return Perm(self._sift(g.images))
 
     def contains(self, g):
-        residue, _ = self.sift(g)
-        return residue.is_identity()
+        return self._sift(g.images) == _identity_images(self.degree)
 
     def copy(self):
         """An independent copy of this level and every level below it, which
@@ -326,20 +343,23 @@ class _Stabilizer:
         return new
 
     def add(self, g):
-        """Close the chain under g; returns True if the group grew."""
-        residue, _ = self.sift(g)
-        if residue.is_identity():
+        """Close the chain under the Perm g; returns True if the group grew."""
+        return self._add(g.images)
+
+    def _add(self, g):
+        residue = self._sift(g)
+        if residue == _identity_images(self.degree):
             return False
         self._add_nonmember(residue)
         return True
 
     def _add_nonmember(self, g):
         if self.base is None:
-            self.base = g.min_moved()
-            ident = Perm.identity(self.degree)
+            self.base = next(i for i, j in enumerate(g) if i != j)
+            ident = _identity_images(self.degree)
             self.tree = {self.base: (ident, ident)}
             self.down = _Stabilizer(self.degree)
-        if g.images[self.base] == self.base:
+        if g[self.base] == self.base:
             self.down._add_nonmember(g)
         else:
             self.gens.append(g)
@@ -347,47 +367,53 @@ class _Stabilizer:
         self._close_schreier()
 
     def _extend_tree(self):
-        tree = self.tree
+        # u_q = u_p * s, so u_q^-1 = s^-1 * u_p^-1, with the inverse of
+        # each generator taken once per call
+        tree, done, woven = self.tree, self._done, self._woven
         gens = self.strong_gens()
-        woven = self._woven
-        news = [s for s in gens if s.images not in woven]
+        invs = [None] * len(gens)
+        news = [k for k, s in enumerate(gens) if s not in woven]
+        woven.update(gens[k] for k in news)
         queue = []
-        for s in news:
-            woven.add(s.images)
+
+        def reach(p, ks):
+            u_p, v_p = tree[p]
+            for k in ks:
+                s = gens[k]
+                q = s[p]
+                if q not in tree:
+                    if invs[k] is None:
+                        invs[k] = _inverse_images(s)
+                    tree[q] = (tuple(map(s.__getitem__, u_p)),
+                               tuple(map(v_p.__getitem__, invs[k])))
+                    done.add((p, s))
+                    queue.append(q)
+
         for p in list(tree):
-            u_p = tree[p][0]
-            for s in news:
-                q = s.images[p]
-                if q not in tree:
-                    u = u_p * s
-                    tree[q] = (u, u.inverse())
-                    queue.append(q)
-        while queue:
-            p = queue.pop(0)
-            u_p = tree[p][0]
-            for s in gens:
-                q = s.images[p]
-                if q not in tree:
-                    u = u_p * s
-                    tree[q] = (u, u.inverse())
-                    queue.append(q)
+            reach(p, news)
+        every = range(len(gens))
+        for p in queue:  # grows while it is read: breadth first
+            reach(p, every)
 
     def _close_schreier(self):
         # Every Schreier generator over the full strong set must sift to the
         # identity below; (point, generator) pairs already certified are
         # skipped, which is sound because lower levels only ever grow.
+        # The generator u_p * s * u_q^-1, for q = s(p), is the identity
+        # exactly when u_p * s equals u_q.
         tree = self.tree
         done = self._done
         for p in list(tree):
             u_p = tree[p][0]
             for s in self.strong_gens():
-                key = (p, s.images)
+                key = (p, s)
                 if key in done:
                     continue
                 done.add(key)
-                sg = u_p * s * tree[s.images[p]][1]
-                if not sg.is_identity():
-                    self.down.add(sg)
+                w = tuple(map(s.__getitem__, u_p))
+                u_q, v_q = tree[s[p]]
+                if w != u_q:
+                    self.down._add(tuple(map(v_q.__getitem__, w)))
 
 
 def build_chain(degree, gens):
@@ -489,7 +515,7 @@ class PermGroup:
             table = np.arange(self.degree, dtype=dtype)[None, :]
             for lvl in reversed(levels):
                 limits.check()
-                u = np.array([pair[0].images for pair in lvl.tree.values()],
+                u = np.array([pair[0] for pair in lvl.tree.values()],
                              dtype=dtype)
                 table = u[:, table].reshape(-1, self.degree)
             limits.check()
@@ -601,7 +627,7 @@ class PermGroup:
         while lvl.base is not None:
             tree = lvl.tree
             q = min(tree, key=t.__getitem__)
-            t = tuple(map(t.__getitem__, tree[q][0].images))
+            t = tuple(map(t.__getitem__, tree[q][0]))
             lvl = lvl.down
         return t
 
@@ -617,14 +643,16 @@ class PermGroup:
         and, if given, the normal subgroup ``below``.
 
         Seeds are added in order, then their conjugates under the
-        generators breadth first; each one that grows the stabilizer chain
-        becomes a generator.  With ``below`` the walk starts from a copy of
-        below's finished chain and from below's generators, and runs over
-        the new seeds only.  When each of below's generators grew its chain
-        in turn, as for every group this method returns, that copy is the
-        chain that adding below's generators first builds, and below is
-        normal, so their conjugates never grow it: the result has the same
-        generators and chain as ``normal_closure(below.gens + seeds)``."""
+        generators breadth first, made as image tuples from each
+        generator's inverse taken once; each one that grows the stabilizer
+        chain becomes a generator.  With ``below`` the walk starts from a
+        copy of below's finished chain and from below's generators, and
+        runs over the new seeds only.  When each of below's generators grew
+        its chain in turn, as for every group this method returns, that
+        copy is the chain that adding below's generators first builds, and
+        below is normal, so their conjugates never grow it: the result has
+        the same generators and chain as
+        ``normal_closure(below.gens + seeds)``."""
         if below is None:
             chain = _Stabilizer(self.degree)
             gens = []
@@ -637,13 +665,14 @@ class PermGroup:
                 raise NotInGroup("seed lies outside the group")
             if chain.add(s):
                 gens.append(s)
-                pending.append(s)
-        while pending:
-            x = pending.pop(0)
-            for g in self.gens:
-                c = x.conj(g)
-                if chain.add(c):
-                    gens.append(c)
+                pending.append(s.images)
+        conj = [(g.images, _inverse_images(g.images)) for g in self.gens]
+        for x in pending:  # grows while it is read: breadth first
+            for g, g_inv in conj:
+                # x^g = g^-1 * x * g
+                c = tuple(map(g.__getitem__, map(x.__getitem__, g_inv)))
+                if chain._add(c):
+                    gens.append(Perm(c))
                     pending.append(c)
         return PermGroup(self.degree, tuple(gens), _chain=chain)
 
@@ -751,7 +780,7 @@ class Homomorphism:
     def __call__(self, g):
         ns, nt = self.source.degree, self.target.degree
         padded = Perm(g.images + tuple(range(ns, ns + nt)))
-        residue, _ = self._pairs().sift(padded)
+        residue = self._pairs().sift(padded)
         if any(residue.images[i] != i for i in range(ns)):
             raise NotInGroup("element not in the source group")
         inv_image = Perm(tuple(residue.images[ns + i] - ns for i in range(nt)))

@@ -221,18 +221,24 @@ def right_rows(G, gens, rows):
 def close_ids(G, start, gens, rows):
     """The subgroup of G generated by the elements with ids ``gens``, as a
     frozenset of ids, or None when it is the whole group: the closure of
-    ``start``, which holds the identity and lies in that subgroup, under
-    right multiplication by ``gens``, through the ``right_rows`` kept in
-    the caller's dict ``rows``.  A walk that passes half the group has
-    found the whole group and stops."""
+    ``start`` under right multiplication by ``gens``, through the
+    ``right_rows`` kept in the caller's dict ``rows``.
+
+    ``start`` must be a subgroup that holds every generator but the last
+    and lies in the result, such as the subgroup the others generate.  It
+    is closed under right multiplication by those, so the walk takes its
+    elements through the last generator's row only, and every new element
+    through all the rows.  A walk that passes half the group has found the
+    whole group and stops."""
     half = G.order() // 2
     grow = right_rows(G, gens, rows)
     closed = set(start)
-    work = list(closed)
-    wi = 0
-    while wi < len(work) and len(closed) <= half:
-        x = work[wi]
-        wi += 1
+    # right multiplication is one to one, so these new ids are distinct
+    work = [y for y in map(grow[-1].__getitem__, start) if y not in closed]
+    closed.update(work)
+    for x in work:  # grows while it is read: breadth first
+        if len(closed) > half:
+            break
         for row in grow:
             y = row[x]
             if y not in closed:
@@ -340,7 +346,7 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
     walks = 0
     for i, least in queue:
         h_set, h_gens = sets_list[i], gens_list[i]
-        for zi, (z_set, z) in enumerate(zuppo_list):
+        for zi, (_, z) in enumerate(zuppo_list):
             # join(H, z^n) = join(H, z)^n for n in N_G(H): the class of a
             # join with a zuppo that is not least in its orbit was already
             # added whole by the join with the least one
@@ -348,9 +354,9 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
                 continue
             check()
             walks += 1
-            # both factors are already closed, so the walk only has to
-            # fill in the genuinely new products
-            fs = close_ids(G, h_set | z_set, h_gens + (z,), rows) or whole
+            # H is closed under h_gens, so the walk takes it through z's
+            # row only
+            fs = close_ids(G, h_set, h_gens + (z,), rows) or whole
             if fs not in found:
                 add_class(fs, h_gens + (z,))
     if whole not in found:
@@ -375,11 +381,23 @@ def frattini(G, *, limits=DEFAULT_LIMITS):
     return group_from_elements(G.degree, [elems[k] for k in sorted(inter)])
 
 
+def _prime_powers(reps, *, limits):
+    """Each class representative r with its powers r^q for the primes q
+    dividing its order, computed once for every step of a chief series.
+    The time budget of ``limits`` is checked once per representative."""
+    out = []
+    for rep in reps:
+        limits.check()
+        out.append((rep, tuple(rep ** q for q in factorint(rep.order()))))
+    return out
+
+
 def _minimal_closures(G, Y, reps, *, limits):
     """The inclusion-minimal normal closures of Y plus one of ``reps``, each
     listed at the first representative that gives it, with the generators
     of ``G.normal_closure(Y.gens + (rep,))`` for that representative.  Y is
-    normal in G and ``reps`` are in search order.
+    normal in G and ``reps`` are the ``_prime_powers`` of the class
+    representatives, in search order.
 
     A closure is only ever dropped for a smaller one, so a minimal one is
     never dropped.  Two kinds of representative are skipped, neither of
@@ -400,11 +418,10 @@ def _minimal_closures(G, Y, reps, *, limits):
         return G._minimal_normal
     minimal = []
     keys = {Y.coset_key(G.identity())}
-    for rep in reps:
+    for rep, powers in reps:
         limits.check()
         key = Y.coset_key(rep)
-        if key in keys or all(rep ** q not in Y
-                              for q in factorint(rep.order())):
+        if key in keys or all(x not in Y for x in powers):
             continue
         keys.add(key)
         X = G.normal_closure((rep,), below=Y)
@@ -425,9 +442,12 @@ def minimal_normal_subgroups(G, *, limits=DEFAULT_LIMITS):
     which conjugacy class representatives produced them)."""
     if G.order() == 1:
         return ()
-    reps = G.class_representatives(limits=limits)
-    closures = _minimal_closures(G, PermGroup(G.degree, ()), reps,
-                                 limits=limits)
+    closures = G._minimal_normal
+    if closures is None:
+        reps = _prime_powers(G.class_representatives(limits=limits),
+                             limits=limits)
+        closures = _minimal_closures(G, PermGroup(G.degree, ()), reps,
+                                     limits=limits)
     return tuple(sorted(closures, key=PermGroup.order))
 
 
@@ -650,7 +670,8 @@ def chief_series(G, *, limits=DEFAULT_LIMITS):
     """
     if G.order() == 1:
         return ()
-    reps = G.class_representatives(limits=limits)
+    reps = _prime_powers(G.class_representatives(limits=limits),
+                         limits=limits)
     factors = []
     Y = PermGroup(G.degree, ())
     while Y.order() < G.order():

@@ -509,6 +509,24 @@ def test_h1_refuses_a_module_with_another_generator_count():
         crowns.h1_dimension(_sym(3), _module(_cyclic(2), [[[1]]], 2))
 
 
+def test_module_on_other_generators_is_refused():
+    # the GF(3) sign module of S3 x C2 on (t, r, s); on the same group
+    # listing (s, r, t) the matrices would be read as the sign of the C2
+    # factor, so both calls refuse it rather than answer for that module
+    t, r, s = (Perm.from_cycles(5, [c]) for c in [(0, 1), (0, 1, 2), (3, 4)])
+    G1, G2 = PermGroup(5, (t, r, s)), PermGroup(5, (s, r, t))
+    assert G1.same_group_as(G2)
+    M = _module(G1, [[[2]], [[1]], [[1]]], 3)
+    inv = crowns.module_invariants(G1, M)
+    assert (inv.s, inv.delta, inv.h) == (1, 1, 2)
+    assert crowns.h1_dimension(G1, M) == 1
+    # another object listing the same generators is the same group
+    assert crowns.h1_dimension(PermGroup(5, (t, r, s)), M) == 1
+    for call in (crowns.module_invariants, crowns.h1_dimension):
+        with pytest.raises(GroupError, match="other generators"):
+            call(G2, M)
+
+
 def test_h1_cap():
     big = _elementary(2, 12)
     with pytest.raises(CapExceeded):

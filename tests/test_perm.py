@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from groupgen import builder, genset, report
+from groupgen import builder, genset, report, structure
 from groupgen.perm import (
     CapExceeded,
     DegreeMismatch,
@@ -635,3 +635,93 @@ def test_integer_helpers():
     assert is_prime_power(7)
     assert not is_prime_power(12)
     assert not is_prime_power(1)
+
+
+# (levels, chief series terms, sha256 prefix of every level's base, its
+# tree points in insertion order with u and u^-1, and its generators) of
+# G's stabilizer chain and then of the chain of each chief series term of
+# G, for the groups of order <= 2000: they pin the chains Schreier-Sims and
+# normal_closure build, not only the orders they give
+CHAIN_DIGESTS = {
+    'C2': (1, 1, 'f7f47ff80357af9a'),
+    'C3': (1, 1, '853d590427adecac'),
+    'C4': (1, 2, 'e0b35409cffb5db9'),
+    'C6': (1, 2, '588cc0ba6a4c1d39'),
+    'C12': (1, 3, '2e57e84f4d0b0a0f'),
+    'C15': (1, 2, '313adfc79a39c056'),
+    'K4': (1, 2, 'ceb4339f46b87aad'),
+    'D(C2, C2, C2)': (3, 3, 'd191a4d9390ff36c'),
+    'D(C4, C2)': (2, 3, '19fb22170be204ac'),
+    'D(C3, C3)': (2, 2, '50fd21e8d7c8b4fd'),
+    'S3': (2, 2, 'd0ffd2fd6527b95b'),
+    'Dih4': (2, 3, 'f53b89d2e0601193'),
+    'Dih5': (2, 2, '0025ec07acf7b7b9'),
+    'Dih6': (2, 3, '445896d5339a3f0c'),
+    'A4': (2, 2, '1c23aea4e0375c44'),
+    'S4': (3, 3, 'fa68de1926c1ddd1'),
+    'EX1(1)': (3, 3, '2d643327a5d8c264'),
+    'EX1(2)': (4, 4, '145731ef81485902'),
+    'EX1(3)': (5, 5, '762e57a876258c60'),
+    'EX2B(1)': (3, 3, '2d643327a5d8c264'),
+    'EX2B(2)': (4, 4, '18cbd71e357705d5'),
+    'D(S3, C3)': (3, 3, '86b9c0025c95db51'),
+    'W(C2, 3)': (3, 3, 'ebc17a165653abca'),
+    'W(C3, 2)': (2, 3, '3aff90921efada19'),
+    'SD(D(C3, C3), C4, [g1 -> [g2, g1*g1]])': (3, 3, 'a85f2d5bb95a2c8e'),
+    'SD(C5, C4, [g1 -> [g1*g1]])': (2, 3, '6bd77573038f5c80'),
+    'Q(S4; g1*g2)': (1, 1, 'f7f47ff80357af9a'),
+    'SUB(S4; g1*g1, g2)': (2, 3, '2f7a4ba535820c5b'),
+    'CROWN(S3, 2)': (3, 3, 'ce72b3c11cd6a35b'),
+    'CROWN(S3, 3)': (4, 4, 'ab6ef40837142cb7'),
+    'CROWN(S4, 2)': (4, 4, '3e27b6d3366ea3b8'),
+    'A5': (3, 1, 'a2c5de41681acfec'),
+    'PSL2(5)': (3, 1, 'fece26d049c08d49'),
+    'S5': (4, 2, 'a57f35f79b7990bd'),
+    'D(A5, C2)': (4, 2, '681ccfcdf64a3f9a'),
+    'PSL2(7)': (3, 1, '5161a17c84c04459'),
+    'PGL2(7)': (3, 2, '26a14a66e5cea219'),
+    'S6': (5, 2, 'e594733d63bbcbaf'),
+    'A6': (4, 1, '8f030429be142e02'),
+    'PSL2(11)': (3, 1, '46d8feb325a0fa71'),
+    'PGL2(11)': (3, 2, 'c009153fb312f1f6'),
+    'WREATH(1)': (6, 0, '77cd6cf9880a02a5'),
+    'C300': (1, 5, '4292baf69e59b38c'),
+    'D(S4, S4)': (6, 6, '40ef922eef8a0888'),
+    'W(S4, 2)': (6, 5, '8964f2565b23e354'),
+}
+
+
+def _images(x):
+    # a chain holds image tuples; a Perm gives its own
+    return getattr(x, "images", x)
+
+
+def _chain_record(chain):
+    levels = []
+    lvl = chain
+    while lvl.base is not None:
+        levels.append((lvl.base,
+                       tuple((p, _images(u), _images(v))
+                             for p, (u, v) in lvl.tree.items()),
+                       tuple(_images(s) for s in lvl.gens)))
+        lvl = lvl.down
+    return levels
+
+
+def test_chain_digests_cover_both_corpora():
+    texts = {t for path in report.corpus_files(str(CORPUS_DIR), slow=True)
+             for t in report.read_expressions(str(path))}
+    assert texts <= set(CHAIN_DIGESTS)
+
+
+@pytest.mark.parametrize("text", list(CHAIN_DIGESTS))
+def test_chain_digest(text):
+    G = builder.build(text)
+    levels = _chain_record(G.chain)
+    h = hashlib.sha256(repr(levels).encode())
+    terms = 0
+    if G.order() <= 2000:
+        for f in structure.chief_series(G):
+            h.update(repr(_chain_record(f.above.chain)).encode())
+            terms += 1
+    assert (len(levels), terms, h.hexdigest()[:16]) == CHAIN_DIGESTS[text]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from groupgen.perm import (CapExceeded, GroupError, Limits, Perm, PermGroup,
-                           TimeBudgetExceeded)
+                           TimeBudgetExceeded, factorint)
 from groupgen import builder, genset, report, structure
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -312,6 +312,48 @@ def test_join_walks():
         lat.join_walks = 0
 
 
+def _brute_span(mult, ids):
+    """The subgroup generated by the elements with ids ``ids``, as a
+    frozenset of ids: the set closed under all products of its members,
+    from the multiplication table ``mult``."""
+    mask = np.zeros(len(mult), dtype=bool)
+    mask[0] = True
+    mask[list(ids)] = True
+    while True:
+        members = np.flatnonzero(mask)
+        grown = mask.copy()
+        grown[mult[np.ix_(members, members)].ravel()] = True
+        if (grown == mask).all():
+            return frozenset(members.tolist())
+        mask = grown
+
+
+@pytest.mark.parametrize("text", ["S4", "A5", "D(C4, C2)", "CROWN(S3, 2)"])
+def test_close_ids_from_a_subgroup_closed_under_all_but_the_last(text):
+    # close_ids walks its start through the last generator's row only, as
+    # every caller starts from the subgroup H its other generators generate;
+    # each (H, g) join is checked against a closure under all products
+    G = builder.build(text)
+    lat = structure.subgroup_lattice(G)
+    elems = [e.images for e in G.elements()]
+    index = {e: i for i, e in enumerate(elems)}
+    mult = np.array([[index[tuple(b[x] for x in a)] for b in elems]
+                     for a in elems])
+    whole = frozenset(range(len(elems)))
+    rows = {}
+    seen = set()
+    for i in range(len(lat)):
+        H, gens = lat.id_set(i), lat._gen_ids[i]
+        for g in range(len(elems)):
+            span = _brute_span(mult, gens + (g,))
+            got = structure.close_ids(G, H, gens + (g,), rows)
+            assert got == (None if span == whole else span), (i, g)
+            seen.add("trivial H" if len(H) == 1 else
+                     "g in H" if g in H else
+                     "whole" if got is None else "proper")
+    assert seen == {"trivial H", "g in H", "whole", "proper"}
+
+
 @pytest.mark.slow
 def test_s7_subgroup_count():
     # the published count; over the default lattice cap
@@ -401,6 +443,26 @@ def test_closure_walk_counts(monkeypatch, text, walk, count):
     monkeypatch.setattr(PermGroup, "normal_closure", counted)
     walk(G)
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("text", ["C120", "W(S4, 2)"])
+def test_chief_series_powers_each_representative_once(monkeypatch, text):
+    # the prime-order test reads r^q for each class representative r and
+    # each prime q dividing its order, made once for the whole series and
+    # not again at each term
+    G = builder.build(text)
+    reps = G.class_representatives()
+    bound = sum(len(factorint(r.order())) for r in reps)
+    calls = []
+    power = Perm.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(Perm, "__pow__", counted)
+    assert len(structure.chief_series(G)) > 2
+    assert 0 < len(calls) <= bound
 
 
 def test_minimal_normal_walk_is_memoized(monkeypatch):
