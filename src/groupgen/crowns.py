@@ -406,14 +406,13 @@ def _derivations(G, M, limits):
     derivation delta of G, and K u = 0 that delta vanishes on the ids x
     with rho(x) = 1, so that it is inflated from G/C_G(M), as C_G(M) acts
     trivially; ``inner`` is the rank of the stacked rho(g_i) - 1, the
-    dimension of the inner derivations of G and of G/C_G(M) alike.  M's
-    id rows are reused when G is M's group; the walk checks M's matrices
-    against G's relations either way.
+    dimension of the inner derivations of G and of G/C_G(M) alike.  G
+    lists the generators of M's group (`_check_generators`), so it is that
+    group with the same element ids, and the walk runs on M's id rows.
     """
     p, n, r = M.prime, M.dim, len(M.matrices)
     eye = gfp.identity(n)
-    steps = M._steps if G is M.group else _id_rows(G)
-    states, A = _walk(steps, p, M.matrices, cocycles=True, limits=limits)
+    states, A = _walk(M._steps, p, M.matrices, cocycles=True, limits=limits)
     kernel = (states[:, r] == eye).all(axis=(1, 2))
     K = states[kernel, :r].transpose(0, 3, 1, 2).reshape(-1, r * n)
     inner = np.hstack([(m - eye) % p for m in M.matrices])
