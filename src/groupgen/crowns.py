@@ -113,7 +113,7 @@ class GfpModule:
         `structure.factor_centralizer` takes them, so the two give the same
         generators."""
         if self._centralizer is None:
-            table = self.group.element_table(None)
+            table = self.group.element_table()
             self._centralizer = group_from_elements(
                 self.group.degree, table[self._kernel_ids].tolist())
         return self._centralizer
@@ -123,7 +123,6 @@ def _id_rows(group):
     """The rows ``steps[i][x] = id(x * g_i)`` of the generators of
     ``group``, read off its element table; refused above
     ``perm.ELEMENT_CAP`` elements."""
-    group.element_table()
     ids = group.ids_of(np.array([g.images for g in group.gens]))
     return np.array(right_rows(group, ids.tolist(), {}))
 
@@ -272,10 +271,11 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
     """|Aut(S)| by exhaustive search over images of a generating sequence.
 
     Everything runs on element ids, through the right multiplication rows
-    ``rows[g][x] = id(x * g)`` of ``structure.right_rows``.  The generating
-    sequence w_1, w_2, ... is chosen greedily in search order, an element
-    joining it when ``structure.close_ids`` finds it outside the subgroup
-    generated so far.  Candidate images must match the generator orders.
+    ``rows[g][x] = id(x * g)`` of ``structure.right_rows`` and the orders of
+    ``S.element_orders()``.  The generating sequence w_1, w_2, ... is chosen
+    greedily in search order, an element joining it when ``close_ids``
+    finds it outside the subgroup generated so far.  Candidate images must
+    match the generator orders.
     A partial assignment w_j -> y_j for j <= i survives when it extends to
     a homomorphism f of H = <w_1, ..., w_i>: a breadth-first walk from
     f(1) = 1 that sets f(x * w_j) = f(x) * y_j over every edge of H's
@@ -296,26 +296,23 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
             f"group has order {n}")
     if n == 1:
         return 1
-    elems = S.sorted_by_search_order(limits=limits)
-    ids = {e: i for i, e in enumerate(S.elements(limits=limits))}
-    rows = {}
-    word, gens = [], []
+    orders = S.element_orders(limits=limits)
+    rows, gens = {}, []
     # the identity's images sort first, so its id is 0
     span = frozenset([0])
-    for e in elems:
-        if ids[e] not in span:
-            word.append(e)
-            gens.append(ids[e])
+    for e in sorted(range(n), key=orders.__getitem__):
+        if e not in span:
+            gens.append(e)
             span = close_ids(S, span, gens, rows)
             if span is None:
                 break
-    # candidates for the images of word[1:]; word[0]'s come from the classes
-    pools = [[ids[x] for x in elems if x.order() == w.order()]
-             for w in word[1:]]
-    first_order = word[0].order()
-    firsts = [(ids[rep], size)
-              for rep, size in S.conjugacy_classes(limits=limits)
-              if rep.order() == first_order]
+    # candidates for the images of gens[1:]; gens[0]'s come from the classes
+    pools = [[x for x in range(n) if orders[x] == orders[w]]
+             for w in gens[1:]]
+    classes = S.conjugacy_classes(limits=limits)
+    rids = S.ids_of(np.array([rep.images for rep, _ in classes])).tolist()
+    firsts = [(y, size) for y, (_, size) in zip(rids, classes)
+              if orders[y] == orders[gens[0]]]
     right_rows(S, {*gens, *(y for y, _ in firsts),
                    *(y for pool in pools for y in pool)}, rows)
 
@@ -353,7 +350,7 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
                 found += search(nxt, g)
         return found
 
-    # an image of word[0] of the same order always extends, so the first
+    # an image of gens[0] of the same order always extends, so the first
     # walk never returns None
     return sum(size * search((y,), extend((y,))) for y, size in firsts)
 

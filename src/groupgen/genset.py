@@ -12,19 +12,21 @@ k elements (the d phase and each spectrum size), [lower, Omega(|G|)] for a
 largest one of at least lower elements (m).  The walk fixes the first slot
 to a conjugacy class representative (independence and generation are
 invariant under conjugating the whole set) and fills the remaining slots in
-ascending element order, where elements are ordered by (element order,
-image tuple).  It carries the span of the prefix and the spans of the prefix
-with one element removed, so a prefix that stops being independent is cut
-at once, and it cuts prefixes whose span has too small an index to reach the
-goal.  m needs only a size, so its walk tries in the second slot only the
-least element of each orbit of C_G(r), r the first slot's representative
-(the isomorph rejection of McKay, J. Algorithms 26, 1998; see m()); the d
-and spectrum walks print their witnesses and keep every second slot.
+search order: element ids sorted by (element order, id), which is (element
+order, image tuple) as ids sort like image tuples.  It carries the span of
+the prefix and the spans of the prefix with one element removed, so a
+prefix that stops being independent is cut at once, and it cuts prefixes
+whose span has too small an index to reach the goal.  m needs only a size,
+so its walk tries in the second slot only the least element of each orbit
+of C_G(r), r the first slot's representative (the isomorph rejection of
+McKay, J. Algorithms 26, 1998; see m()); the d and spectrum walks print
+their witnesses and keep every second slot.
 
 Spans come from a GenOracle as integer handles with element-id membership
 and join rows.  The oracle reads them off the subgroup lattice when the
 group has one within the limits, or else closes each span once on element
 ids (structure.close_ids) and interns it.  The engine cannot tell them apart.
+It walks ids only; a witness becomes Perms at the end, from table rows.
 d(), m() and spectrum() take an Analysis, which computes what they share
 once: the chief series with a and b, d with its witness, m, the oracle;
 the verifiers also read its Frattini subgroup, minimal normal subgroups
@@ -46,6 +48,7 @@ from .perm import (
     Perm,
     PermGroup,
     factorint,
+    is_prime_power,
     omega,
     orbit_minima,
     quotient,
@@ -118,13 +121,12 @@ class Analysis:
 class GenOracle:
     """Spans of element sets as integer handles, for the search engine.
 
-    ``ids`` maps element image tuples to small ints, ``sets[h]`` is span
-    ``h`` as a frozenset of ids, ``join_row(h)[e]`` is the handle of the
-    join of span ``h`` with element ``e``, and handle 0 is the trivial
-    subgroup and ``top`` the whole group.  ``lattice`` is the subgroup
-    lattice the spans come from, or None when there is none within the
-    limits and each join is instead closed on element ids on first use,
-    from the join's generator ids.
+    ``sets[h]`` is span ``h`` as a frozenset of element ids,
+    ``join_row(h)[e]`` is the handle of the join of span ``h`` with element
+    ``e``, and handle 0 is the trivial subgroup and ``top`` the whole group.
+    ``lattice`` is the subgroup lattice the spans come from, or None when
+    there is none within the limits and each join is instead closed on
+    element ids on first use, from the join's generator ids.
     """
 
     def __init__(self, G, *, limits=DEFAULT_LIMITS):
@@ -136,7 +138,6 @@ class GenOracle:
                 self.lattice = structure.subgroup_lattice(G, limits=limits)
             except CapExceeded:
                 pass
-        self.ids = {e.images: k for k, e in enumerate(G.elements())}
         if self.lattice is not None:
             self.sets = [self.lattice.id_set(i)
                          for i in range(len(self.lattice))]
@@ -147,9 +148,10 @@ class GenOracle:
         self._rows = []
         self._handles = {}
         self._right_rows = {}
-        self._intern(frozenset([self.ids[G.identity().images]]), ())
-        self.top = self._intern(frozenset(self.ids.values()),
-                                tuple(self.ids[g.images] for g in G.gens))
+        # the identity's images sort first, so its id is 0; no join leaves
+        # the whole group, so its generators are never read
+        self._intern(frozenset([0]), ())
+        self.top = self._intern(frozenset(range(self.n)), ())
 
     def _intern(self, id_set, gens):
         h = self._handles.get(id_set)
@@ -180,17 +182,6 @@ class GenOracle:
             h = self.join_row(h)[e]
         return h
 
-    def span(self, images):
-        """Handle of the subgroup generated by the image tuples."""
-        ids = [self.ids.get(img) for img in images]
-        if None in ids:
-            raise GroupError("elements are not all inside the group")
-        return self.span_of_ids(ids)
-
-    def member(self, images, candidate):
-        """Whether the candidate image tuple lies in <images>."""
-        return self.ids.get(candidate) in self.sets[self.span(images)]
-
 
 class _ChainRow(dict):
     """A join row of an oracle without a lattice, filled in as it is read."""
@@ -206,13 +197,20 @@ class _ChainRow(dict):
 
 
 def is_independent(A, perms):
-    """No member of the set lies in the subgroup the others generate."""
-    images = [p.images for p in perms]
-    for i in range(len(images)):
-        others = images[:i] + images[i + 1:]
-        if A.oracle.member(others, images[i]):
-            return False
-    return True
+    """No member of the set lies in the subgroup the others generate; the
+    members must lie in A's group."""
+    G, oracle = A.G, A.oracle
+    if not all(p in G for p in perms):
+        raise GroupError("elements are not all inside the group")
+    ids = G.ids_of(np.array([p.images for p in perms])
+                   .reshape(-1, G.degree)).tolist()
+    return not any(e in oracle.sets[oracle.span_of_ids(ids[:i] + ids[i + 1:])]
+                   for i, e in enumerate(ids))
+
+
+def _perms(G, ids):
+    """The elements with these ids, as Perms read off the element table."""
+    return tuple(map(Perm, G.element_table()[list(ids)].tolist()))
 
 
 def lower_bound_d(G):
@@ -228,9 +226,10 @@ def lower_bound_d(G):
     else:
         Q = quotient(G, derived)
     rank = 0
-    elems = Q.elements()
+    orders = Q.element_orders()
     for p in factorint(Q.order()):
-        count = sum(1 for e in elems if (e ** p).is_identity())
+        # the elements with x^p = 1: those of order 1 or p
+        count = sum(1 for o in orders if p % o == 0)
         r = 0
         while count > 1:
             count //= p
@@ -243,16 +242,16 @@ def lower_bound_d(G):
 
 
 def _search_candidates(G, prime_power_only=False, *, limits=DEFAULT_LIMITS):
-    """Candidate elements in search order and first-slot class
-    representatives, the identity left out of both."""
-    elems = [e for e in G.sorted_by_search_order(limits=limits)
-             if not e.is_identity()]
-    reps = [r for r in G.class_representatives(limits=limits)
-            if not r.is_identity()]
-    if prime_power_only:
-        elems = [e for e in elems if len(factorint(e.order())) == 1]
-        reps = [r for r in reps if len(factorint(r.order())) == 1]
-    return elems, reps
+    """The ids of the candidate elements in search order, (element order,
+    id), and of the first-slot class representatives, the identity left
+    out of both."""
+    orders = G.element_orders(limits=limits)
+    keep = {o for o in set(orders)
+            if o > 1 and (is_prime_power(o) or not prime_power_only)}
+    reps = G.class_representatives(limits=limits)
+    rids = G.ids_of(np.array([r.images for r in reps])).tolist()
+    return ([e for e in sorted(range(len(orders)), key=orders.__getitem__)
+             if orders[e] in keep], [r for r in rids if orders[r] in keep])
 
 
 def _centralizer_orbit_minima(oracle, rid, *, limits=DEFAULT_LIMITS):
@@ -266,7 +265,7 @@ def _centralizer_orbit_minima(oracle, rid, *, limits=DEFAULT_LIMITS):
     map.  The time budget of ``limits`` is checked once, first."""
     limits.check()
     G, sets, join_row = oracle.G, oracle.sets, oracle.join_row
-    table = G.element_table(None)
+    table = G.element_table()
     r = table[rid]
     centralizer = np.flatnonzero((r[table] == table[:, r]).all(axis=1))
     gens, h = [rid], join_row(0)[rid]
@@ -281,10 +280,11 @@ def _centralizer_orbit_minima(oracle, rid, *, limits=DEFAULT_LIMITS):
     return orbit_minima(maps, len(table))
 
 
-def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS,
+def _search(oracle, eids, rids, lower, upper, *, limits=DEFAULT_LIMITS,
             size_only=False):
-    """The first independent generating set in walk order whose size is the
-    largest in [lower, upper] that occurs, or None.
+    """The ids of the first independent generating set in walk order whose
+    size is the largest in [lower, upper] that occurs, or None, walking the
+    ids ``eids`` and ``rids`` of ``_search_candidates``.
 
     lower == upper finds one set of exactly that size; upper = Omega(|G|)
     finds a largest set of at least lower elements.  Each prefix is
@@ -300,13 +300,12 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS,
     (see m); the set returned then has the right size but need not be the
     first in walk order.  The candidates must be closed under conjugation.
     """
-    n, sets, top, ids = oracle.n, oracle.sets, oracle.top, oracle.ids
+    n, sets, top = oracle.n, oracle.sets, oracle.top
     join_row, check = oracle.join_row, limits.check
-    eids = [ids[e.images] for e in elems]
     best = None
     need = lower
 
-    def extend(prefix, pids, span, others, order):
+    def extend(pids, span, others, order):
         # others[j] is the span of the prefix without its member j; order
         # lists the indices into eids this slot tries, ascending
         nonlocal best, need
@@ -314,7 +313,7 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS,
         depth = len(pids)
         if span == top:
             if depth >= need:
-                best, need = tuple(prefix), depth + 1
+                best, need = tuple(pids), depth + 1
             return
         if depth >= upper or depth + omega(n // len(sets[span])) < need:
             return
@@ -333,7 +332,7 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS,
                 child_others.append(t)
             else:
                 child_others.append(span)
-                extend(prefix + [elems[i]], pids + [e], row[e], child_others,
+                extend(pids + [e], row[e], child_others,
                        range(i + 1, len(eids)))
                 if need > upper:
                     return
@@ -341,12 +340,11 @@ def _search(oracle, elems, reps, lower, upper, *, limits=DEFAULT_LIMITS,
     row0 = join_row(0)
     second = range(len(eids))
     eid_array = np.array(eids, dtype=np.intp)
-    for rep in reps:
-        rid = ids[rep.images]
+    for rid in rids:
         if size_only:
             least = _centralizer_orbit_minima(oracle, rid, limits=limits)
             second = np.flatnonzero(least[eid_array] == eid_array).tolist()
-        extend([rep], [rid], row0[rid], [0], second)
+        extend([rid], row0[rid], [0], second)
         if need > upper:
             break
     return best
@@ -381,17 +379,13 @@ def d_with_witness(A):
             if r.order() == n:
                 return 1, (r,)
         lower = 2
-    table = G.element_table()
-
-    def perms(picks):
-        return tuple(Perm(table[e].tolist()) for e in picks)
 
     if n <= SEARCH_ORDER_CAP:
         def generates(picks):
             return A.oracle.span_of_ids(picks) == A.oracle.top
     else:
         def generates(picks):
-            return PermGroup(G.degree, perms(picks)).order() == n
+            return PermGroup(G.degree, _perms(G, picks)).order() == n
 
     rng = random.Random(A.seed)
     candidates = None
@@ -401,7 +395,7 @@ def d_with_witness(A):
         for _ in range(DEFAULT_RANDOM_TRIES):
             picks = [rng.choice(range(n)) for _ in range(k)]
             if generates(picks):
-                return k, perms(picks)
+                return k, _perms(G, picks)
         if n > SEARCH_ORDER_CAP:
             raise CapExceeded(
                 f"exhaustive d search needs order <= {SEARCH_ORDER_CAP}, "
@@ -410,7 +404,7 @@ def d_with_witness(A):
             candidates, reps = _search_candidates(G, limits=limits)
         witness = _search(A.oracle, candidates, reps, k, k, limits=limits)
         if witness is not None:
-            return k, witness
+            return k, _perms(G, witness)
     raise GroupError("no generating set up to the chief length bound")
 
 
@@ -447,8 +441,8 @@ def m(A, *, force_search=False, prime_power_only=True):
     if n > SEARCH_ORDER_CAP:
         raise CapExceeded(
             f"m search needs order <= {SEARCH_ORDER_CAP}, group has order {n}")
-    elems, reps = _search_candidates(G, prime_power_only, limits=limits)
-    best = _search(A.oracle, elems, reps, A.a + A.b, omega(n), limits=limits,
+    eids, rids = _search_candidates(G, prime_power_only, limits=limits)
+    best = _search(A.oracle, eids, rids, A.a + A.b, omega(n), limits=limits,
                    size_only=True)
     if best is None:
         raise GroupError(
@@ -470,16 +464,16 @@ def spectrum(A):
         raise CapExceeded(
             f"spectrum search needs order <= {SEARCH_ORDER_CAP}, "
             f"group has order {n}")
-    elems, reps = _search_candidates(G, limits=limits)
+    eids, rids = _search_candidates(G, limits=limits)
     out = {}
     for k in range(d_val, m_val + 1):
         if k == d_val and is_independent(A, d_wit):
             out[k] = tuple(d_wit)
             continue
-        witness = _search(A.oracle, elems, reps, k, k, limits=limits)
+        witness = _search(A.oracle, eids, rids, k, k, limits=limits)
         if witness is None:
             raise GroupError(
                 f"no independent generating set of size {k} although "
                 f"{d_val} <= {k} <= {m_val}")
-        out[k] = witness
+        out[k] = _perms(G, witness)
     return out

@@ -10,6 +10,12 @@ a))`` and the identity test compares with the degree's identity tuple, so
 sifting, Schreier generators and the conjugates of ``normal_closure`` make
 no Perm.  Perms enter a chain at ``add`` and leave it as ``sift``'s
 residue.
+
+A group's elements are the rows of ``element_table``, sorted by image
+tuple; an element's id is its row.  The lattice, the searches and
+``crowns.aut_order`` work on ids, with ``ids_of`` and the order map
+``element_orders``, and make no Perm per element.  Search order is the ids
+sorted by (order, id).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -121,6 +127,19 @@ def _inverse_images(images):
     return tuple(inv)
 
 
+def _cycle_order(images):
+    """The order of the permutation with these images: the least common
+    multiple of its cycle lengths."""
+    seen, n = [False] * len(images), 1
+    for start in range(len(images)):
+        pt, length = start, 0
+        while not seen[pt]:
+            seen[pt], pt, length = True, images[pt], length + 1
+        if length > 1:
+            n = lcm(n, length)
+    return n
+
+
 class Perm:
     """A permutation of {0, ..., degree-1} stored as a tuple of images."""
 
@@ -205,10 +224,7 @@ class Perm:
         return out
 
     def order(self):
-        n = 1
-        for cyc in self.cycles():
-            n = n * len(cyc) // gcd(n, len(cyc))
-        return n
+        return _cycle_order(self.images)
 
     def cycle_string(self):
         """1-based cycle notation, '()' for the identity."""
@@ -261,11 +277,6 @@ def orbit_minima(maps, size, *, limits=DEFAULT_LIMITS):
         lab = lab[lab]
         if (lab == old).all():
             return lab
-
-
-def _sort_key(perm):
-    """Fixed total order used by searches: element order first, then images."""
-    return (perm.order(), perm.images)
 
 
 class _Stabilizer:
@@ -431,9 +442,9 @@ class PermGroup:
     """
 
     __slots__ = ("degree", "gens", "label", "_chain", "_order", "_table",
-                 "_elements", "_search_order", "_classes", "_minimal_normal",
-                 "_fingerprint", "_lattice_cache", "_lattice_failed_cap",
-                 "_soluble")
+                 "_table_keys", "_elements", "_orders", "_classes",
+                 "_minimal_normal", "_fingerprint", "_lattice_cache",
+                 "_lattice_failed_cap", "_soluble")
 
     def __init__(self, degree, gens=(), label=None, _chain=None):
         if not 1 <= degree <= MAX_DEGREE:
@@ -448,8 +459,9 @@ class PermGroup:
         self._chain = _chain
         self._order = None
         self._table = None
+        self._table_keys = None
         self._elements = None
-        self._search_order = None
+        self._orders = None
         self._classes = None
         self._minimal_normal = None
         self._fingerprint = None
@@ -491,10 +503,10 @@ class PermGroup:
             lvl = lvl.down
         return k
 
-    def element_table(self, cap=ELEMENT_CAP, *, limits=DEFAULT_LIMITS):
+    def element_table(self, *, limits=DEFAULT_LIMITS):
         """All elements as one (order, degree) array of images, uint8 up to
         degree 256 and uint16 above, its rows sorted by image tuple; an
-        element's id is its row.  Refuses above the cap.
+        element's id is its row.  Refuses above ``ELEMENT_CAP`` elements.
 
         Built from the stabilizer chain's transversals one level at a
         time, bottom up: the elements of a level are rest * u for rest
@@ -503,9 +515,9 @@ class PermGroup:
         sorting by those columns sorts by image tuple.  The time budget of
         ``limits`` is checked before each level and before the sort."""
         if self._table is None:
-            n = self.order()
-            if cap is not None and n > cap:
-                raise CapExceeded(f"element sweep needs {n} elements, cap is {cap}")
+            if self.order() > ELEMENT_CAP:
+                raise CapExceeded(f"element sweep needs {self.order()} "
+                                  f"elements, cap is {ELEMENT_CAP}")
             dtype = np.uint8 if self.degree <= 256 else np.uint16
             levels = []
             lvl = self.chain
@@ -543,31 +555,31 @@ class PermGroup:
         """The ids of the elements whose images are the rows of ``rows``,
         each of which must be an element of the group.  Only the first
         ``prefix_width()`` columns are read, so rows cut down to those
-        columns, or to any more, give the same ids."""
-        return np.searchsorted(self._keys(self.element_table(None)),
-                               self._keys(rows))
+        columns, or to any more, give the same ids.  The keys of the whole
+        table are computed once per group."""
+        if self._table_keys is None:
+            self._table_keys = self._keys(self.element_table())
+        return np.searchsorted(self._table_keys, self._keys(rows))
 
-    def elements(self, cap=ELEMENT_CAP, *, limits=DEFAULT_LIMITS):
+    def elements(self, *, limits=DEFAULT_LIMITS):
         """All elements as Perms, in the order of ``element_table``: sorted
-        by image tuple.  Refuses above the cap.
+        by image tuple.  Refuses above ``ELEMENT_CAP`` elements.
 
         The time budget of ``limits`` is checked while the table is built."""
         if self._elements is None:
-            table = self.element_table(cap, limits=limits)
+            table = self.element_table(limits=limits)
             self._elements = tuple(map(Perm, map(tuple, table.tolist())))
         return self._elements
 
-    def sorted_by_search_order(self, *, limits=DEFAULT_LIMITS):
-        """Elements under the search total order (element order, then
-        images), as a tuple memoized on the group.
-
-        The time budget of ``limits`` is checked during the element sweep
-        and before the sort."""
-        if self._search_order is None:
-            elems = self.elements(limits=limits)
+    def element_orders(self, *, limits=DEFAULT_LIMITS):
+        """The order of each element, as a list indexed by id, read once
+        off the element table and memoized on the group.  The time budget
+        of ``limits`` is checked while the table is built and after."""
+        if self._orders is None:
+            table = self.element_table(limits=limits)
             limits.check()
-            self._search_order = tuple(sorted(elems, key=_sort_key))
-        return self._search_order
+            self._orders = list(map(_cycle_order, table.tolist()))
+        return self._orders
 
     def conjugation_ids(self, *, limits=DEFAULT_LIMITS):
         """One id map per generator g: entry x is the id of x^g = g^-1 * x
@@ -576,20 +588,18 @@ class PermGroup:
         checked while the table is built and before each map."""
         table = self.element_table(limits=limits)
         k = self.prefix_width()
-        keys = self._keys(table)
         maps = []
         for g in self.gens:
             limits.check()
             gim = np.array(g.images, dtype=table.dtype)
             ginv = np.array(g.inverse().images[:k], dtype=np.intp)
-            maps.append(np.searchsorted(keys,
-                                        self._keys(gim[table[:, ginv]])))
+            maps.append(self.ids_of(gim[table[:, ginv]]))
         return maps
 
     def conjugacy_classes(self, *, limits=DEFAULT_LIMITS):
         """List of (representative, class size), sorted by representative in
-        search order; each representative is its class's least element in
-        search order.
+        search order, (element order, image tuple); each representative is
+        its class's least element in search order.
 
         The classes are the orbits of the maps of ``conjugation_ids``, each
         labelled by its least id, its least image tuple, by
@@ -605,7 +615,7 @@ class PermGroup:
             rows = self._table[reps].tolist()
             classes = [(Perm(tuple(row)), int(size))
                        for row, size in zip(rows, sizes)]
-            classes.sort(key=lambda c: _sort_key(c[0]))
+            classes.sort(key=lambda c: (c[0].order(), c[0].images))
             self._classes = tuple(classes)
         return self._classes
 
@@ -712,7 +722,7 @@ class PermGroup:
             return True
         if not self.is_abelian():
             return False
-        return any(e.order() == n for e in self.elements())
+        return n in self.element_orders()
 
     def fingerprint(self):
         """Hash of degree plus sorted generator images (cache/report key)."""

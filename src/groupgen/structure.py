@@ -20,10 +20,10 @@ extension method.  Every subgroup is the join of the zuppos it contains,
 so the closure is complete.
 
 The closure works on element ids: an element's id is its row in
-G.element_table(), whose rows are sorted by image tuple (the same order as
-G.elements()), so a subgroup's sorted ids sort like its sorted image
-tuples.  The zuppos are read off the table too: the powers of the
-elements of prime power order, by composing rows.  A join is
+G.element_table(), whose rows are sorted by image tuple, so a subgroup's
+sorted ids sort like its sorted image tuples; no Perm is made per element.
+The zuppos are read off the table and ``G.element_orders()``: the powers
+of the elements of prime power order, by composing rows.  A join is
 ``close_ids``, a breadth-first walk over ids through one right
 multiplication row per generator (``right_rows``); genset.GenOracle closes
 its joins with it too when G's lattice is over the cap,
@@ -77,12 +77,12 @@ class SubgroupLattice:
 
     Subgroup i is ``id_set(i)``, the frozenset of its element ids, and is
     generated by the few elements with ids ``_gen_ids[i]``; an element's id
-    is its row in ``group.element_table()``.  ``join_walks`` is the number
-    of joins the closure walked to find them.
+    is its row in the group's ``element_table()``.  ``join_walks`` is the
+    number of joins the closure walked to find them.  The lattice holds no
+    reference to its group, which memoizes it.
     """
 
-    def __init__(self, group, id_sets, gen_ids, join_walks):
-        self.group = group
+    def __init__(self, id_sets, gen_ids, join_walks):
         self._id_sets = tuple(id_sets)
         self._gen_ids = tuple(gen_ids)
         self.top = len(self._id_sets) - 1
@@ -157,20 +157,20 @@ class SubgroupLattice:
         return row
 
 
-def _zuppos(G, table, elems, *, limits):
+def _zuppos(G, *, limits):
     """The zuppos of G, read off its element table: a list of (id set,
     generator id) sorted by (order, sorted ids), the generator being the
     least id that generates the zuppo, and ``zuppo_of``, the index in that
     list of the zuppo an element generates (-1 for elements of order 1 or
     not of prime power order).
 
-    The orders of the elements come from their cycle lengths.  Only the
+    The orders of the elements are ``G.element_orders()``.  Only the
     elements of prime power order are powered, by composing their rows with
     their own rows again, up to the largest such order; each step keeps
     only the ids of the new powers.  The time budget of ``limits`` is
     checked before each step."""
-    n = len(table)
-    orders = [e.order() for e in elems]
+    orders = G.element_orders(limits=limits)
+    table, n = G.element_table(), len(orders)
     primes = {o: next(iter(factorint(o))) for o in set(orders)
               if o > 1 and is_prime_power(o)}
     xs = [x for x, o in enumerate(orders) if o in primes]
@@ -210,7 +210,7 @@ def right_rows(G, gens, rows):
     missing from it in one lookup."""
     new = [g for g in gens if g not in rows]
     if new:
-        table = G.element_table(None)
+        table = G.element_table()
         # ids_of reads only the images of the first prefix_width points
         n, k = len(table), G.prefix_width()
         ids = G.ids_of(table[new][:, table[:, :k]].reshape(len(new) * n, k))
@@ -265,12 +265,10 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
         raise CapExceeded(f"subgroup lattice exceeds {cap} subgroups")
     if cached is not None:
         return cached
-    table = G.element_table(limits=limits)
-    elems = G.elements(limits=limits)
     conj_ids = G.conjugation_ids(limits=limits)
     # conj[j][x] is the id of x^g for the j-th generator g of G
     conj = [c.tolist() for c in conj_ids]
-    zuppo_list, zuppo_of = _zuppos(G, table, elems, limits=limits)
+    zuppo_list, zuppo_of = _zuppos(G, limits=limits)
     num_z = len(zuppo_list)
     z_ident = np.arange(num_z)
     # zp[j][i] is the index of (zuppo i)^g for the j-th generator g of G,
@@ -364,7 +362,7 @@ def subgroup_lattice(G, *, limits=DEFAULT_LIMITS):
 
     order = sorted(range(len(sets_list)),
                    key=lambda i: (len(sets_list[i]), sorted(sets_list[i])))
-    lattice = SubgroupLattice(G, [sets_list[i] for i in order],
+    lattice = SubgroupLattice([sets_list[i] for i in order],
                               [gens_list[i] for i in order], walks)
     G._lattice_cache = lattice
     return lattice
@@ -377,8 +375,8 @@ def frattini(G, *, limits=DEFAULT_LIMITS):
     lattice = subgroup_lattice(G, limits=limits)
     maximal_sets = [lattice.id_set(i) for i in lattice.maximal_indices()]
     inter = frozenset.intersection(*maximal_sets)
-    elems = G.elements(None)
-    return group_from_elements(G.degree, [elems[k] for k in sorted(inter)])
+    return group_from_elements(G.degree,
+                               G.element_table()[sorted(inter)].tolist())
 
 
 def _prime_powers(reps, *, limits):

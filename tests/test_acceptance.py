@@ -10,6 +10,7 @@ import pathlib
 import random
 import time
 
+import numpy as np
 import pytest
 
 from groupgen import builder, crowns, genset, report, structure, verify
@@ -223,8 +224,9 @@ def test_criterion_10_generation_bounds_across_corpus(corpus_groups):
         assert sorted(wits) == list(range(d, m + 1)), text
         for k, wit in wits.items():
             assert len(wit) == k, text
-            assert an.oracle.span([p.images for p in wit]) == an.oracle.top, \
-                (text, k)
+            ids = G.ids_of(np.array([p.images for p in wit])
+                           .reshape(-1, G.degree)).tolist()
+            assert an.oracle.span_of_ids(ids) == an.oracle.top, (text, k)
             assert genset.is_independent(an, wit), (text, k)
         soc = structure.unique_minimal_normal(G)
         if soc is not None and not soc.is_abelian():

@@ -126,11 +126,12 @@ def _brute_eulerian(G, m):
 
 
 def _greedy_word(G):
-    """A short generating sequence, first-fit over the sorted elements."""
+    """A short generating sequence, first-fit over the elements in search
+    order, (element order, image tuple)."""
     n = G.order()
     word = []
     current = PermGroup(G.degree, ())
-    for e in G.sorted_by_search_order():
+    for e in sorted(G.elements(), key=lambda e: (e.order(), e.images)):
         if e.is_identity() or e in current:
             continue
         word.append(e)
@@ -294,8 +295,8 @@ def test_aut_order_of_s5():
 
 def test_aut_order_builds_no_chain(monkeypatch):
     # the generating word, the extension test and the generation test all
-    # walk element-id rows: with A5's chain, table, search order and
-    # classes in place, counting |Aut(A5)| builds no stabilizer chain
+    # walk element-id rows: with A5's chain, table, order map and classes
+    # in place, counting |Aut(A5)| builds no stabilizer chain
     built = []
 
     def counting(degree, gens, _real=perm.build_chain):
@@ -303,8 +304,7 @@ def test_aut_order_builds_no_chain(monkeypatch):
         return _real(degree, gens)
 
     A5 = _alt(5)
-    A5.element_table()
-    A5.sorted_by_search_order()
+    A5.element_orders()
     A5.conjugacy_classes()
     monkeypatch.setattr(perm, "build_chain", counting)
     assert crowns.aut_order(A5) == 120
@@ -322,10 +322,10 @@ def test_aut_order_checks_the_budget():
             calls.append(None)
             super().check()
 
-    # with the element order and the classes memoized, every check comes
-    # from the candidate loop that follows the class sweep
+    # with the order map and the classes memoized, every check comes from
+    # the candidate loop that follows the class sweep
     A5 = _alt(5)
-    A5.sorted_by_search_order()
+    A5.element_orders()
     classes = A5.conjugacy_classes()
     assert crowns.aut_order(A5, limits=CountingLimits()) == 120
     assert len(classes) == 5
@@ -493,14 +493,25 @@ def test_h1_trivial_module_counts_abelianization():
 
 
 def test_h1_checks_the_module_against_the_group():
-    # the natural GF(2) module of S3 on D(C3, C2), whose two generators
-    # commute while the 3-cycle's and the transposition's matrices do not
+    # the natural GF(2) module of S3 handed to h1 with D(C3, C2): its
+    # matrices sit on S3's generators, so _check_generators refuses it
+    # before any walk
     S3 = builder.build("S3")
     M = _module(S3, [[[0, 1], [1, 1]], [[0, 1], [1, 0]]], 2)
     G = builder.build("D(C3, C2)")
-    assert len(G.gens) == 2 and G.gens[0] * G.gens[1] == G.gens[1] * G.gens[0]
-    with pytest.raises(GroupError, match="inconsistent"):
+    with pytest.raises(GroupError, match="act on other generators"):
         crowns.h1_dimension(G, M)
+
+
+def test_module_walk_checks_the_matrices_against_the_relations():
+    # D(C3, C2)'s two generators commute while the 3-cycle's and the
+    # transposition's matrices of S3's natural GF(2) module do not, so the
+    # walk over D(C3, C2)'s Cayley graph refuses them
+    G = builder.build("D(C3, C2)")
+    assert len(G.gens) == 2 and G.gens[0] * G.gens[1] == G.gens[1] * G.gens[0]
+    with pytest.raises(GroupError,
+                       match="inconsistent with the group's relations"):
+        _module(G, [[[0, 1], [1, 1]], [[0, 1], [1, 0]]], 2)
 
 
 def test_h1_refuses_a_module_with_another_generator_count():

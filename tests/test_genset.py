@@ -4,9 +4,10 @@ import hashlib
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
-from groupgen.perm import (CapExceeded, Limits, Perm, PermGroup,
+from groupgen.perm import (CapExceeded, GroupError, Limits, Perm, PermGroup,
                            TimeBudgetExceeded, omega)
 from groupgen import builder, genset, perm, report, structure, verify
 from groupgen.genset import Analysis
@@ -394,22 +395,26 @@ def test_m_orbit_step_stops_on_a_spent_budget(monkeypatch):
     assert built == []
 
 
-def test_search_order_is_sorted_once_per_group(monkeypatch):
-    # m and then the spectrum both walk G's elements in search order,
-    # which is memoized on G: one sort keys each element once
+def test_element_orders_are_computed_once_per_group(monkeypatch):
+    # the lattice's zuppos, m's prime power filter and the search order of
+    # m and the spectrum all read G's one order map: with the classes and
+    # the chief series done first, each element's order is computed once
     G = builder.build("A5")
     G.conjugacy_classes()
-    keyed = []
-
-    def counting(e):
-        keyed.append(e)
-        return (e.order(), e.images)
-
-    monkeypatch.setattr(perm, "_sort_key", counting)
     an = Analysis(G)
+    assert (an.a, an.b) == (1, 1)
+    computed = []
+
+    def counting(images, _real=perm._cycle_order):
+        computed.append(images)
+        return _real(images)
+
+    monkeypatch.setattr(perm, "_cycle_order", counting)
+    structure.subgroup_lattice(G)
     assert genset.m(an) == 3
     assert sorted(genset.spectrum(an)) == [2, 3]
-    assert len(keyed) == G.order()
+    assert len(computed) == G.order()
+    assert sorted(computed) == G.element_table().tolist()
 
 
 def test_m_order_cap():
@@ -431,10 +436,16 @@ def test_spectrum():
     assert sorted(spec) == [0]
 
 
+def _ids(G, perms):
+    """The element ids of the perms in G."""
+    return G.ids_of(np.array([p.images for p in perms])
+                    .reshape(-1, G.degree)).tolist()
+
+
 def _is_independent_generating_set(A, perms):
     """The perms generate A's group and none lies in the span of the
     others, read off A's generation oracle."""
-    return (A.oracle.span([p.images for p in perms]) == A.oracle.top
+    return (A.oracle.span_of_ids(_ids(A.G, perms)) == A.oracle.top
             and genset.is_independent(A, perms))
 
 
@@ -530,6 +541,17 @@ def test_is_independent():
     assert not _is_independent_generating_set(S4, [a])
 
 
+def test_is_independent_refuses_elements_outside_the_group():
+    # the odd (4 5) has A5's degree and fixes A5's three base points, so it
+    # agrees with the identity on the images that key an element id
+    A5 = Analysis(_alt(5))
+    outside = Perm.from_cycles(5, [(3, 4)])
+    assert A5.G.prefix_width() == 3
+    for perms in ([outside], [A5.G.gens[0], outside], [_sym(6).gens[0]]):
+        with pytest.raises(GroupError, match="not all inside the group"):
+            genset.is_independent(A5, perms)
+
+
 def test_independence_is_hereditary():
     rng = random.Random(3)
     for G in [_sym(4), _alt(5), _cyclic(12)]:
@@ -552,13 +574,14 @@ def test_prime_power_restriction_cross_validation():
 
 
 def _engine_results(G, oracle):
-    """The engine's maximum and its witness for every spectrum size."""
-    elems, reps = genset._search_candidates(G)
+    """The engine's maximum and its witness for every spectrum size, as
+    Perms."""
+    eids, rids = genset._search_candidates(G)
     top = omega(G.order())
-    out = {"max": genset._search(oracle, elems, reps, 1, top)}
+    out = {"max": genset._search(oracle, eids, rids, 1, top)}
     for k in genset.spectrum(Analysis(G)):
-        out[k] = genset._search(oracle, elems, reps, k, k)
-    return out
+        out[k] = genset._search(oracle, eids, rids, k, k)
+    return {k: genset._perms(G, ids) for k, ids in out.items()}
 
 
 def test_search_fallback_without_lattice():
@@ -611,15 +634,12 @@ def test_oracle_fallback_matches_lattice():
         without = genset.GenOracle(G, limits=Limits(lattice_cap=1))
         assert without.lattice is None
         rng = random.Random(9)
-        elems = G.elements()
+        n = G.order()
         for _ in range(20):
-            picks = [rng.choice(elems).images
-                     for _ in range(rng.randrange(1, 4))]
-            for e in elems:
-                assert (with_lat.member(picks, e.images)
-                        == without.member(picks, e.images))
-            assert ((with_lat.span(picks) == with_lat.top)
-                    == (without.span(picks) == without.top))
+            picks = [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
+            a, b = with_lat.span_of_ids(picks), without.span_of_ids(picks)
+            assert with_lat.sets[a] == without.sets[b]
+            assert (a == with_lat.top) == (b == without.top)
 
 
 def test_d_random_phase_on_large_group():

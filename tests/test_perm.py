@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from groupgen import builder, genset, report, structure
+from groupgen import builder, genset, perm, report, structure
 from groupgen.perm import (
     CapExceeded,
     DegreeMismatch,
@@ -291,10 +291,48 @@ def test_spent_budget_leaves_no_memo():
         assert (G._table, G._elements, G._classes) == (None, None, None)
 
 
-def test_element_cap():
+def test_element_orders_match_powering():
+    # the order map against the least k with e ** k the identity, in id
+    # order, and memoized on the group
+    for G in (_sym(4), _alt(5), _cyclic(12), builder.build("PGL2(7)")):
+        orders = G.element_orders()
+        expected = []
+        for e in G.elements():
+            k, x = 1, e
+            while not x.is_identity():
+                k, x = k + 1, x * e
+            expected.append(k)
+        assert orders == expected
+        assert G.element_orders() is orders
+
+
+def test_element_table_is_keyed_once_per_group(monkeypatch):
+    # ids_of keys only its argument: the keys of the whole table are
+    # computed once per group and shared with conjugation_ids
+    keyed = []
+    real = PermGroup._keys
+
+    def counting(self, rows):
+        keyed.append(rows is self._table)
+        return real(self, rows)
+
+    monkeypatch.setattr(PermGroup, "_keys", counting)
+    for text in ("S4", "A5", "PGL2(7)"):
+        G = builder.build(text)
+        keyed.clear()
+        G.conjugacy_classes()
+        structure.subgroup_lattice(G)
+        for ids in ([5], [3, 0, 2]):
+            assert G.ids_of(G.element_table()[ids]).tolist() == ids, text
+        assert keyed.count(True) == 1, text
+
+
+def test_element_cap(monkeypatch):
+    monkeypatch.setattr(perm, "ELEMENT_CAP", 100)
     G = _sym(6)
-    with pytest.raises(CapExceeded):
-        G.elements(cap=100)
+    with pytest.raises(CapExceeded, match="cap is 100"):
+        G.elements()
+    assert G._table is None
 
 
 def test_conjugacy_classes():

@@ -400,3 +400,19 @@ def test_big_wreath_report_makes_no_perm_per_element(monkeypatch):
     rep = compute_report("WREATH(1)")
     assert rep["order"] == 112896 and rep["d"] == 2
     assert max(swept, default=0) <= 1000
+
+
+def test_big_wreath_report_builds_no_order_map(monkeypatch):
+    # WREATH(1)'s d comes from the probe and its m from the soluble fast
+    # path, so no order map of a group of order above 1000 is read
+    read = []
+    real = PermGroup.element_orders
+
+    def element_orders(self, *args, **kwargs):
+        read.append(self.order())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "element_orders", element_orders)
+    rep = compute_report("WREATH(1)")
+    assert rep["order"] == 112896 and rep["d"] == 2
+    assert max(read, default=0) <= 1000

@@ -4,11 +4,13 @@ The lattice is checked against a brute-force enumeration of all closed
 subsets for groups of order at most 16, plus classical subgroup counts.
 """
 
+import gc
 import hashlib
 import pathlib
 import random
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -70,19 +72,21 @@ def _image_set(G):
     return frozenset(e.images for e in G.elements())
 
 
-def _elem_sets(lat):
-    """Each subgroup of the lattice as a frozenset of element image tuples."""
-    images = [e.images for e in lat.group.elements(None)]
+def _elem_sets(G):
+    """Each subgroup of G's lattice as a frozenset of element image
+    tuples."""
+    lat = structure.subgroup_lattice(G)
+    images = [e.images for e in G.elements()]
     return tuple(frozenset(images[k] for k in lat.id_set(i))
                  for i in range(len(lat)))
 
 
-def _subgroups(lat):
-    """Each subgroup of the lattice as a PermGroup on its generators: the
+def _subgroups(G):
+    """Each subgroup of G's lattice as a PermGroup on its generators: the
     elements with the lattice's generator ids."""
-    elems = lat.group.elements(None)
-    return [PermGroup(lat.group.degree, [elems[g] for g in gens])
-            for gens in lat._gen_ids]
+    elems = G.elements()
+    return [PermGroup(G.degree, [elems[g] for g in gens])
+            for gens in structure.subgroup_lattice(G)._gen_ids]
 
 
 def _brute_subgroup_sets(G):
@@ -111,8 +115,7 @@ def test_lattice_matches_brute_enumeration():
               _c2xc4(), _elementary(2, 3), _alt(4), _cyclic(12)]:
         if G.order() > 16:
             continue
-        lat = structure.subgroup_lattice(G)
-        assert set(_elem_sets(lat)) == _brute_subgroup_sets(G)
+        assert set(_elem_sets(G)) == _brute_subgroup_sets(G)
 
 
 def test_known_subgroup_counts():
@@ -184,9 +187,10 @@ LATTICE_DIGESTS = {
 }
 
 
-def _lattice_digest(lat):
+def _lattice_digest(G):
+    lat = structure.subgroup_lattice(G)
     h = hashlib.sha256()
-    for i, H in enumerate(_subgroups(lat)):
+    for i, H in enumerate(_subgroups(G)):
         h.update(repr((sorted(lat.id_set(i)),
                        tuple(g.images for g in H.gens))).encode())
     return h.hexdigest()[:16]
@@ -200,18 +204,20 @@ def test_lattice_digests_cover_the_quick_corpus():
 
 @pytest.mark.parametrize("text", list(LATTICE_DIGESTS))
 def test_lattice_digest(text):
-    lat = structure.subgroup_lattice(builder.build(text))
-    assert (len(lat), _lattice_digest(lat)) == LATTICE_DIGESTS[text]
+    G = builder.build(text)
+    lat = structure.subgroup_lattice(G)
+    assert (len(lat), _lattice_digest(G)) == LATTICE_DIGESTS[text]
 
 
 def test_lattice_subgroups_are_closed_and_sorted():
-    lat = structure.subgroup_lattice(_sym(4))
-    elem_sets = _elem_sets(lat)
+    S4 = _sym(4)
+    lat = structure.subgroup_lattice(S4)
+    elem_sets = _elem_sets(S4)
     sizes = [len(fs) for fs in elem_sets]
     assert sizes == sorted(sizes)
-    assert elem_sets[lat.top] == _image_set(_sym(4))
+    assert elem_sets[lat.top] == _image_set(S4)
     rng = random.Random(3)
-    for fs, H in zip(elem_sets, _subgroups(lat)):
+    for fs, H in zip(elem_sets, _subgroups(S4)):
         assert H.order() == len(fs)
         sample = rng.sample(sorted(fs), min(4, len(fs)))
         for a in sample:
@@ -221,8 +227,8 @@ def test_lattice_subgroups_are_closed_and_sorted():
     # conjugated generators, which must still generate exactly their set
     for G in (_sym(4), _sym(5), builder.build("CROWN(S4, 2)")):
         lat = structure.subgroup_lattice(G)
-        elem_sets = _elem_sets(lat)
-        for H, fs in zip(_subgroups(lat), elem_sets):
+        elem_sets = _elem_sets(G)
+        for H, fs in zip(_subgroups(G), elem_sets):
             assert _image_set(H) == fs
         keys = [(len(fs), sorted(fs)) for fs in elem_sets]
         assert keys == sorted(keys)
@@ -232,8 +238,7 @@ def test_lattice_subgroups_are_closed_and_sorted():
 def test_lattice_contains_all_two_generated_subgroups():
     rng = random.Random(17)
     for G in [_sym(4), _dihedral4(), _cyclic(12), _alt(4)]:
-        lat = structure.subgroup_lattice(G)
-        known = set(_elem_sets(lat))
+        known = set(_elem_sets(G))
         elems = G.elements()
         for _ in range(25):
             a, b = rng.choice(elems), rng.choice(elems)
@@ -243,8 +248,7 @@ def test_lattice_contains_all_two_generated_subgroups():
 
 def test_lattice_closed_under_intersection():
     for G in [_sym(4), _alt(4), _cyclic(12)]:
-        lat = structure.subgroup_lattice(G)
-        sets = _elem_sets(lat)
+        sets = _elem_sets(G)
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 assert sets[i] & sets[j] in set(sets)
@@ -380,6 +384,20 @@ def test_cyclic_lattice_powers_only_prime_power_elements():
     assert peak < 32 * 2**20
 
 
+def test_group_with_its_lattice_dies_without_the_cycle_collector():
+    # the group memoizes its lattice and the lattice keeps no reference
+    # back, so reference counting alone frees both
+    G = _sym(4)
+    refs = [weakref.ref(structure.subgroup_lattice(G)),
+            weakref.ref(G.element_table())]
+    gc.disable()
+    try:
+        del G
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_lattice_budget():
     G = builder.build("S5")
     with pytest.raises(TimeBudgetExceeded):
@@ -402,10 +420,11 @@ def test_chief_series_budget_stops_the_element_sweep():
     with pytest.raises(TimeBudgetExceeded):
         G.elements(limits=Limits(seconds=0.0))
     assert G._elements is None
-    # with the elements swept, the budget still stops the search-order sort
+    # with the elements swept, the budget still stops the order map
     G.elements()
     with pytest.raises(TimeBudgetExceeded):
-        G.sorted_by_search_order(limits=Limits(seconds=0.0))
+        G.element_orders(limits=Limits(seconds=0.0))
+    assert G._orders is None
 
 
 def test_closure_walk_honours_the_budget():
@@ -551,7 +570,7 @@ def test_moebius_s3():
     lat = structure.subgroup_lattice(S3)
     mu = lat.moebius()
     by_order = {}
-    for i, H in enumerate(_subgroups(lat)):
+    for i, H in enumerate(_subgroups(S3)):
         by_order.setdefault(H.order(), []).append(mu[i])
     assert by_order[1] == [3]
     assert by_order[2] == [-1, -1, -1]
@@ -584,11 +603,13 @@ def test_containment_and_join_rows_match_set_loops():
 
 
 def test_generates():
-    oracle = genset.GenOracle(_sym(4))
+    S4 = _sym(4)
+    oracle = genset.GenOracle(S4)
     a = Perm.from_cycles(4, [(0, 1, 2, 3)])
     b = Perm.from_cycles(4, [(0, 1)])
-    assert oracle.span([a.images, b.images]) == oracle.top
-    assert oracle.span([a.images]) != oracle.top
+    ids = S4.ids_of(np.array([a.images, b.images])).tolist()
+    assert oracle.span_of_ids(ids) == oracle.top
+    assert oracle.span_of_ids(ids[:1]) != oracle.top
 
 
 def test_frattini():
@@ -854,6 +875,20 @@ def _corpus_groups():
     for path in report.corpus_files(CORPUS_DIR):
         for text in report.read_expressions(path):
             yield builder.build(text)
+
+
+def test_lattice_oracle_and_frattini_make_no_perm_per_element(monkeypatch):
+    # all three read the element table and its ids, with or without the
+    # lattice behind the oracle
+    def elements(self, *args, **kwargs):
+        raise AssertionError("elements swept into Perms")
+
+    monkeypatch.setattr(PermGroup, "elements", elements)
+    for G in _corpus_groups():
+        assert structure.frattini(G).order() >= 1
+        assert genset.GenOracle(G).lattice is not None
+        fallback = genset.GenOracle(G, limits=Limits(lattice_cap=1))
+        assert fallback.lattice is None
 
 
 def test_has_complement_matches_frattini_flag():
