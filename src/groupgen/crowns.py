@@ -7,25 +7,29 @@ t (of G modulo the kernel C of the action), the multiplicity delta of the
 module among the non-Frattini chief factors, and the resulting bound
 h = floor((s - 1) / r) + 2 (or h = delta when the action is trivial).
 For a soluble group, d(G) is exactly the maximum of h over its chief
-factor classes, which this module exposes as `soluble_d`.  A `GfpModule`
-is checked exactly when it is made, by one walk over the Cayley graph of
-G on element ids, and the same walk gives C.  s and t come from one more
-walk of that kind that also carries the derivation coefficients: s from
-its edge equations, and t from those plus delta = 0 on the ids of C, read
-in G, since the derivations of G/C are the derivations of G vanishing
-on C.
+factor classes, which this module exposes as `soluble_d`.  Its number
+of generating k-tuples is Gaschuetz's product over its complemented chief
+factors, which `eulerian` takes.  Both read the invariants that
+`factor_invariants` lists, computed once per group and kept on it as
+plain data that refers back to no group.  A `GfpModule` is checked
+exactly when it is made, by one walk over the Cayley graph of G on
+element ids, and the same walk gives C.  s and t come from one more walk
+of that kind that also carries the derivation coefficients: s from its
+edge equations, and t from those plus delta = 0 on the ids of C, read in
+G, since the derivations of G/C are the derivations of G vanishing on C.
 
 The non-abelian side goes through crown-based powers: `monolithic_of`
 builds the primitive group L attached to a chief factor, `crown_power`
 the subgroup L_k of L^k of tuples congruent modulo the socle, and
 `crown_generation_check` evaluates the counting criterion for d(L_k) in
 the simple-socle case, with `eulerian` and `aut_order` supplying the two
-sides of the threshold.  `aut_order` searches the images of a generating
-sequence on element ids: a partial assignment survives while a walk over
-the Cayley graph of the subgroup its generators span extends it to a
-homomorphism, with no stabilizer chain built.  The first image runs over
-conjugacy class representatives only, and each representative's count is
-weighted by its class size.
+sides of the threshold (a simple socle is not soluble, so `eulerian`
+takes P. Hall's Moebius sum over its subgroup lattice).  `aut_order`
+searches the images of a generating sequence on element ids: a partial
+assignment survives while a walk over the Cayley graph of the subgroup
+its generators span extends it to a homomorphism, with no stabilizer
+chain built.  The first image runs over conjugacy class representatives
+only, and each representative's count is weighted by its class size.
 """
 
 import random
@@ -36,8 +40,8 @@ import numpy as np
 from . import gfp
 from .perm import (DEFAULT_LIMITS, MAX_DEGREE, CapExceeded, GroupError,
                    Perm, PermGroup, group_from_elements, is_prime, quotient)
-from .structure import (chief_series, close_ids,
-                        factor_centralizer, is_simple,
+from .structure import (ChiefFactor, chief_series, close_ids,
+                        factor_centralizer, gequivalent_abelian, is_simple,
                         minimal_normal_subgroups, right_rows,
                         subgroup_lattice)
 
@@ -256,12 +260,35 @@ def crown_power(L, A, k):
 def eulerian(X, m, *, limits=DEFAULT_LIMITS):
     """The number of ordered m-tuples of elements that generate X.
 
-    Moebius inversion over the subgroup lattice: the tuples inside a fixed
-    subgroup H number |H|^m, so the generating ones number
+    A soluble X of order at most COHOMOLOGY_CAP takes Gaschuetz's product
+    (W. Gaschuetz, "Die Eulersche Funktion endlicher aufloesbarer
+    Gruppen", 1959), with no subgroup lattice:
+
+        phi_X(m) = |X|^m * prod_A (1 - c_A q_A^i_A / |A|^m)
+
+    over the complemented chief factors A of one chief series, in series
+    order, where q_A = |End_X(A)| = p^end_dim, i_A counts the earlier
+    complemented factors X-equivalent to A, and c_A is q_A^t for a trivial
+    module and |A| q_A^t otherwise, t from `module_invariants`.  It is
+    evaluated in integers, dividing by prod_A |A|^m once at the end.
+
+    Every other X takes P. Hall's Moebius inversion over the subgroup
+    lattice ("The Eulerian functions of a group", 1936): the tuples inside
+    a fixed subgroup H number |H|^m, so the generating ones number
     sum_H mu(H, X) |H|^m.
     """
     if m < 0:
         raise GroupError("tuple length must be nonnegative")
+    if X.order() <= COHOMOLOGY_CAP and X.is_soluble():
+        num, den = X.order() ** m, 1
+        for rec in _factor_records(X, limits):
+            size = rec.above.order() // rec.below.order()
+            inv = rec.invariants
+            q = rec.prime ** inv.end_dim
+            c = q ** inv.t if rec.trivial else size * q ** inv.t
+            num *= size ** m - c * q ** rec.twins
+            den *= size ** m
+        return num // den
     lat = subgroup_lattice(X, limits=limits)
     mu = lat.moebius()
     return sum(mu[i] * len(lat.id_set(i)) ** m for i in range(len(lat)))
@@ -516,15 +543,57 @@ def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
     return ModuleInvariants(r=r, s=s, t=t, delta=delta, h=h, end_dim=end_dim)
 
 
+@dataclass(frozen=True)
+class _FactorRecord:
+    """The memo's entry for one non-Frattini abelian chief factor
+    above/below of G: plain data, with no ChiefFactor or module, as those
+    refer back to G."""
+    below: PermGroup
+    above: PermGroup
+    prime: int
+    invariants: ModuleInvariants
+    trivial: bool
+    twins: int  # earlier records whose factors are G-equivalent to this one
+
+
+def _factor_records(G, limits):
+    """The `_FactorRecord`s of G's non-Frattini abelian chief factors, in
+    series order, memoized on G.  A factor with delta = 1 has no twin, so
+    only the others are matched by `gequivalent_abelian`, against the
+    first factor of each class met so far."""
+    if G._factor_records is None:
+        series = chief_series(G, limits=limits)
+        records, classes = [], []  # classes: [first factor, size]
+        for f in series:
+            if not f.is_abelian or f.is_frattini:
+                continue
+            M = module_of_factor(f)
+            inv = module_invariants(G, M, series, limits=limits)
+            twins = 0
+            if inv.delta > 1:
+                for cls in classes:
+                    if gequivalent_abelian(cls[0], f):
+                        twins = cls[1]
+                        cls[1] += 1
+                        break
+                else:
+                    classes.append([f, 1])
+            records.append(_FactorRecord(f.below, f.above, f.prime, inv,
+                                         M.is_trivial_action(), twins))
+        G._factor_records = tuple(records)
+    return G._factor_records
+
+
 def factor_invariants(G, *, limits=DEFAULT_LIMITS):
-    """(factor, ModuleInvariants) for every non-Frattini abelian chief factor."""
-    series = chief_series(G, limits=limits)
+    """(factor, ModuleInvariants) for every non-Frattini abelian chief
+    factor, in series order.  The invariants are computed once per group;
+    each call makes its ChiefFactors anew from the memo's subgroups."""
     out = []
-    for f in series:
-        if not f.is_abelian or f.is_frattini:
-            continue
-        inv = module_invariants(G, module_of_factor(f), series, limits=limits)
-        out.append((f, inv))
+    for rec in _factor_records(G, limits):
+        f = ChiefFactor(G, rec.below, rec.above, limits)
+        # true of every factor the memo keeps
+        f.is_abelian, f.is_frattini = True, False
+        out.append((f, rec.invariants))
     return out
 
 
@@ -538,5 +607,4 @@ def soluble_d(G, *, limits=DEFAULT_LIMITS):
         raise GroupError("the h-based generator count needs a soluble group")
     if G.order() == 1:
         return 0
-    pairs = factor_invariants(G, limits=limits)
-    return max(inv.h for _, inv in pairs)
+    return max(rec.invariants.h for rec in _factor_records(G, limits))

@@ -444,7 +444,7 @@ class PermGroup:
     __slots__ = ("degree", "gens", "label", "_chain", "_order", "_table",
                  "_table_keys", "_elements", "_orders", "_classes",
                  "_minimal_normal", "_fingerprint", "_lattice_cache",
-                 "_lattice_failed_cap", "_soluble")
+                 "_lattice_failed_cap", "_soluble", "_factor_records")
 
     def __init__(self, degree, gens=(), label=None, _chain=None):
         if not 1 <= degree <= MAX_DEGREE:
@@ -468,6 +468,7 @@ class PermGroup:
         self._lattice_cache = None
         self._lattice_failed_cap = None
         self._soluble = None
+        self._factor_records = None
 
     @property
     def chain(self):

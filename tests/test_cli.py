@@ -117,6 +117,11 @@ def test_phi_command(capsys):
     code, out, _ = run(capsys, "phi", "S3", "2")
     assert code == 0
     assert out.strip() == "18"
+    # soluble within COHOMOLOGY_CAP: Gaschuetz's product, no lattice, so
+    # the default lattice cap of 2000 subgroups does not apply
+    code, out, _ = run(capsys, "phi", "D(C2, K4, S4)", "4")
+    assert code == 0
+    assert out.strip() == "396264960"
 
 
 def test_crown_command(capsys):

@@ -1,16 +1,19 @@
 """Crown power, Eulerian, automorphism and cohomology tests.
 
 Each computed quantity is checked against an independent oracle: Eulerian
-counts against brute-force tuple enumeration, automorphism counts against
-full multiplication-table verification of candidate maps, and H^1
-dimensions against complement counting in an explicitly built semidirect
-product.
+counts against brute-force tuple enumeration and, for soluble groups,
+Gaschuetz's product against P. Hall's Moebius sum over the lattice,
+automorphism counts against full multiplication-table verification of
+candidate maps, and H^1 dimensions against complement counting in an
+explicitly built semidirect product.
 """
 
+import gc
 import hashlib
 import itertools
 import pathlib
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -123,6 +126,27 @@ def _brute_eulerian(G, m):
         if PermGroup(G.degree, tup).order() == n:
             count += 1
     return count
+
+
+def _moebius_eulerian(G, m, limits=perm.DEFAULT_LIMITS):
+    """P. Hall's sum over the subgroup lattice, whatever G is."""
+    lat = structure.subgroup_lattice(G, limits=limits)
+    mu = lat.moebius()
+    return sum(mu[i] * len(lat.id_set(i)) ** m for i in range(len(lat)))
+
+
+def _soluble_quick_groups():
+    groups = [builder.build(text)
+              for path in report.corpus_files(str(CORPUS_DIR))
+              for text in report.read_expressions(path)]
+    return [G for G in groups if G.is_soluble()]
+
+
+def _counting(calls, name, real):
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return wrapped
 
 
 def _greedy_word(G):
@@ -259,6 +283,90 @@ def test_eulerian_pinned_values():
     # the trivial group is generated by every tuple, including the empty one
     assert crowns.eulerian(PermGroup(2, ()), 0) == 1
     assert crowns.eulerian(_cyclic(3), 0) == 0
+
+
+def test_gaschuetz_product_matches_the_moebius_sum():
+    groups = _soluble_quick_groups() + [PermGroup(2, ())]
+    assert len(groups) == 32
+    for G in groups:
+        for k in range(4):
+            assert crowns.eulerian(G, k) == _moebius_eulerian(G, k), (G, k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("text", ["D(C2, K4, S4)", "D(Dih4, Dih4, C4)"])
+def test_gaschuetz_product_matches_the_moebius_sum_over_the_lattice_cap(text):
+    G = builder.build(text)
+    limits = Limits(lattice_cap=20000)
+    for k in range(5):
+        assert crowns.eulerian(G, k) == _moebius_eulerian(G, k, limits), k
+
+
+def test_gaschuetz_product_pins_both_module_kinds():
+    # S3's C3 factor is a nontrivial module, so c_A carries |A| = 3; C2^3
+    # has three equivalent trivial factors, with i_A = 0, 1 and 2
+    S3, E = _sym(3), _elementary(2, 3)
+    assert [rec.trivial for rec in crowns._factor_records(S3, Limits())] \
+        == [False, True]
+    assert [rec.twins for rec in crowns._factor_records(E, Limits())] \
+        == [0, 1, 2]
+    for k in range(6):
+        assert crowns.eulerian(S3, k) == (3 ** k - 3) * (2 ** k - 1)
+        assert crowns.eulerian(E, k) == \
+            (2 ** k - 1) * (2 ** k - 2) * (2 ** k - 4)
+
+
+def test_soluble_eulerian_builds_no_lattice(monkeypatch):
+    calls = []
+    for module in (structure, crowns):
+        monkeypatch.setattr(module, "subgroup_lattice",
+                            _counting(calls, "lattice",
+                                      structure.subgroup_lattice))
+    for text in ("S4", "CROWN(S3, 3)", "D(C2, K4, S4)"):
+        assert crowns.eulerian(builder.build(text), 2) >= 0
+    assert calls == []
+    # the counter does see the Moebius route
+    crowns.eulerian(_alt(5), 2)
+    assert calls
+
+
+def test_factor_invariants_are_computed_once_per_group(monkeypatch):
+    G = _sym(4)
+    first = crowns.factor_invariants(G)
+    calls = []
+    monkeypatch.setattr(crowns, "chief_series",
+                        _counting(calls, "chief_series",
+                                  structure.chief_series))
+    again = crowns.factor_invariants(G)
+    assert crowns.soluble_d(G) == 2
+    crowns.eulerian(G, 2)
+    assert calls == []
+    assert [inv for _, inv in again] == [inv for _, inv in first]
+    assert [(f.below, f.above, f.group) for f, _ in again] == \
+        [(f.below, f.above, G) for f, _ in first]
+
+
+def test_factor_memo_dies_with_its_group_without_the_cycle_collector():
+    # the memo keeps subgroups and invariants, no ChiefFactor or module
+    # referring back to G, so reference counting alone frees the group
+    G = _sym(4)
+    crowns.eulerian(G, 2)
+    pairs = crowns.factor_invariants(G)
+    ref = weakref.ref(G.element_table())
+    gc.disable()
+    try:
+        del G, pairs
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_least_k_with_generating_tuples_is_d():
+    for G in _soluble_quick_groups():
+        k = 0
+        while crowns.eulerian(G, k) == 0:
+            k += 1
+        assert k == genset.d(genset.Analysis(G)), G
 
 
 def test_aut_order_matches_table_oracle():
