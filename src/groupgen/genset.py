@@ -25,8 +25,13 @@ their witnesses and keep every second slot.
 Spans come from a GenOracle as integer handles with element-id membership
 and join rows.  The oracle reads them off the subgroup lattice when the
 group has one within the limits, or else closes each span once on element
-ids (structure.close_ids) and interns it.  The engine cannot tell them apart.
-It walks ids only; a witness becomes Perms at the end, from table rows.
+ids (structure.close_ids) and interns it.  The walk is the same on both: a
+node keeps the later candidates that leave the prefix independent, in
+ascending order, and recurses into each.  Over the lattice a node with
+many candidates keeps them by a numpy filter over the lattice's array join
+rows and membership array; a node with few candidates, and every node over
+the fallback oracle, tests them one at a time in Python.  The engine walks
+ids only; a witness becomes Perms at the end, from table rows.
 d(), m() and spectrum() take an Analysis, which computes what they share
 once: the chief series with a and b, d with its witness, m, the oracle;
 the verifiers also read its Frattini subgroup, minimal normal subgroups
@@ -55,6 +60,8 @@ from .perm import (
 )
 
 SEARCH_ORDER_CAP = 2000
+# a search node with fewer candidates tests them one at a time in Python
+FILTER_MIN = 64
 DEFAULT_RANDOM_TRIES = 400
 
 
@@ -126,7 +133,10 @@ class GenOracle:
     ``e``, and handle 0 is the trivial subgroup and ``top`` the whole group.
     ``lattice`` is the subgroup lattice the spans come from, or None when
     there is none within the limits and each join is instead closed on
-    element ids on first use, from the join's generator ids.
+    element ids on first use, from the join's generator ids.  Over a
+    lattice ``join_row`` is a list made once from the lattice's array row,
+    for the loops that read one entry at a time; its entries are shared
+    int objects, one per handle.
     """
 
     def __init__(self, G, *, limits=DEFAULT_LIMITS):
@@ -142,6 +152,8 @@ class GenOracle:
             self.sets = [self.lattice.id_set(i)
                          for i in range(len(self.lattice))]
             self.top = self.lattice.top
+            self._rows = {}
+            self._handle_ints = np.array(range(len(self.sets)), dtype=object)
             return
         self.sets = []
         self._gens = []
@@ -171,9 +183,13 @@ class GenOracle:
         return self._intern(span or self.sets[self.top], gens)
 
     def join_row(self, h):
-        if self.lattice is not None:
-            return self.lattice.join_row(h)
-        return self._rows[h]
+        if self.lattice is None:
+            return self._rows[h]
+        row = self._rows.get(h)
+        if row is None:
+            row = self._rows[h] = (
+                self._handle_ints.take(self.lattice.join_row(h)).tolist())
+        return row
 
     def span_of_ids(self, ids):
         """Handle of the subgroup generated by the elements with these ids."""
@@ -295,6 +311,16 @@ def _search(oracle, eids, rids, lower, upper, *, limits=DEFAULT_LIMITS,
     to the whole group has at most Omega(index) more steps, which bounds
     what a prefix can still reach.
 
+    A node filters its candidates before it recurses.  On a lattice oracle
+    with at least FILTER_MIN candidates the filter is a few numpy reads:
+    the join row of the prefix's span at every candidate, and for each
+    prefix member p_j the lattice's ``members`` bit of p_j in the join of
+    the span without p_j with each candidate.  Smaller nodes, where those
+    calls cost more than they save, and every node of the fallback oracle,
+    whose rows are filled as they are read, test one candidate at a time
+    in Python.  Both keep the survivors in ascending order, so the walk
+    visits the same nodes in the same order either way.
+
     With ``size_only`` the second slot tries only candidates that are the
     least element of their C_G(r)-orbit, r the first slot's representative
     (see m); the set returned then has the right size but need not be the
@@ -302,8 +328,33 @@ def _search(oracle, eids, rids, lower, upper, *, limits=DEFAULT_LIMITS,
     """
     n, sets, top = oracle.n, oracle.sets, oracle.top
     join_row, check = oracle.join_row, limits.check
+    lattice = oracle.lattice
+    if lattice is not None:
+        members, lattice_row = lattice.members, lattice.join_row
+    eid_array = np.array(eids, dtype=np.intp)
+    positions = np.arange(len(eids))
+    # Omega of the index, by span size
+    reach = {}
     best = None
     need = lower
+
+    def filtered(pids, span, others, order):
+        # the numpy filter; order is a range of indices into eids, or the
+        # second slot's list
+        order = (positions[order.start:] if type(order) is range
+                 else np.array(order, dtype=np.intp))
+        cand = eid_array[order]
+        spans = lattice_row(span)[cand]
+        dead = spans == span
+        drops = []
+        for p, t in zip(pids, others):
+            drop = lattice_row(t)[cand]
+            dead |= members[:, p][drop]
+            drops.append(drop)
+        (kept,) = (~dead).nonzero()
+        return zip(order[kept].tolist(), cand[kept].tolist(),
+                   spans[kept].tolist(),
+                   *(drop[kept].tolist() for drop in drops))
 
     def extend(pids, span, others, order):
         # others[j] is the span of the prefix without its member j; order
@@ -315,7 +366,20 @@ def _search(oracle, eids, rids, lower, upper, *, limits=DEFAULT_LIMITS,
             if depth >= need:
                 best, need = tuple(pids), depth + 1
             return
-        if depth >= upper or depth + omega(n // len(sets[span])) < need:
+        size = len(sets[span])
+        left = reach.get(size)
+        if left is None:
+            left = reach[size] = omega(n // size)
+        if depth >= upper or depth + left < need:
+            return
+        if lattice is not None and len(order) >= FILTER_MIN:
+            kept = filtered(pids, span, others, order)
+            for i, e, child, *child_others in kept:
+                child_others.append(span)
+                extend(pids + [e], child, child_others,
+                       range(i + 1, len(eids)))
+                if need > upper:
+                    return
             return
         span_set = sets[span]
         row = join_row(span)
@@ -339,7 +403,6 @@ def _search(oracle, eids, rids, lower, upper, *, limits=DEFAULT_LIMITS,
 
     row0 = join_row(0)
     second = range(len(eids))
-    eid_array = np.array(eids, dtype=np.intp)
     for rid in rids:
         if size_only:
             least = _centralizer_orbit_minima(oracle, rid, limits=limits)

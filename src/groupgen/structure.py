@@ -24,11 +24,12 @@ G.element_table(), whose rows are sorted by image tuple, so a subgroup's
 sorted ids sort like its sorted image tuples; no Perm is made per element.
 The zuppos are read off the table and ``G.element_orders()``: the powers
 of the elements of prime power order, by composing rows.  A join is
-``close_ids``, a breadth-first walk over ids through one right
-multiplication row per generator (``right_rows``); genset.GenOracle closes
-its joins with it too when G's lattice is over the cap,
-crowns.aut_order walks its homomorphisms along the same rows, and
-crowns.GfpModule its module check and the derivations behind H^1.
+``close_ids``, a breadth-first walk over the right cosets of the subgroup
+it starts from, through one right multiplication row per generator
+(``right_rows``); genset.GenOracle closes its joins with it too when G's
+lattice is over the cap, crowns.aut_order walks its homomorphisms along
+the same rows, and crowns.GfpModule its module check and the derivations
+behind H^1.
 
 Joins are computed only for one representative H per conjugacy class of
 subgroups, and only with one zuppo per orbit of N_G(H).  A new subgroup
@@ -44,9 +45,11 @@ join with the least zuppo of the orbit.  So the classes are found in the
 same order, with the same generators, as by joining every zuppo.
 
 Containment between subgroups is read off one boolean membership array,
-subgroups by element ids, held only while it is computed; the join rows
-the generation searches read are written from the id sets of each
-subgroup's strict supersets.
+subgroups by element ids, which the lattice builds once and keeps: a join
+row, the join of one subgroup with every single element, is one
+``argmax`` down the rows of the subgroup and its strict supersets, kept as
+an integer array, and the generation searches filter their candidates
+through the same array.
 """
 
 from __future__ import annotations
@@ -78,8 +81,11 @@ class SubgroupLattice:
     Subgroup i is ``id_set(i)``, the frozenset of its element ids, and is
     generated by the few elements with ids ``_gen_ids[i]``; an element's id
     is its row in the group's ``element_table()``.  ``join_walks`` is the
-    number of joins the closure walked to find them.  The lattice holds no
-    reference to its group, which memoizes it.
+    number of joins the closure walked to find them.  ``members`` is the
+    boolean membership array, subgroups by element ids, built on first use
+    and kept: containment and the join rows are read off it, and so are the
+    generation searches' candidate filters.  The lattice holds no reference
+    to its group, which memoizes it.
     """
 
     def __init__(self, id_sets, gen_ids, join_walks):
@@ -87,6 +93,9 @@ class SubgroupLattice:
         self._gen_ids = tuple(gen_ids)
         self.top = len(self._id_sets) - 1
         self._join_walks = join_walks
+        # the smallest signed dtype that holds every subgroup index
+        self._index_dtype = np.min_scalar_type(-len(self._id_sets))
+        self._members = None
         self._supersets = None
         self._join_rows = {}
 
@@ -101,18 +110,26 @@ class SubgroupLattice:
         """Subgroup i as a frozenset of element ids."""
         return self._id_sets[i]
 
-    def strict_supersets(self, i):
-        """Indices of subgroups strictly containing subgroup i: those of
-        larger order that hold its generators, read off one boolean
-        membership array (subgroups by element ids) that is dropped once
-        every row is known."""
-        if self._supersets is None:
+    @property
+    def members(self):
+        """``members[i, e]``: whether subgroup i holds the element with id
+        e."""
+        if self._members is None:
             sets = self._id_sets
             sizes = [len(s) for s in sets]
             members = np.zeros((len(sets), sizes[self.top]), dtype=bool)
             members[np.arange(len(sets)).repeat(sizes),
                     np.fromiter(itertools.chain.from_iterable(sets),
                                 dtype=np.intp, count=sum(sizes))] = True
+            self._members = members
+        return self._members
+
+    def strict_supersets(self, i):
+        """Indices of subgroups strictly containing subgroup i: those of
+        larger order that hold its generators, read off ``members``."""
+        if self._supersets is None:
+            members = self.members
+            sizes = [len(s) for s in self._id_sets]
             sups = []
             for a, gens in enumerate(self._gen_ids):
                 # subgroups are sorted by order, so the larger ones follow
@@ -139,21 +156,19 @@ class SubgroupLattice:
         return mu
 
     def join_row(self, i):
-        """Joins of subgroup i with every single element, as a list indexed
-        by element id: i itself or the first strict superset holding the
-        element (the smallest, since subgroups are sorted by order).  Rows
-        are built once and reused, which turns the innermost loops of the
-        generation searches into array reads."""
+        """Joins of subgroup i with every single element, as an integer
+        array indexed by element id: i itself or the first strict superset
+        holding the element (the smallest, since subgroups are sorted by
+        order), one ``argmax`` down the candidates' ``members`` rows.
+        Entries take the smallest signed dtype that holds every index.
+        Rows are built once and reused, which turns the innermost loops of
+        the generation searches into array reads."""
         row = self._join_rows.get(i)
         if row is None:
-            # written from the largest candidate down, so each entry ends
-            # as the first candidate holding the element; entries are taken
-            # from one tuple, so they share its int objects
-            sets = self._id_sets
-            row = self._join_rows[i] = [i] * len(sets[self.top])
-            for b in reversed((i,) + self.strict_supersets(i)):
-                for e in sets[b]:
-                    row[e] = b
+            candidates = np.array((i,) + self.strict_supersets(i),
+                                  dtype=self._index_dtype)
+            row = self._join_rows[i] = candidates[
+                self.members[candidates].argmax(axis=0)]
         return row
 
 
@@ -224,26 +239,27 @@ def close_ids(G, start, gens, rows):
     ``start`` under right multiplication by ``gens``, through the
     ``right_rows`` kept in the caller's dict ``rows``.
 
-    ``start`` must be a subgroup that holds every generator but the last
-    and lies in the result, such as the subgroup the others generate.  It
-    is closed under right multiplication by those, so the walk takes its
-    elements through the last generator's row only, and every new element
+    ``start`` must be a subgroup H that holds every generator but the last
+    and lies in the result, such as the subgroup the others generate.  What
+    the walk has closed so far is then a union of right cosets Hy, and Hy *
+    g = H(yg), so it walks whole cosets: one row read carries a coset, and
+    its first element tells whether the image coset is new.  H is closed
+    under right multiplication by every generator but the last, so the walk
+    takes H through the last generator's row only, and every new coset
     through all the rows.  A walk that passes half the group has found the
     whole group and stops."""
     half = G.order() // 2
     grow = right_rows(G, gens, rows)
     closed = set(start)
-    # right multiplication is one to one, so these new ids are distinct
-    work = [y for y in map(grow[-1].__getitem__, start) if y not in closed]
-    closed.update(work)
-    for x in work:  # grows while it is read: breadth first
+    work = [list(start)]
+    for k, coset in enumerate(work):  # grows while it is read: breadth first
         if len(closed) > half:
             break
-        for row in grow:
-            y = row[x]
-            if y not in closed:
-                closed.add(y)
-                work.append(y)
+        for row in grow if k else grow[-1:]:
+            if row[coset[0]] not in closed:
+                image = list(map(row.__getitem__, coset))
+                closed.update(image)
+                work.append(image)
     return None if len(closed) > half else frozenset(closed)
 
 
@@ -715,20 +731,3 @@ def gequivalent_abelian(f1, f2):
         raise GroupError("irreducible factors gave a singular intertwiner")
     return True
 
-
-def delta(G, factor, series=None, *, limits=DEFAULT_LIMITS):
-    """Number of non-Frattini chief factors of G that are G-equivalent
-    to the given abelian factor.
-
-    The count is independent of the chosen series; a precomputed one can
-    be passed to avoid recomputation.
-    """
-    if not factor.is_abelian:
-        raise GroupError("delta is defined here for abelian factors")
-    if series is None:
-        series = chief_series(G, limits=limits)
-    count = 0
-    for f in series:
-        if f.is_abelian and not f.is_frattini and gequivalent_abelian(f, factor):
-            count += 1
-    return count

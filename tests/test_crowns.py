@@ -743,7 +743,7 @@ def test_module_invariants_trivial_modules():
     assert inv.delta == 1 and inv.h == 1 and inv.s == 1
 
 
-def test_module_invariant_identities():
+def test_module_invariant_identities(delta):
     zoo = [_cyclic(4), _cyclic(6), _cyclic(8), _cyclic(12), _sym(3),
            _sym(4), _klein(), _dihedral4(), _c2xc4(), _alt(4),
            _elementary(3, 2), _product_with_c2(_sym(3))]
@@ -754,7 +754,7 @@ def test_module_invariant_identities():
             assert inv.t < inv.r, (G, f)
             assert inv.h <= inv.delta + 1, (G, f)
             assert inv.r * inv.end_dim == f.dim, (G, f)
-            assert inv.delta == structure.delta(G, f, series), (G, f)
+            assert inv.delta == delta(G, f, series), (G, f)
 
 
 def test_t_matches_h1_of_the_quotient_by_the_kernel():

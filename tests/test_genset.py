@@ -373,6 +373,67 @@ def test_m_second_slot_symmetry():
         assert restricted.calls < walked.calls, name
 
 
+# Limits.check calls of one call each, the analysis given the oracle, a, b
+# (and for the spectrum d and m) of an analysis that counted nothing: one
+# check per search node and one per C_G(r)-orbit step, taken before the
+# numpy candidate filter; the filter visits the same nodes
+NODE_CHECKS = [
+    ("PGL2(7)", "m", 1922),
+    ("D(A5, C2)", "m", 1389),
+    ("PSL2(7)", "m", 325),
+    ("CROWN(S3, 3)", "d_with_witness", 18153),
+    ("S5", "spectrum", 16),
+]
+
+
+@pytest.mark.parametrize("filter_min", [genset.FILTER_MIN, 10 ** 9])
+@pytest.mark.parametrize("text,call,checks", NODE_CHECKS)
+def test_search_visits_the_same_nodes(monkeypatch, text, call, checks,
+                                      filter_min):
+    # a filter_min above every node's candidate count walks every node
+    # with the one-at-a-time loop
+    G = builder.build(text)
+    warm = Analysis(G)
+    shared = ["oracle", "a", "b"]
+    if call == "spectrum":
+        shared += ["d_witness", "m"]
+    for name in shared:
+        getattr(warm, name)
+    counting = _CountingLimits()
+    counted = Analysis(G, counting)
+    for name in shared:
+        setattr(counted, name, getattr(warm, name))
+    monkeypatch.setattr(genset, "FILTER_MIN", filter_min)
+    getattr(genset, call)(counted)
+    assert counting.calls == checks
+
+
+class _BudgetAfter(Limits):
+    """Limits whose time budget runs out after ``allowed`` checks."""
+
+    allowed = 200
+
+    def check(self):
+        self.allowed -= 1
+        if self.allowed < 0:
+            raise TimeBudgetExceeded("budget spent")
+
+
+@pytest.mark.parametrize("lattice_cap", [Limits().lattice_cap, 1])
+def test_budget_stops_the_search_on_both_oracles(lattice_cap):
+    # PGL2(11)'s m walks thousands of nodes, the lattice oracle's through
+    # the numpy filter and the fallback oracle's one candidate at a time;
+    # either way a budget that runs out mid-walk stops it at a node
+    G = builder.build("PGL2(11)")
+    warm = Analysis(G, Limits(lattice_cap=lattice_cap))
+    assert (warm.oracle.lattice is None) == (lattice_cap == 1)
+    spent = Analysis(G, _BudgetAfter(lattice_cap=lattice_cap))
+    spent.a, spent.b, spent.oracle = warm.a, warm.b, warm.oracle
+    with pytest.raises(TimeBudgetExceeded) as raised:
+        genset.m(spent)
+    assert raised.traceback[-2].name == "extend"
+
+
 def test_m_orbit_step_stops_on_a_spent_budget(monkeypatch):
     # the candidates are made before the deadline, so the first check
     # under the spent budget is the orbit step's, before it builds anything
@@ -527,6 +588,15 @@ def test_spectrum_digests_cover_the_quick_corpus():
 def test_spectrum_digest(text):
     spec = genset.spectrum(Analysis(builder.build(text)))
     assert _spectrum_digest(spec) == SPECTRUM_DIGESTS[text]
+
+
+@pytest.mark.slow
+def test_spectrum_digest_of_a_large_walk():
+    # D(A4, Dih5, C4), order 480: its size-5 walk makes about 95,000
+    # search nodes, most of them through the numpy candidate filter
+    spec = genset.spectrum(Analysis(builder.build("D(A4, Dih5, C4)")))
+    assert sorted(spec) == [2, 3, 4, 5]
+    assert _spectrum_digest(spec) == "d8a0a03007f69a73"
 
 
 def test_is_independent():

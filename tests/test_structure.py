@@ -589,7 +589,7 @@ def test_moebius_sums_vanish():
 
 def test_containment_and_join_rows_match_set_loops():
     # the membership-array supersets and join rows against subset tests
-    # and first-hit scans over the id sets
+    # and first-hit scans over the id sets; a join row is an array
     for text in ["C1", "D(C3, C3)", "S4", "A5", "CROWN(S4, 2)", "EX1(3)"]:
         lat = structure.subgroup_lattice(builder.build(text))
         sets = [lat.id_set(i) for i in range(len(lat))]
@@ -599,7 +599,10 @@ def test_containment_and_join_rows_match_set_loops():
             assert lat.strict_supersets(a) == sups, (text, a)
             row = [a if e in mine else next(b for b in sups if e in sets[b])
                    for e in range(len(sets[lat.top]))]
-            assert lat.join_row(a) == row, (text, a)
+            got = lat.join_row(a)
+            assert got.tolist() == row, (text, a)
+            # the smallest signed dtype that holds every subgroup index
+            assert got.dtype == np.min_scalar_type(-len(lat)), (text, a)
 
 
 def test_generates():
@@ -950,13 +953,13 @@ def test_cocycle_system_checks_the_matrices():
                                  lambda e: np.zeros(1, dtype=np.int64))
 
 
-def test_gequivalent():
+def test_gequivalent(delta):
     # central factors of an elementary abelian group are all equivalent
     E = _elementary(2, 3)
     series = structure.chief_series(E)
     assert len(series) == 3
     assert structure.gequivalent_abelian(series[0], series[1])
-    assert structure.delta(E, series[0], series) == 3
+    assert delta(E, series[0], series) == 3
     # different primes are never equivalent
     c6 = structure.chief_series(_cyclic(6))
     assert not structure.gequivalent_abelian(c6[0], c6[1])
@@ -969,7 +972,7 @@ def test_gequivalent():
     threes = [f for f in series if f.order == 3]
     assert len(threes) == 2
     assert not structure.gequivalent_abelian(threes[0], threes[1])
-    assert structure.delta(G, threes[0], series) == 1
+    assert delta(G, threes[0], series) == 1
 
 
 def test_gequivalent_across_generator_lists():
@@ -997,7 +1000,7 @@ def test_gequivalent_across_generator_lists():
     assert sorted(map(sorted, matches)) == [[False, True], [False, True]]
 
 
-def test_delta_skips_frattini_factors():
+def test_delta_skips_frattini_factors(delta):
     # both factors of C4 carry the trivial GF(2) module, but the bottom
     # one lies in the Frattini subgroup and must not be counted
     C4 = _cyclic(4)
@@ -1005,9 +1008,9 @@ def test_delta_skips_frattini_factors():
     assert [f.is_frattini for f in series] == [True, False]
     assert structure.gequivalent_abelian(series[0], series[1])
     for f in series:
-        assert structure.delta(C4, f, series) == 1
+        assert delta(C4, f, series) == 1
     # series argument is optional
-    assert structure.delta(C4, series[1]) == 1
+    assert delta(C4, series[1]) == 1
 
 
 def test_gequivalence_is_reflexive_and_symmetric():
