@@ -344,17 +344,18 @@ def _search(oracle, eids, rids, lower, upper, *, limits=DEFAULT_LIMITS,
         order = (positions[order.start:] if type(order) is range
                  else np.array(order, dtype=np.intp))
         cand = eid_array[order]
-        spans = lattice_row(span)[cand]
-        dead = spans == span
-        drops = []
-        for p, t in zip(pids, others):
-            drop = lattice_row(t)[cand]
-            dead |= members[:, p][drop]
-            drops.append(drop)
+        row = lattice_row(span)
+        orows = [lattice_row(t) for t in others]
+        dead = row[cand] == span
+        for p, orow in zip(pids, orows):
+            dead |= members[:, p][orow[cand]]
+            # most deep nodes keep no candidate; stop as soon as none is left
+            if dead.all():
+                return ()
         (kept,) = (~dead).nonzero()
-        return zip(order[kept].tolist(), cand[kept].tolist(),
-                   spans[kept].tolist(),
-                   *(drop[kept].tolist() for drop in drops))
+        cand = cand[kept]
+        return zip(order[kept].tolist(), cand.tolist(), row[cand].tolist(),
+                   *(orow[cand].tolist() for orow in orows))
 
     def extend(pids, span, others, order):
         # others[j] is the span of the prefix without its member j; order
