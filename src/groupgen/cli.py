@@ -208,10 +208,8 @@ def cmd_h1(args):
               f"and \"matrices\" (one square integer matrix per "
               f"generator): {exc}", file=sys.stderr)
         return EXIT_PARSE
-    # before the module's walk builds G's element table
-    crowns.check_cohomology_order(G)
-    M = crowns.GfpModule(G, prime, matrices)
-    print(crowns.h1_dimension(G, M, limits=_limits(args)))
+    M = crowns.GfpModule(G, prime, matrices, limits=_limits(args))
+    print(crowns.h1_dimension(G, M))
     return EXIT_OK
 
 

@@ -11,12 +11,12 @@ factor classes, which this module exposes as `soluble_d`.  Its number
 of generating k-tuples is Gaschuetz's product over its complemented chief
 factors, which `eulerian` takes.  Both read the invariants that
 `factor_invariants` lists, computed once per group and kept on it as
-plain data that refers back to no group.  A `GfpModule` is checked
-exactly when it is made, by one walk over the Cayley graph of G on
-element ids, and the same walk gives C.  s and t come from one more walk
-of that kind that also carries the derivation coefficients: s from its
-edge equations, and t from those plus delta = 0 on the ids of C, read in
-G, since the derivations of G/C are the derivations of G vanishing on C.
+plain data that refers back to no group.  A `GfpModule` is made by one
+walk over the Cayley graph of G on element ids that carries rho and the
+derivation coefficients: it checks the matrices, and leaves C, the
+system whose solutions give s, and the rows that add delta = 0 on the
+ids of C for t, since the derivations of G/C are the derivations of G
+vanishing on C.
 
 The non-abelian side goes through crown-based powers: `monolithic_of`
 builds the primitive group L attached to a chief factor, `crown_power`
@@ -60,12 +60,15 @@ class GfpModule:
     breadth-first walk (`_walk`) over the group's Cayley graph on element
     ids that sets rho(x * g_i) = rho(x) @ M_i and raises GroupError on an
     edge that disagrees; the ids acting as the identity give
-    `centralizer_kernel`, and H^1 walks the same id rows again.
-    Above ``perm.ELEMENT_CAP`` elements it raises CapExceeded; a prime with
-    dim * (p - 1)^2 >= 2^63 is refused, as its int64 products would overflow.
+    `centralizer_kernel`, and the walk's derivation system gives H^1.
+    Above COHOMOLOGY_CAP elements it raises CapExceeded before the element
+    table is built; a prime with dim * (p - 1)^2 >= 2^63 is refused, as its
+    int64 products would overflow.  The time budget of ``limits`` is
+    checked once per level of the walk.
     """
 
-    def __init__(self, group, prime, matrices):
+    def __init__(self, group, prime, matrices, *, limits=DEFAULT_LIMITS):
+        check_cohomology_order(group)
         if isinstance(prime, bool) or not isinstance(prime, int):
             raise GroupError(f"the modulus must be a prime, got {prime!r}")
         if len(matrices) != len(group.gens):
@@ -88,10 +91,8 @@ class GfpModule:
         self.prime = prime
         self.dim = n
         self.matrices = mats
-        self._steps = _id_rows(group)
-        rho = _walk(self._steps, prime, mats)[0][:, -1]
-        self._kernel_ids = np.flatnonzero(
-            (rho == gfp.identity(n)).all(axis=(1, 2)))
+        self._kernel_ids, self._system, self._kernel_rows = _walk(
+            _id_rows(group), prime, mats, limits)
         self._centralizer = None
 
     def is_trivial_action(self):
@@ -125,33 +126,31 @@ class GfpModule:
 
 def _id_rows(group):
     """The rows ``steps[i][x] = id(x * g_i)`` of the generators of
-    ``group``, read off its element table; refused above
-    ``perm.ELEMENT_CAP`` elements."""
+    ``group``, read off its element table."""
     ids = group.ids_of(np.array([g.images for g in group.gens]))
     return np.array(right_rows(group, ids.tolist(), {}))
 
 
-def _walk(steps, prime, mats, cocycles=False, limits=DEFAULT_LIMITS):
+def _walk(steps, prime, mats, limits):
     """One breadth-first walk, a level at a time, over the Cayley graph
     of a group on element ids, through the rows ``steps[i][x] = id(x *
-    g_i)``, with rho(g_i) = mats[i]; returns ``(states, system)``.
+    g_i)``, with rho(g_i) = mats[i]; returns ``(kernel, system,
+    kernel_rows)``.
 
-    The state of x ends in rho(x).  A tree edge x -> x * g_i sets the state
-    of x * g_i; every other edge must agree on rho, or GroupError is raised.
-    With ``cocycles`` the state starts with the coefficient matrices of
-    u_1..u_r in c(x), where c(x * g_i) = c(x) rho(g_i) + u_i, and each edge
-    off the tree adds its n equations c(x * g_i) - c(x) rho(g_i) - u_i = 0
-    to ``system``, one row per coordinate over the r * n unknowns; its
-    solutions are the derivations, whatever tree the walk took, since the
-    equations are homogeneous.  Without ``cocycles`` rho is kept in the
-    smallest unsigned type that holds p - 1, so large groups stay compact.
-    The time budget of ``limits`` is checked once per level.
+    The state of x holds the coefficient matrices of u_1..u_r in c(x),
+    where c(x * g_i) = c(x) rho(g_i) + u_i, and ends in rho(x).  A tree
+    edge x -> x * g_i sets the state of x * g_i; every other edge must
+    agree on rho, or GroupError is raised, and adds its n equations
+    c(x * g_i) - c(x) rho(g_i) - u_i = 0 to ``system``, one row per
+    coordinate over the r * n unknowns.  Its solutions are the
+    derivations, whatever tree the walk took, since the equations are
+    homogeneous.  ``kernel`` holds the ids x with rho(x) = 1, and
+    ``kernel_rows`` the rows of c(x) = 0 over them.  Zero rows are
+    dropped.  The time budget of ``limits`` is checked once per level.
     """
-    r = len(mats) if cocycles else 0
-    n = mats[0].shape[0]
+    r, n = len(mats), mats[0].shape[0]
     eye = gfp.identity(n)
-    dtype = np.int64 if cocycles else np.min_scalar_type(prime - 1)
-    states = np.zeros((steps.shape[1], r + 1, n, n), dtype=dtype)
+    states = np.zeros((steps.shape[1], r + 1, n, n), dtype=np.int64)
     seen = np.zeros(len(states), dtype=bool)
     # the identity's images sort first, so its id is 0
     states[0, r], seen[0] = eye, True
@@ -166,8 +165,7 @@ def _walk(steps, prime, mats, cocycles=False, limits=DEFAULT_LIMITS):
             # distinct, and the new ones among them are first reached here
             ys = row[frontier]
             images = here @ mat
-            if cocycles:
-                images[:, i] += eye
+            images[:, i] += eye
             images %= prime
             new = ~seen[ys]
             fresh = ys[new]
@@ -179,20 +177,21 @@ def _walk(steps, prime, mats, cocycles=False, limits=DEFAULT_LIMITS):
             if (ends[:, r] != images[:, r]).any():
                 raise GroupError(
                     "matrices are inconsistent with the group's relations")
-            if cocycles:
-                diffs.append(ends[:, :r] - images[:, :r])
+            diffs.append(ends[:, :r] - images[:, :r])
         frontier = np.concatenate(found)
-    if not cocycles:
-        return states, None
-    # row (edge, c) holds coordinate c of the edge's n equations
+    kernel = np.flatnonzero((states[:, r] == eye).all(axis=(1, 2)))
+    # row (edge or id, c) holds coordinate c of its n equations
     system = np.concatenate(diffs).transpose(0, 3, 1, 2).reshape(-1, r * n)
-    return states, system % prime
+    system %= prime
+    rows = states[kernel, :r].transpose(0, 3, 1, 2).reshape(-1, r * n)
+    return kernel, system[system.any(axis=1)], rows[rows.any(axis=1)]
 
 
 def module_of_factor(factor):
     """The GfpModule carried by an abelian chief factor."""
     fm = factor.module
-    return GfpModule(factor.group, fm.prime, fm.matrices)
+    return GfpModule(factor.group, fm.prime, fm.matrices,
+                     limits=factor.limits)
 
 
 def monolithic_of(G, F, *, limits=DEFAULT_LIMITS):
@@ -403,13 +402,12 @@ def crown_generation_check(L, A, m, k, *, limits=DEFAULT_LIMITS):
 
 def check_cohomology_order(G):
     """Refuse, with CapExceeded, a group of more than COHOMOLOGY_CAP
-    elements; return its order."""
+    elements."""
     order = G.order()
     if order > COHOMOLOGY_CAP:
         raise CapExceeded(
             f"cohomology cap: needs order <= {COHOMOLOGY_CAP}, "
             f"group has order {order}")
-    return order
 
 
 def _check_generators(G, M):
@@ -423,34 +421,26 @@ def _check_generators(G, M):
                          "matrices act on other generators than G's")
 
 
-def _derivations(G, M, limits):
-    """The derivation system of M over G and its rows on C_G(M), from one
-    `_walk` over G's Cayley graph on element ids, as ``(A, K, inner)``
-    over the unknowns u_i = delta(g_i): A u = 0 says that u extends to a
-    derivation delta of G, and K u = 0 that delta vanishes on the ids x
-    with rho(x) = 1, so that it is inflated from G/C_G(M), as C_G(M) acts
-    trivially; ``inner`` is the rank of the stacked rho(g_i) - 1, the
-    dimension of the inner derivations of G and of G/C_G(M) alike.  G
-    lists the generators of M's group (`_check_generators`), so it is that
-    group with the same element ids, and the walk runs on M's id rows.
-    """
-    p, n, r = M.prime, M.dim, len(M.matrices)
-    eye = gfp.identity(n)
-    states, A = _walk(M._steps, p, M.matrices, cocycles=True, limits=limits)
-    kernel = (states[:, r] == eye).all(axis=(1, 2))
-    K = states[kernel, :r].transpose(0, 3, 1, 2).reshape(-1, r * n)
-    inner = np.hstack([(m - eye) % p for m in M.matrices])
-    return A[A.any(axis=1)], K[K.any(axis=1)], gfp.rank(inner, p)
+def _derivations(M):
+    """The derivation system of M over its group G, kept by M's walk, and
+    its rows on C_G(M), as ``(A, K, inner)`` over the unknowns u_i =
+    delta(g_i): A u = 0 says that u extends to a derivation delta of G,
+    and K u = 0 that delta vanishes on the ids x with rho(x) = 1, so that
+    it is inflated from G/C_G(M), as C_G(M) acts trivially; ``inner`` is
+    the rank of the stacked rho(g_i) - 1, the dimension of the inner
+    derivations of G and of G/C_G(M) alike."""
+    eye = gfp.identity(M.dim)
+    inner = np.hstack([(m - eye) % M.prime for m in M.matrices])
+    return M._system, M._kernel_rows, gfp.rank(inner, M.prime)
 
 
-def h1_dimension(G, M, *, limits=DEFAULT_LIMITS):
+def h1_dimension(G, M):
     """The GF(p) dimension of the first cohomology group H^1(G, M): the
-    derivations of G, solved for on generator values, less the inner
-    ones.  G must list the generators M's matrices act on."""
+    derivations of G, solved for on generator values off the system M's
+    walk kept, less the inner ones.  G must list the generators M's
+    matrices act on."""
     _check_generators(G, M)
-    if check_cohomology_order(G) == 1:
-        return 0
-    A, _, inner = _derivations(G, M, limits)
+    A, _, inner = _derivations(M)
     return len(G.gens) * M.dim - gfp.rank(A, M.prime) - inner
 
 
@@ -511,16 +501,13 @@ def module_invariants(G, M, series=None, *, limits=DEFAULT_LIMITS):
     if rem:
         raise GroupError(
             "endomorphism dimension does not divide the module dimension")
-    if check_cohomology_order(G) == 1:
-        dims = (0, 0)
-    else:
-        # the derivations of G/C_G(M) are those of G that vanish on
-        # C_G(M), so t's system is A's pivot rows plus K, off one walk
-        A, K, inner = _derivations(G, M, limits)
-        reduced, pivots = gfp.rref(A, p)
-        free = len(G.gens) * n - inner
-        dims = (free - len(pivots),
-                free - gfp.rank(np.vstack([reduced[:len(pivots)], K]), p))
+    # the derivations of G/C_G(M) are those of G that vanish on C_G(M),
+    # so t's system is A's pivot rows plus K, both off M's walk
+    A, K, inner = _derivations(M)
+    reduced, pivots = gfp.rref(A, p)
+    free = len(G.gens) * n - inner
+    dims = (free - len(pivots),
+            free - gfp.rank(np.vstack([reduced[:len(pivots)], K]), p))
     if any(dim % end_dim for dim in dims):
         raise GroupError("H^1 dimension is not a multiple of end_dim")
     s, t = (dim // end_dim for dim in dims)

@@ -439,9 +439,11 @@ def d_with_witness(A):
         return 0, ()
     lower = lower_bound_d(G)
     if lower == 1:
-        for r in G.class_representatives(limits=limits):
-            if r.order() == n:
-                return 1, (r,)
+        # only for abelian G, whose least class representative of order n
+        # is its least id of order n
+        orders = G.element_orders(limits=limits)
+        if n in orders:
+            return 1, _perms(G, [orders.index(n)])
         lower = 2
 
     if n <= SEARCH_ORDER_CAP:

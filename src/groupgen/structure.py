@@ -598,20 +598,25 @@ class FactorModule:
 
 def factor_centralizer(G, X, Y, *, limits=DEFAULT_LIMITS):
     """C_G(X/Y) for normal subgroups Y <= X of G: the elements g with
-    [x, g] in Y for every generator x of X outside Y.  One pass over G's
-    elements in their sorted order, checking the time budget of ``limits``
-    once per element."""
-    gens = [(x, x.inverse()) for x in X.gens if x not in Y]
-    kept = []
-    for g in G.elements(limits=limits):
+    [x, g] in Y for every generator x of X outside Y, read off G's element
+    table.  For each such x, x^g * x^-1 has images x^-1[g[x[g^-1[p]]]],
+    made for every row g at once on the first ``prefix_width()`` points p
+    and tested against a mask of Y's ids.  The kept rows stay in id
+    order.  The time budget of ``limits`` is checked while the table is
+    built and once per generator."""
+    table = G.element_table(limits=limits)
+    in_y = np.zeros(len(table), dtype=bool)
+    in_y[G.ids_of(Y.element_table())] = True
+    keep = np.ones(len(table), dtype=bool)
+    rows = np.arange(len(table))[:, None]
+    inverses = np.argsort(table, axis=1)[:, :G.prefix_width()]
+    for x in X.gens:
+        if x in Y:
+            continue
         limits.check()
-        for x, x_inv in gens:
-            w = x.conj(g) * x_inv
-            if not (w.is_identity() or w in Y):
-                break
-        else:
-            kept.append(g)
-    return group_from_elements(G.degree, kept)
+        img, inv = np.array(x.images), np.array(x.inverse().images)
+        keep &= in_y[G.ids_of(inv[table[rows, img[inverses]]])]
+    return group_from_elements(G.degree, table[keep].tolist())
 
 
 class ChiefFactor:

@@ -690,6 +690,52 @@ def test_gfp_module_refuses_a_group_above_the_element_cap():
         _module(S9, [[[1]], [[1]]], 2)
 
 
+def test_gfp_module_refuses_a_group_above_the_cohomology_cap_before_its_table(
+        monkeypatch):
+    tables = []
+    real = PermGroup.element_table
+
+    def counting(self, *args, **kwargs):
+        tables.append(self.order())
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "element_table", counting)
+    with pytest.raises(CapExceeded, match="cohomology cap"):
+        _trivial_module(_cyclic(1000), 2)
+    assert tables == []
+
+
+def test_gfp_module_checks_the_budget():
+    with pytest.raises(TimeBudgetExceeded):
+        crowns.GfpModule(_sym(3), 3, [[[1]], [[2]]],
+                         limits=Limits(seconds=0.0))
+
+
+def test_each_module_walks_once(monkeypatch):
+    # the module's one walk checks it and keeps the derivation system, so
+    # module_invariants and h1_dimension walk nothing more
+    walks, modules = [], []
+    real_walk, real_init = crowns._walk, crowns.GfpModule.__init__
+
+    def walk(*args, **kwargs):
+        walks.append(1)
+        return real_walk(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        modules.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(crowns, "_walk", walk)
+    monkeypatch.setattr(crowns.GfpModule, "__init__", init)
+    assert crowns.factor_invariants(builder.build("EX1(2)"))
+    assert len(walks) == len(modules) == 4
+    G, M = _s3_natural()
+    assert len(walks) == 5
+    assert crowns.h1_dimension(G, M) == 1
+    assert crowns.module_invariants(G, M).s == 1
+    assert len(walks) == 5
+
+
 def test_gfp_module_kernel():
     G, M = _s3_natural()
     K = M.centralizer_kernel()

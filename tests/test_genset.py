@@ -205,6 +205,26 @@ def test_d_probe_witnesses_pinned():
             assert [p.images for p in witness] == expected, (expr, seed)
 
 
+def test_cyclic_d_reads_the_order_map(monkeypatch):
+    # an abelian group's cyclic test reads element_orders, not the order
+    # of each class representative; the witness is its least id of order n
+    calls = []
+    real = Perm.order
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    G = _cyclic(12)
+    G.conjugacy_classes()
+    monkeypatch.setattr(Perm, "order", counting)
+    k, witness = genset.d_with_witness(Analysis(G))
+    assert calls == []
+    orders = G.element_orders()
+    assert (k, witness) == (1, (Perm(G.element_table()[orders.index(12)].tolist()),))
+    assert G.class_representatives()[-4] == witness[0]
+
+
 def test_d_honours_lattice_cap():
     # EX2B(2) needs the exhaustive phase; over the cap it runs on
     # stabilizer-chain spans and builds no lattice
