@@ -277,8 +277,9 @@ def _centralizer_orbit_minima(oracle, rid, *, limits=DEFAULT_LIMITS):
     C_G(r) is read off the element table as the elements x with x * r =
     r * x, whose images are r[x] and x[r].  Its generators are r and, in
     ascending id order, each element outside the span of those before, the
-    spans read off the oracle's join rows; each gives one conjugation id
-    map.  The time budget of ``limits`` is checked once, first."""
+    spans read off the oracle's join rows; each gives one id map,
+    ``G.conjugation_map``.  The time budget of ``limits`` is checked once,
+    first."""
     limits.check()
     G, sets, join_row = oracle.G, oracle.sets, oracle.join_row
     table = G.element_table()
@@ -289,10 +290,7 @@ def _centralizer_orbit_minima(oracle, rid, *, limits=DEFAULT_LIMITS):
         if c not in sets[h]:
             gens.append(c)
             h = join_row(h)[c]
-    # x^c = c^-1 * x * c has images c[x[c^-1]]; ids_of needs the first k
-    k = G.prefix_width()
-    maps = [G.ids_of(table[c][table[:, np.argsort(table[c])[:k]]])
-            for c in gens]
+    maps = [G.conjugation_map(table[c]) for c in gens]
     return orbit_minima(maps, len(table))
 
 

@@ -12,8 +12,9 @@ no Perm.  Perms enter a chain at ``add`` and leave it as ``sift``'s
 residue.
 
 A group's elements are the rows of ``element_table``, sorted by image
-tuple; an element's id is its row.  The lattice, the searches and
-``crowns.aut_order`` work on ids, with ``ids_of`` and the order map
+tuple; an element's id is its row, and its key is its images of the
+chain's base points.  The lattice, the searches and ``crowns.aut_order``
+work on ids, with ``ids_of``, ``conjugation_map`` and the order map
 ``element_orders``, and make no Perm per element.  Search order is the ids
 sorted by (order, id).
 """
@@ -492,17 +493,21 @@ class PermGroup:
     def identity(self):
         return Perm.identity(self.degree)
 
-    def prefix_width(self):
-        """The number k of leading images that determine an element: 1 +
-        the largest base point of the stabilizer chain, 0 for the trivial
-        group.  Points 0..k-1 hold a base, and an element is fixed by its
-        base images."""
-        k = 0
+    def base(self):
+        """The base points of the stabilizer chain, top level first, empty
+        for the trivial group.  An element is fixed by its images of them."""
+        out = []
         lvl = self.chain
         while lvl.base is not None:
-            k = max(k, lvl.base + 1)
+            out.append(lvl.base)
             lvl = lvl.down
-        return k
+        return tuple(out)
+
+    def prefix_width(self):
+        """The number k of leading images that determine an element: 1 +
+        the largest base point, 0 for the trivial group.  Points 0..k-1
+        hold the base."""
+        return max(self.base(), default=-1) + 1
 
     def element_table(self, *, limits=DEFAULT_LIMITS):
         """All elements as one (order, degree) array of images, uint8 up to
@@ -538,29 +543,41 @@ class PermGroup:
             self._table = table
         return self._table
 
-    def _keys(self, rows):
-        """The search keys of image rows: the first ``prefix_width()``
-        images of each row read as a number in base ``degree``.  They are
-        int64 while degree ** k < 2 ** 63, and Python ints in an object
-        array above; either way they are exact, and ordered on the group's
-        elements like their image tuples."""
-        k, degree = self.prefix_width(), self.degree
-        dtype = np.int64 if degree ** k < 2 ** 63 else object
-        keys = np.zeros(len(rows), dtype=dtype)
-        for col in rows[:, :k].T:
+    def _keys(self, columns, n):
+        """The keys of n elements given by ``columns``, their images of each
+        base point in turn: those images read as a number in base
+        ``degree``, each column added into the one key array as it comes.
+        They are int64 while degree ** len(base) < 2 ** 63, and Python ints
+        in an object array above; either way they are exact, and
+        different elements have different keys."""
+        degree = self.degree
+        dtype = np.int64 if degree ** len(self.base()) < 2 ** 63 else object
+        keys = np.zeros(n, dtype=dtype)
+        for col in columns:
             keys *= degree
             keys += col
         return keys
 
+    def _key_order(self):
+        """The keys of the element table sorted, and the ids in that order,
+        computed once per group."""
+        if self._table_keys is None:
+            table = self.element_table()
+            keys = self._keys((table[:, b] for b in self.base()), len(table))
+            order = np.argsort(keys, kind="stable")
+            self._table_keys = keys[order], order
+        return self._table_keys
+
     def ids_of(self, rows):
         """The ids of the elements whose images are the rows of ``rows``,
-        each of which must be an element of the group.  Only the first
-        ``prefix_width()`` columns are read, so rows cut down to those
-        columns, or to any more, give the same ids.  The keys of the whole
-        table are computed once per group."""
-        if self._table_keys is None:
-            self._table_keys = self._keys(self.element_table())
-        return np.searchsorted(self._table_keys, self._keys(rows))
+        each of which must be an element of the group: one search of their
+        keys among the table's sorted keys.  Only the images of the base
+        points are read, and every base point is below ``prefix_width()``,
+        so rows cut down to the first ``prefix_width()`` columns, or to any
+        more, give the same ids."""
+        sorted_keys, order = self._key_order()
+        keys = self._keys((rows[:, b] for b in self.base()), len(rows))
+        return order[np.searchsorted(sorted_keys, keys)]
 
     def elements(self, *, limits=DEFAULT_LIMITS):
         """All elements as Perms, in the order of ``element_table``: sorted
@@ -582,20 +599,36 @@ class PermGroup:
             self._orders = list(map(_cycle_order, table.tolist()))
         return self._orders
 
-    def conjugation_ids(self, *, limits=DEFAULT_LIMITS):
-        """One id map per generator g: entry x is the id of x^g = g^-1 * x
-        * g, whose images are g[x[g^-1[p]]], built for the first
-        ``prefix_width()`` points p only.  The time budget of ``limits`` is
-        checked while the table is built and before each map."""
+    def conjugation_map(self, g, *, limits=DEFAULT_LIMITS):
+        """The id map of conjugation by the element g given by its images:
+        entry x is the id of x^g = g^-1 * x * g, whose images are
+        g[x[g^-1[p]]].
+
+        Conjugation by g permutes the elements, so the keys of the
+        conjugates are the table's keys permuted: the element whose
+        conjugate has the i-th least key maps to the id with the i-th least
+        key.  One sort makes the map, and nothing is searched.  The
+        conjugates' images are made for the base points only, one column of
+        the table at a time.  The time budget of ``limits`` is checked while
+        the table is built and once before the map."""
         table = self.element_table(limits=limits)
-        k = self.prefix_width()
-        maps = []
-        for g in self.gens:
-            limits.check()
-            gim = np.array(g.images, dtype=table.dtype)
-            ginv = np.array(g.inverse().images[:k], dtype=np.intp)
-            maps.append(self.ids_of(gim[table[:, ginv]]))
-        return maps
+        limits.check()
+        _, order = self._key_order()
+        g = np.asarray(g, dtype=table.dtype)
+        g_inv = np.argsort(g)
+        cols = table.T
+        keys = self._keys((g.take(cols[g_inv[b]]) for b in self.base()),
+                          len(table))
+        ids = np.empty(len(table), dtype=np.intp)
+        # the keys are distinct, so every sort gives this order; the stable
+        # one runs faster on the runs that the conjugates' keys keep
+        ids[np.argsort(keys, kind="stable")] = order
+        return ids
+
+    def conjugation_ids(self, *, limits=DEFAULT_LIMITS):
+        """``conjugation_map`` of each generator, in generator order."""
+        return [self.conjugation_map(g.images, limits=limits)
+                for g in self.gens]
 
     def conjugacy_classes(self, *, limits=DEFAULT_LIMITS):
         """List of (representative, class size), sorted by representative in
@@ -605,10 +638,11 @@ class PermGroup:
         The classes are the orbits of the maps of ``conjugation_ids``, each
         labelled by its least id, its least image tuple, by
         ``orbit_minima``.  Conjugates have the same order, so that is also
-        its least element in search order.  No Perm is made for elements
-        other than the representatives.  The time budget of ``limits`` is
-        checked while the maps are built and before each propagation step
-        along one generator's map."""
+        its least element in search order.  The maps are inverse key
+        permutations, so the sweep makes no search, and no Perm is made for
+        elements other than the representatives.  The time budget of
+        ``limits`` is checked while the maps are built and before each
+        propagation step along one generator's map."""
         if self._classes is None:
             maps = self.conjugation_ids(limits=limits)
             lab = orbit_minima(maps, len(self._table), limits=limits)

@@ -469,6 +469,8 @@ def test_m_orbit_step_stops_on_a_spent_budget(monkeypatch):
                         lambda *args, **kwargs: built.append(args))
     monkeypatch.setattr(PermGroup, "ids_of",
                         lambda self, rows: built.append(rows))
+    monkeypatch.setattr(PermGroup, "conjugation_map",
+                        lambda self, g, **kwargs: built.append(g))
     with pytest.raises(TimeBudgetExceeded) as raised:
         genset.m(spent, force_search=True)
     assert raised.traceback[-2].name in ("_centralizer_orbit_minima",

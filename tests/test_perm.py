@@ -253,20 +253,89 @@ def test_element_table_above_degree_256():
 
 def test_ids_of_beyond_int64_keys():
     # C2^11 swapping the pairs (2i, 2i+1) of 22 points has base 0, 2, ...,
-    # 20, so its keys read 21 images in base 22, past an int64
+    # 20: a prefix of 21 images, and base keys that read 11 images in base
+    # 22, inside an int64
     G = PermGroup(22, [Perm.from_cycles(22, [(2 * i, 2 * i + 1)])
                        for i in range(11)])
-    assert G.prefix_width() == 21 and 22 ** 21 > 2 ** 63
+    assert G.prefix_width() == 21 and 22 ** 11 < 2 ** 63
     table = G.element_table()
     assert G.ids_of(table).tolist() == list(range(2048))
     assert G.ids_of(table[::-1]).tolist() == list(range(2047, -1, -1))
     classes = G.conjugacy_classes()
     assert len(classes) == 2048 and {size for _, size in classes} == {1}
-    # the trivial group's prefix is empty: every key is 0
+    # C2^14 on 28 points: its base keys read 14 images in base 28, past an
+    # int64, so they are exact Python ints
+    G = PermGroup(28, [Perm.from_cycles(28, [(2 * i, 2 * i + 1)])
+                       for i in range(14)])
+    assert len(G.base()) == 14 and 28 ** 14 > 2 ** 63
+    table = G.element_table()
+    assert G.ids_of(table).tolist() == list(range(16384))
+    assert G.ids_of(table[::-1]).tolist() == list(range(16383, -1, -1))
+    assert G._key_order()[0].dtype == object
+    classes = G.conjugacy_classes()
+    assert [(rep.images, size) for rep, size in classes] == [
+        (tuple(row), 1) for row in table.tolist()]
+    # the trivial group's base is empty: every key is 0
     C1 = builder.build("C1")
-    assert C1.prefix_width() == 0
+    assert C1.prefix_width() == 0 and C1.base() == ()
     assert C1.ids_of(C1.element_table()).tolist() == [0]
     assert C1.conjugacy_classes() == ((C1.identity(), 1),)
+
+
+def _tuple_id(table, x):
+    """The id of the element with image tuple x, by bisection over the
+    table's rows, which are sorted by image tuple."""
+    lo, hi = 0, len(table)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tuple(table[mid].tolist()) < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    assert tuple(table[lo].tolist()) == x
+    return lo
+
+
+def test_conjugation_maps_match_tuple_arithmetic():
+    # every entry x of each generator's map, and of the map of the table's
+    # last element, is the id of g^-1 * x * g made in plain tuple
+    # arithmetic; every 97th row of WREATH(1)'s 112896
+    for text in ("S4", "CROWN(S4, 2)", "C300", "C1", "WREATH(1)"):
+        G = builder.build(text)
+        table = G.element_table()
+        step = 1 if len(table) <= 5000 else 97
+        conjugators = [g.images for g in G.gens]
+        maps = G.conjugation_ids()
+        conjugators.append(tuple(table[-1].tolist()))
+        maps.append(G.conjugation_map(table[-1]))
+        for g, ids in zip(conjugators, maps):
+            g_inv = _inverse_of(g)
+            assert sorted(ids.tolist()) == list(range(len(table))), text
+            for x in range(0, len(table), step):
+                c = _compose(_compose(g_inv, tuple(table[x].tolist())), g)
+                assert ids[x] == _tuple_id(table, c), (text, g, x)
+
+
+def test_class_sweep_makes_no_search(monkeypatch):
+    # once the table is built, WREATH(1)'s classes look nothing up: the
+    # conjugation maps come from one sort each
+    G = builder.build("WREATH(1)")
+    G.element_table()
+    calls = []
+    real_ids_of, real_search = PermGroup.ids_of, np.searchsorted
+
+    def ids_of(self, rows):
+        calls.append("ids_of")
+        return real_ids_of(self, rows)
+
+    def searchsorted(*args, **kwargs):
+        calls.append("searchsorted")
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "ids_of", ids_of)
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
+    assert len(G.conjugacy_classes()) == 33
+    assert calls == []
 
 
 def test_ids_of_reads_only_the_prefix():
@@ -307,14 +376,16 @@ def test_element_orders_match_powering():
 
 
 def test_element_table_is_keyed_once_per_group(monkeypatch):
-    # ids_of keys only its argument: the keys of the whole table are
-    # computed once per group and shared with conjugation_ids
+    # ids_of and conjugation_map key only their own elements: the keys of
+    # the whole table, made from columns that are views of the table, are
+    # computed once per group and shared
     keyed = []
     real = PermGroup._keys
 
-    def counting(self, rows):
-        keyed.append(rows is self._table)
-        return real(self, rows)
+    def counting(self, columns, n):
+        columns = list(columns)
+        keyed.append(any(col.base is self._table for col in columns))
+        return real(self, columns, n)
 
     monkeypatch.setattr(PermGroup, "_keys", counting)
     for text in ("S4", "A5", "PGL2(7)"):
