@@ -9,10 +9,24 @@ that gives it.  With Y trivial these are the minimal normal subgroups,
 walked once per group; a chief series takes the least of them as its next
 term.  The centralizer C_G(X/Y) of a chief factor is one element sweep.
 
+Up to order ``CHIEF_IDS_ORDER`` the walk runs on element ids (``_IdWalk``):
+each closure is ``close_ids`` plus G's conjugation maps, a coset of Y is
+keyed by its least id (``_coset_labels``, ``orbit_minima`` over the right
+rows of Y's generators), and no stabilizer chain is built for a term.
+Above it each closure grows from Y's stabilizer chain and a coset is keyed
+by ``PermGroup.coset_key``: there a right row of the whole group per
+generator costs more than a chain.  Both routes give the same terms with
+the same generators.
+
 An abelian chief factor X/Y is a GF(p) module of G itself, built once per
 factor; whether it has a complement in G/Y (so whether it is Frattini) is
 one affine linear system, ``cocycle_system``, read off ``perm.coset_walk``
-over the cosets of X in G.  No quotient group is built.
+over the cosets of X in G.  A factor of the id walk does both on ids: the
+module's coordinates are kept by Y-label and its matrices read off the
+conjugation maps, and ``_cocycle_system_ids`` walks the cosets of X,
+labelled by their least ids, along the right rows of G's generators, with
+the relators' ids from one batched ``ids_of``.  No quotient group is
+built.
 
 The subgroup lattice is built by closing the zuppos (cyclic subgroups of
 prime power order) under joins with one another: Neubuser's cyclic
@@ -57,6 +71,8 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +82,7 @@ from .perm import (
     CapExceeded,
     GroupError,
     NotInGroup,
+    Perm,
     PermGroup,
     coset_walk,
     factorint,
@@ -395,6 +412,16 @@ def frattini(G, *, limits=DEFAULT_LIMITS):
                                G.element_table()[sorted(inter)].tolist())
 
 
+# Groups of at most this order walk their chief series and minimal normal
+# subgroups on element ids, larger ones on stabilizer chains.  An id
+# closure costs a right row of the whole group per generator, a chain
+# closure grows with the degree and the base.  In process, a series with
+# its Frattini flags ran faster on ids for every group measured up to
+# order 2880 (C2000 6x, D(S5, S4) 1.3x) and slower for D(A5, A5) (3600,
+# 2.6x), S7 (5x) and WREATH(1) (54x).
+CHIEF_IDS_ORDER = 3000
+
+
 def _prime_powers(reps, *, limits):
     """Each class representative r with its powers r^q for the primes q
     dividing its order, computed once for every step of a chief series.
@@ -426,8 +453,10 @@ def _minimal_closures(G, Y, reps, *, limits):
     - r in the coset of the identity or of an earlier representative
       already walked, whose closure r's equals.
 
-    Each closure grows from Y's chain.  The time budget of ``limits`` is
-    checked once per representative.  Closures of a trivial Y stay on G."""
+    This is the route of groups over ``CHIEF_IDS_ORDER``; ``_IdWalk.minimal``
+    is the same walk on element ids.  Each closure grows from Y's chain.
+    The time budget of ``limits`` is checked once per representative.
+    Closures of a trivial Y stay on G."""
     if Y.is_trivial() and G._minimal_normal is not None:
         return G._minimal_normal
     minimal = []
@@ -451,6 +480,132 @@ def _minimal_closures(G, Y, reps, *, limits):
     return minimal
 
 
+def _perm_ids(G, perms):
+    """The ids of the elements ``perms`` of G, in one ``ids_of`` of their
+    first ``prefix_width()`` images."""
+    w = G.prefix_width()
+    images = np.array([g.images[:w] for g in perms], dtype=np.intp)
+    return G.ids_of(images.reshape(len(perms), w)).tolist()
+
+
+def _coset_labels(G, gens, rows, *, limits):
+    """The cosets of the normal subgroup N of G generated by the elements
+    with ids ``gens``, as a list indexed by id: entry x is the least id of
+    xN = Nx, the orbit of x under right multiplication by the generators,
+    by ``orbit_minima`` over their ``right_rows`` kept in ``rows``.  x lies
+    in N exactly when its label is 0, the identity's id."""
+    if not gens:
+        return list(range(G.order()))
+    maps = np.array(right_rows(G, gens, rows), dtype=np.intp)
+    return orbit_minima(maps, G.order(), limits=limits).tolist()
+
+
+def _closure(G, start, gens, rows):
+    """``close_ids``, with the whole group as its id set."""
+    return close_ids(G, start, gens, rows) or frozenset(range(G.order()))
+
+
+def normal_closure_ids(G, conj, rows, start, gens, seed):
+    """The normal closure in G of the normal subgroup with ids ``start``,
+    generated by the ids ``gens``, and the element with id ``seed``
+    outside it: its id set and the ids of its generators, ``gens`` and then
+    the new ones.
+
+    ``PermGroup.normal_closure``'s generator rule on ids: the seed, and
+    then its conjugates under ``conj``, G's conjugation maps in generator
+    order, breadth first, each a generator exactly when it lies outside
+    the closure so far.  So the generators are those of
+    ``G.normal_closure((seed,), below)``.  Each new generator grows the
+    closure by one ``close_ids`` through the ``right_rows`` in ``rows``."""
+    gens = [*gens, seed]
+    closed = _closure(G, start, gens, rows)
+    pending = [seed]
+    for x in pending:  # grows while it is read: breadth first
+        for c in conj:
+            y = c[x]
+            if y not in closed:
+                gens.append(y)
+                pending.append(y)
+                closed = _closure(G, closed, gens, rows)
+    return closed, gens
+
+
+class _Term(NamedTuple):
+    """A normal subgroup of G met by the id walk: the PermGroup, its id set
+    and the ids of its generators, in generator order."""
+    group: PermGroup
+    ids: frozenset
+    gens: list
+
+
+class _IdWalk:
+    """The chief series walk of a group G of order at most
+    ``CHIEF_IDS_ORDER`` on element ids: the ids of ``_prime_powers``'
+    representatives and of their powers, read in one ``ids_of``, G's
+    conjugation maps, and the ``right_rows`` its closures read.  ``bottom``
+    is the trivial subgroup's _Term and ``labels`` its coset labels."""
+
+    def __init__(self, G, reps, limits):
+        self.G, self.limits = G, limits
+        self.conj = [c.tolist() for c in G.conjugation_ids(limits=limits)]
+        ids = _perm_ids(G, [x for rep, powers in reps for x in (rep, *powers)])
+        self.reps, k = [], 0
+        for _, powers in reps:
+            self.reps.append((ids[k], ids[k + 1:k + 1 + len(powers)]))
+            k += 1 + len(powers)
+        self.rows = {}
+        trivial = PermGroup(G.degree, ())
+        trivial._order = 1
+        self.bottom = _Term(trivial, frozenset([0]), [])
+        self.labels = list(range(G.order()))
+
+    def term(self, X):
+        """The normal subgroup X of G as a _Term, its id set closed one
+        generator at a time."""
+        G = self.G
+        gens = _perm_ids(G, X.gens)
+        ids = frozenset([0])
+        for k in range(len(gens)):
+            ids = _closure(G, ids, gens[:k + 1], self.rows)
+        return _Term(X, ids, gens)
+
+    def minimal(self, Y, labels):
+        """``_minimal_closures`` on ids: the inclusion-minimal normal
+        closures of the _Term Y plus one representative, as _Terms, from
+        the same representatives and with the same generators.  ``labels``
+        are Y's ``_coset_labels``: a representative's coset key is its
+        label, and an element lies in Y when its label is 0.  Each closure
+        is one ``normal_closure_ids``; the time budget of ``limits`` is
+        checked once per representative.  The walk over a trivial Y fills
+        and reads ``G._minimal_normal``."""
+        G, limits = self.G, self.limits
+        if not Y.gens and G._minimal_normal is not None:
+            return [self.term(X) for X in G._minimal_normal]
+        minimal, keys = [], {0}
+        for x, powers in self.reps:
+            limits.check()
+            key = labels[x]
+            if key in keys or all(labels[q] != 0 for q in powers):
+                continue
+            keys.add(key)
+            ids, gens = normal_closure_ids(G, self.conj, self.rows, Y.ids,
+                                           Y.gens, x)
+            if any(M <= ids for M, _ in minimal):
+                continue
+            minimal = [(M, g) for M, g in minimal if not ids < M]
+            minimal.append((ids, gens))
+        table, terms = G.element_table(), []
+        for ids, gens in minimal:
+            new = table[gens[len(Y.gens):]].tolist()
+            X = PermGroup(G.degree,
+                          Y.group.gens + tuple(Perm(tuple(r)) for r in new))
+            X._order = len(ids)
+            terms.append(_Term(X, ids, gens))
+        if not Y.gens:
+            G._minimal_normal = tuple(t.group for t in terms)
+        return terms
+
+
 def minimal_normal_subgroups(G, *, limits=DEFAULT_LIMITS):
     """All minimal normal subgroups, sorted by order (ties keep the order in
     which conjugacy class representatives produced them)."""
@@ -460,8 +615,13 @@ def minimal_normal_subgroups(G, *, limits=DEFAULT_LIMITS):
     if closures is None:
         reps = _prime_powers(G.class_representatives(limits=limits),
                              limits=limits)
-        closures = _minimal_closures(G, PermGroup(G.degree, ()), reps,
-                                     limits=limits)
+        if G.order() <= CHIEF_IDS_ORDER:
+            walk = _IdWalk(G, reps, limits)
+            closures = [t.group
+                        for t in walk.minimal(walk.bottom, walk.labels)]
+        else:
+            closures = _minimal_closures(G, PermGroup(G.degree, ()), reps,
+                                         limits=limits)
     return tuple(sorted(closures, key=PermGroup.order))
 
 
@@ -501,19 +661,65 @@ def cocycle_system(G, N, matrices, p, coords_of, *, limits=DEFAULT_LIMITS):
     the g_i * t_i generate a complement of N/Y in G/Y.  The system is
     affine, so its relators hold only on this walk's tree, where rep(y) =
     rep(x) * g_i along each tree edge.  The edges also check the matrices
-    against the group's multiplication.
+    against the group's multiplication.  ``_cocycle_system_ids`` makes the
+    same system on element ids.
     """
     reps, _, rows = coset_walk(N, G.gens, limits=limits)
     if len(reps) != G.order() // N.order():
         raise GroupError("the generators do not generate the group")
-    r, n = len(G.gens), matrices[0].shape[0]
+    return _splitting_system(
+        rows, matrices, p,
+        lambda edges: [coords_of(reps[c].inverse() * reps[k] * G.gens[i])
+                       for c, k, i in edges])
+
+
+def _cocycle_system_ids(G, ids, matrices, p, coords, *, limits):
+    """``cocycle_system`` for the factor X/Y of an id walk, its
+    ``_SectionIds`` ``ids``: the walk over the cosets of X, labelled by
+    ``ids.above``, along the right rows of G's generators, keeps the first
+    representative found for each coset, as ``coset_walk`` does, so the
+    tree, the edges and the system are the same.  The relators' ids come
+    from one ``ids_of`` of their images, and their coordinates are
+    ``coords`` at their Y-labels.  The time budget of ``limits`` is checked
+    once per coset."""
+    grow = right_rows(G, ids.group_gens, ids.rows)
+    labels = ids.above
+    reps, index = [0], {0: 0}
+    rows = [[] for _ in grow]
+    for rep in reps:  # grows while it is read: breadth first
+        limits.check()
+        for row, g in zip(rows, grow):
+            y = g[rep]
+            k = index.setdefault(labels[y], len(reps))
+            if k == len(reps):
+                reps.append(y)
+            row.append(k)
+
+    def relators(edges):
+        # rep(c)^-1 * y, for y = rep(k) * g_i, has images y[rep(c)^-1[q]]
+        table = G.element_table()
+        inv = np.argsort(table[[reps[c] for c, _, _ in edges]], axis=1)
+        y = table[[grow[i][reps[k]] for _, k, i in edges]]
+        z = np.take_along_axis(y, inv[:, :G.prefix_width()], axis=1)
+        return [coords[ids.below[x]] for x in G.ids_of(z).tolist()]
+
+    return _splitting_system(rows, matrices, p, relators)
+
+
+def _splitting_system(rows, matrices, p, relators):
+    """The splitting system of ``cocycle_system`` off a walk over the
+    cosets of N: ``rows[i][k]`` is the coset of rep(k) * g_i, cosets
+    numbered as they are found, and ``relators`` maps the list of the
+    walk's later edges (c, k, i) to the coordinates of their relators
+    rep(c)^-1 * rep(k) * g_i, all at once after the walk."""
+    r, n = len(rows), matrices[0].shape[0]
     eye = gfp.identity(n)
     # a coset's state: the coefficient matrices of u_1..u_r in its value,
     # then rho of its representative; it comes from the tree edge
     state = np.zeros((r + 1, n, n), dtype=np.int64)
     state[r] = eye
     states = [state]
-    diffs, consts = [], []
+    diffs, edges = [], []
     for k, sx in enumerate(states):  # grows while it is read
         for i, row in enumerate(rows):
             sy = sx @ matrices[i]
@@ -528,14 +734,32 @@ def cocycle_system(G, N, matrices, p, coords_of, *, limits=DEFAULT_LIMITS):
                 raise GroupError(
                     "matrices are inconsistent with the group's relations")
             diffs.append(s[:r] - sy[:r])
-            consts.append(coords_of(reps[c].inverse() * reps[k] * G.gens[i]))
+            edges.append((c, k, i))
     # row (edge, c) holds coordinate c of the edge's n equations
     A = np.array(diffs, dtype=np.int64).reshape(-1, r, n, n)
     A = np.mod(A.transpose(0, 3, 1, 2), p)
     A = A.reshape(-1, r * n)
-    b = np.array(consts, dtype=np.int64).reshape(-1)
+    b = np.array(relators(edges) if edges else [], dtype=np.int64)
+    b = b.reshape(-1)
     keep = A.any(axis=1) | (b != 0)
     return A[keep], b[keep]
+
+
+class _SectionIds(NamedTuple):
+    """A chief factor X/Y of G on element ids, as the id walk leaves it.
+    ``below`` and ``above`` label each id by the least id of its coset of
+    Y and of X (``_coset_labels``), so x lies in Y exactly when
+    ``below[x] == 0``; ``gens`` are the ids of X's generators and
+    ``group_gens`` those of G's; ``conj`` are G's conjugation maps, in
+    generator order; ``rows`` is the ``right_rows`` dict the factors of
+    one series share.  It holds no group, factor or module, so the factor
+    and its module refer to it without a reference cycle."""
+    below: list
+    above: list
+    gens: list
+    group_gens: list
+    conj: list
+    rows: dict
 
 
 class FactorModule:
@@ -545,36 +769,69 @@ class FactorModule:
     not span, taken in order; each new b_j extends every known coset r by
     r * b_j^k, with r's coordinates plus k in place j.  Row vectors
     transform as v -> v @ rho(g), with rho(g)[j] the coordinates of (b_j)^g.
+
+    A factor of the id walk passes its ``_SectionIds``: the cosets are then
+    walked on ids along the right rows of X's generators, the coordinates
+    are kept by Y-label, rho(g) is read off g's conjugation map, and
+    ``has_complement`` walks the cosets of X on ids too.  Without it, the
+    cosets are keyed by ``below.coset_key`` and the walk is
+    ``cocycle_system``'s.
     """
 
-    def __init__(self, group, above, below):
+    def __init__(self, group, above, below, ids=None):
         self.group = group
         self.above = above
         self.below = below
+        self._ids = ids
         order = above.order() // below.order()
         fact = factorint(order)
         if len(fact) != 1:
             raise GroupError("factor is not of prime power order")
         (self.prime, self.dim), = fact.items()
         p, n = self.prime, self.dim
-        self._key = key = below.coset_key
-        basis, cosets = [], [(below.identity(), np.zeros(n, dtype=np.int64))]
-        self._coords = {key(cosets[0][0]): cosets[0][1]}
-        for x in above.gens:
+        if ids is None:
+            key, elems, ident = below.coset_key, above.gens, below.identity()
+            mul = operator.mul
+        else:
+            key, elems, ident = ids.below.__getitem__, ids.gens, 0
+            rows = dict(zip(elems, right_rows(group, elems, ids.rows)))
+
+            def mul(y, x):
+                return rows[x][y]
+        basis, cosets = [], [(ident, np.zeros(n, dtype=np.int64))]
+        self._coords = {key(ident): cosets[0][1]}
+        for j, x in enumerate(elems):
             if len(basis) == n or key(x) in self._coords:
                 continue
             for y, v in cosets[:]:
                 for k in range(1, p):
-                    y = y * x
+                    y = mul(y, x)
                     w = v.copy()
                     w[len(basis)] = k
                     cosets.append((y, w))
                     self._coords[key(y)] = w
-            basis.append(x)
+            basis.append(j)
         if len(self._coords) != order:
             raise GroupError("factor module construction failed")
-        self.basis = tuple(basis)
-        self.matrices = tuple(self._action_matrix(g) for g in group.gens)
+        self.basis = tuple(above.gens[j] for j in basis)
+        if ids is None:
+            self.matrices = tuple(self._action_matrix(g) for g in group.gens)
+        else:
+            b = [elems[j] for j in basis]
+            self.matrices = tuple(
+                np.array([self._coords[key(c[x])] for x in b], dtype=np.int64)
+                for c in ids.conj)
+
+    def _key(self, e):
+        """The key of the Perm e's coset of Y: its coset key, or on ids its
+        Y-label."""
+        if self._ids is None:
+            return self.below.coset_key(e)
+        G = self.group
+        x, = _perm_ids(G, [e])
+        if tuple(G.element_table()[x].tolist()) != e.images:
+            raise NotInGroup("element is not in the group")
+        return self._ids.below[x]
 
     def coords_of(self, e):
         k = self._key(e)
@@ -590,8 +847,12 @@ class FactorModule:
         """Whether X/Y has a complement in G/Y: whether the splitting
         system of the module over the cosets of X in G is solvable."""
         p = self.prime
-        A, b = cocycle_system(self.group, self.above, self.matrices, p,
-                              self.coords_of, limits=limits)
+        if self._ids is None:
+            A, b = cocycle_system(self.group, self.above, self.matrices, p,
+                                  self.coords_of, limits=limits)
+        else:
+            A, b = _cocycle_system_ids(self.group, self._ids, self.matrices,
+                                       p, self._coords, limits=limits)
         # solvable exactly when b adds no pivot to A
         return A.shape[1] not in gfp.rref(np.column_stack([A, b]), p)[1]
 
@@ -621,13 +882,21 @@ def factor_centralizer(G, X, Y, *, limits=DEFAULT_LIMITS):
 
 class ChiefFactor:
     """One factor X/Y of a chief series of G; details computed on demand,
-    under the limits the factor was made with."""
+    under the limits the factor was made with.
 
-    def __init__(self, group, below, above, limits=DEFAULT_LIMITS):
+    A factor of the id walk carries its ``_SectionIds`` as ``ids``: then
+    ``is_abelian`` compares the Y-labels of ab and ba for X's generators a
+    and b, and the module and its Frattini flag run on ids too.  A factor
+    made without them (``ids`` None) reads membership off Y's stabilizer
+    chain."""
+
+    def __init__(self, group, below, above, limits=DEFAULT_LIMITS,
+                 ids=None):
         self.group = group
         self.below = below
         self.above = above
         self.limits = limits
+        self.ids = ids
 
     @functools.cached_property
     def order(self):
@@ -635,6 +904,13 @@ class ChiefFactor:
 
     @functools.cached_property
     def is_abelian(self):
+        if self.ids is not None:
+            # ab and ba lie in one coset of Y exactly when [a, b] lies in Y
+            gens, labels = self.ids.gens, self.ids.below
+            rows = right_rows(self.group, gens, self.ids.rows)
+            return all(labels[rows[j][gens[i]]] == labels[rows[i][gens[j]]]
+                       for i, j in itertools.combinations(range(len(gens)),
+                                                          2))
         gens = self.above.gens
         below = self.below
         for i, a in enumerate(gens):
@@ -670,7 +946,7 @@ class ChiefFactor:
     def module(self):
         if not self.is_abelian:
             raise GroupError("only abelian factors carry a module structure")
-        return FactorModule(self.group, self.above, self.below)
+        return FactorModule(self.group, self.above, self.below, self.ids)
 
     def has_complement(self):
         return self.module.has_complement(limits=self.limits)
@@ -686,11 +962,41 @@ def chief_series(G, *, limits=DEFAULT_LIMITS):
     At each step the next term is an inclusion-minimal normal closure of the
     current term plus one conjugacy class representative; ties are broken by
     order and then by sorted element tuples, so the result is deterministic.
+    Groups of order at most ``CHIEF_IDS_ORDER`` walk on element ids, larger
+    ones on stabilizer chains; both give the same terms with the same
+    generators.
     """
     if G.order() == 1:
         return ()
     reps = _prime_powers(G.class_representatives(limits=limits),
                          limits=limits)
+    if G.order() > CHIEF_IDS_ORDER:
+        return _chief_series_chains(G, reps, limits)
+    walk = _IdWalk(G, reps, limits)
+    group_gens = _perm_ids(G, G.gens)
+    Y, labels = walk.bottom, walk.labels
+    rows = {}  # the rows of the terms' generators, shared by the factors
+    factors = []
+    while len(Y.ids) < G.order():
+        limits.check()
+        minimal = walk.minimal(Y, labels)
+        best = min(len(t.ids) for t in minimal)
+        pool = [t for t in minimal if len(t.ids) == best]
+        # sorted ids sort like sorted element tuples
+        X = pool[0] if len(pool) == 1 else min(pool,
+                                               key=lambda t: sorted(t.ids))
+        above = _coset_labels(G, X.gens, walk.rows, limits=limits)
+        rows.update((g, walk.rows[g]) for g in X.gens)
+        ids = _SectionIds(labels, above, X.gens, group_gens, walk.conj, rows)
+        factors.append(ChiefFactor(G, Y.group, X.group, limits, ids))
+        Y, labels = X, above
+    return tuple(factors)
+
+
+def _chief_series_chains(G, reps, limits):
+    """``chief_series`` on stabilizer chains, the route of groups over
+    ``CHIEF_IDS_ORDER``; ``reps`` are the ``_prime_powers`` of G's class
+    representatives."""
     factors = []
     Y = PermGroup(G.degree, ())
     while Y.order() < G.order():

@@ -428,10 +428,11 @@ def test_chief_series_budget_stops_the_element_sweep():
 
 
 def test_closure_walk_honours_the_budget():
-    # with the classes swept, the walk tests each of C1000's thousand class
-    # representatives at each step of its chief series, and builds a
-    # closure on up to 1000 points for some; the budget is checked per
-    # representative, and 0.05 s runs out inside the walk
+    # with the classes swept, the walk powers each of C1000's thousand
+    # class representatives on 1000 points, then tests each at each step
+    # of its chief series and closes some on element ids; the budget is
+    # checked per representative in both, and either walk takes over
+    # 0.5 s, so 0.05 s runs out inside it
     G = _cyclic(1000)
     G.class_representatives()
     for walk in (structure.chief_series, structure.minimal_normal_subgroups):
@@ -450,16 +451,22 @@ def test_closure_walk_honours_the_budget():
     ("C120", structure.chief_series, 31),
 ])
 def test_closure_walk_counts(monkeypatch, text, walk, count):
+    # WREATH(1) is over CHIEF_IDS_ORDER and closes on stabilizer chains;
+    # C120 closes on element ids, as many closures as the chains make
     G = builder.build(text)
     G.class_representatives()
     calls = []
-    closure = PermGroup.normal_closure
+    if G.order() <= structure.CHIEF_IDS_ORDER:
+        owner, name = structure, "normal_closure_ids"
+    else:
+        owner, name = PermGroup, "normal_closure"
+    closure = getattr(owner, name)
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return closure(self, *args, **kwargs)
+        return closure(*args, **kwargs)
 
-    monkeypatch.setattr(PermGroup, "normal_closure", counted)
+    monkeypatch.setattr(owner, name, counted)
     walk(G)
     assert len(calls) == count
 
@@ -522,6 +529,48 @@ def test_closure_grown_from_the_term_below(text):
             fresh = G.normal_closure(Y.gens + (r,))
             assert grown.gens == fresh.gens
             assert grown.order() == fresh.order()
+
+
+def _chain_levels(H):
+    """Each level of H's stabilizer chain: its base point, its orbit in
+    the order it was found, and its generators."""
+    out, lvl = [], H.chain
+    while lvl.base is not None:
+        out.append((lvl.base, list(lvl.tree), lvl.gens))
+        lvl = lvl.down
+    return out
+
+
+_QUICK_TEXTS = [text for path in report.corpus_files(CORPUS_DIR)
+                for text in report.read_expressions(path)]
+
+
+@pytest.mark.parametrize("text", _QUICK_TEXTS + [
+    "C120", "C300", "C1000", "W(S4, 2)", "D(S4, S4)", "PSL2(7)", "PGL2(7)"])
+def test_id_walk_matches_the_chain_walk(text):
+    # the chain walk, called directly, against chief_series on element ids:
+    # the same terms with the same generators and chains, the same flags and
+    # modules, and the same minimal normal subgroups
+    G = builder.build(text)
+    assert G.order() <= structure.CHIEF_IDS_ORDER
+    reps = structure._prime_powers(G.class_representatives(),
+                                   limits=Limits())
+    chains = structure._chief_series_chains(G, reps, Limits())
+    chain_minimal = G._minimal_normal
+    G._minimal_normal = None
+    ids = structure.chief_series(G)
+    assert [M.gens for M in G._minimal_normal] == \
+        [M.gens for M in chain_minimal]
+    assert all(f.ids is not None for f in ids)
+    assert all(f.ids is None for f in chains)
+    assert len(ids) == len(chains)
+    for a, b in zip(ids, chains):
+        assert (a.order, a.above.gens) == (b.order, b.above.gens)
+        assert _chain_levels(a.above) == _chain_levels(b.above)
+        assert (a.is_abelian, a.is_frattini) == (b.is_abelian, b.is_frattini)
+        if a.is_abelian:
+            assert a.module.basis == b.module.basis
+            assert np.array_equal(a.module.matrices, b.module.matrices)
 
 
 def test_frattini_flag_runs_under_the_factor_limits():
