@@ -271,10 +271,8 @@ def eulerian(X, m, *, limits=DEFAULT_LIMITS):
     module and |A| q_A^t otherwise, t from `module_invariants`.  It is
     evaluated in integers, dividing by prod_A |A|^m once at the end.
 
-    Every other X takes P. Hall's Moebius inversion over the subgroup
-    lattice ("The Eulerian functions of a group", 1936): the tuples inside
-    a fixed subgroup H number |H|^m, so the generating ones number
-    sum_H mu(H, X) |H|^m.
+    Every other X takes P. Hall's Moebius inversion over its subgroup
+    lattice, `SubgroupLattice.eulerian`.
     """
     if m < 0:
         raise GroupError("tuple length must be nonnegative")
@@ -288,9 +286,7 @@ def eulerian(X, m, *, limits=DEFAULT_LIMITS):
             num *= size ** m - c * q ** rec.twins
             den *= size ** m
         return num // den
-    lat = subgroup_lattice(X, limits=limits)
-    mu = lat.moebius()
-    return sum(mu[i] * len(lat.id_set(i)) ** m for i in range(len(lat)))
+    return subgroup_lattice(X, limits=limits).eulerian(m)
 
 
 def aut_order(S, *, limits=DEFAULT_LIMITS):

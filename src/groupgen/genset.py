@@ -6,6 +6,13 @@ others).  By Tarski's irredundant basis theorem the sizes of independent
 generating sets fill the whole integer interval [d(G), m(G)]; spectrum()
 reports that interval together with one witness per size.
 
+d tries each size k from a lower bound up: random k-sets first, then, if
+they all miss, the count phi_G(k) of generating k-tuples (P. Hall's Moebius
+sum over the lattice, or Gaschuetz's product for a soluble group, see
+crowns.eulerian).  phi_G(k) = 0 proves that no k elements generate, so d
+moves on to k + 1 without a search; otherwise, or with no count at hand,
+it searches.
+
 Every exhaustive answer comes from one search engine, _search().  Its goal
 is a size range: [k, k] asks for one independent generating set of exactly
 k elements (the d phase and each spectrum size), [lower, Omega(|G|)] for a
@@ -45,7 +52,7 @@ import random
 
 import numpy as np
 
-from . import structure
+from . import crowns, structure
 from .perm import (
     DEFAULT_LIMITS,
     CapExceeded,
@@ -416,6 +423,19 @@ def d(A):
     return A.d_witness[0]
 
 
+def _refuted(A, k):
+    """Whether phi_G(k) = 0, so that no k elements generate G: P. Hall's
+    Moebius sum over the oracle's lattice, or Gaschuetz's product
+    (crowns.eulerian) for a soluble G of order at most
+    crowns.COHOMOLOGY_CAP.  False when neither count is at hand."""
+    lattice = A.oracle.lattice
+    if lattice is not None:
+        return lattice.eulerian(k) == 0
+    G = A.G
+    return (G.order() <= crowns.COHOMOLOGY_CAP and G.is_soluble()
+            and crowns.eulerian(G, k, limits=A.limits) == 0)
+
+
 def d_with_witness(A):
     """(d(G), one generating set of that size).
 
@@ -427,9 +447,12 @@ def d_with_witness(A):
     here, lattice and all, so a time budget that runs out while it is
     built stops d.
 
-    The exhaustive phase asks the engine for an independent generating set
-    of exactly k elements, which loses nothing: no generating set exists
-    below k, so one of size k is independent.
+    When every try misses and ``_refuted`` counts no generating k-tuple,
+    d goes on to k + 1.  Otherwise the exhaustive phase asks the engine for
+    an independent generating set of exactly k elements, which loses
+    nothing: no generating set exists below k, so one of size k is
+    independent.  Neither the count nor the walk draws from the rng, so
+    the probes and the witness are the same whichever refutes a level.
     """
     G, limits = A.G, A.limits
     n = G.order()
@@ -464,6 +487,8 @@ def d_with_witness(A):
             raise CapExceeded(
                 f"exhaustive d search needs order <= {SEARCH_ORDER_CAP}, "
                 f"group has order {n}")
+        if _refuted(A, k):
+            continue
         if candidates is None:
             candidates, reps = _search_candidates(G, limits=limits)
         witness = _search(A.oracle, candidates, reps, k, k, limits=limits)

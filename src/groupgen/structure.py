@@ -114,6 +114,7 @@ class SubgroupLattice:
         self._index_dtype = np.min_scalar_type(-len(self._id_sets))
         self._members = None
         self._supersets = None
+        self._moebius = None
         self._join_rows = {}
 
     def __len__(self):
@@ -161,16 +162,24 @@ class SubgroupLattice:
                      if self.strict_supersets(i) == (self.top,))
 
     def moebius(self):
-        """Moebius function mu(H, G) of the lattice, indexed like subgroups."""
-        mu = [0] * len(self)
-        mu[self.top] = 1
-        order = sorted(range(len(self)),
-                       key=lambda i: -len(self._id_sets[i]))
-        for i in order:
-            if i == self.top:
-                continue
-            mu[i] = -sum(mu[j] for j in self.strict_supersets(i))
-        return mu
+        """Moebius function mu(H, G) of the lattice, indexed like subgroups,
+        as a tuple computed once and kept.  Strict supersets have larger
+        order, so they come later and are done first."""
+        if self._moebius is None:
+            mu = [0] * len(self)
+            mu[self.top] = 1
+            for i in range(self.top - 1, -1, -1):
+                mu[i] = -sum(mu[j] for j in self.strict_supersets(i))
+            self._moebius = tuple(mu)
+        return self._moebius
+
+    def eulerian(self, m):
+        """The number of ordered m-tuples of elements that generate the
+        whole group, by P. Hall's Moebius inversion ("The Eulerian
+        functions of a group", 1936): the tuples inside a subgroup H number
+        |H|^m, so the generating ones number sum_H mu(H, G) |H|^m."""
+        return sum(mu * len(s) ** m
+                   for mu, s in zip(self.moebius(), self._id_sets) if mu)
 
     def join_row(self, i):
         """Joins of subgroup i with every single element, as an integer

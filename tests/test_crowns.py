@@ -302,6 +302,23 @@ def test_gaschuetz_product_matches_the_moebius_sum_over_the_lattice_cap(text):
         assert crowns.eulerian(G, k) == _moebius_eulerian(G, k, limits), k
 
 
+def test_moebius_is_computed_once_per_lattice(monkeypatch):
+    # A5 is not soluble, so eulerian takes Hall's sum over its lattice; a
+    # second call reads the kept Moebius function and walks no superset
+    A5 = _alt(5)
+    assert crowns.eulerian(A5, 2) == 2280
+    lat = structure.subgroup_lattice(A5)
+    mu = lat.moebius()
+    calls = []
+    monkeypatch.setattr(structure.SubgroupLattice, "strict_supersets",
+                        _counting(calls, "supersets",
+                                  structure.SubgroupLattice.strict_supersets))
+    assert lat.moebius() is mu
+    assert crowns.eulerian(A5, 2) == 2280
+    assert lat.eulerian(2) == _moebius_eulerian(A5, 2) == 2280
+    assert calls == []
+
+
 def test_gaschuetz_product_pins_both_module_kinds():
     # S3's C3 factor is a nontrivial module, so c_A carries |A| = 3; C2^3
     # has three equivalent trivial factors, with i_A = 0, 1 and 2

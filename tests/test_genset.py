@@ -9,7 +9,8 @@ import pytest
 
 from groupgen.perm import (CapExceeded, GroupError, Limits, Perm, PermGroup,
                            TimeBudgetExceeded, omega)
-from groupgen import builder, genset, perm, report, structure, verify
+from groupgen import (builder, crowns, genset, perm, report, structure,
+                      verify)
 from groupgen.genset import Analysis
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -146,9 +147,9 @@ D_WITNESSES = {
 
 
 def test_d_witnesses_pinned(monkeypatch):
-    # the three with a default witness settle d only once the exhaustive
-    # phase refutes d - 1; with the random probes off, every witness comes
-    # from the exhaustive phase
+    # the three with a default witness settle d only once d - 1 is refuted;
+    # with the random probes off, every witness comes from the exhaustive
+    # phase
     def shown(expr):
         k, witness = genset.d_with_witness(Analysis(builder.build(expr)))
         assert k == len(witness)
@@ -226,11 +227,76 @@ def test_cyclic_d_reads_the_order_map(monkeypatch):
 
 
 def test_d_honours_lattice_cap():
-    # EX2B(2) needs the exhaustive phase; over the cap it runs on
-    # stabilizer-chain spans and builds no lattice
+    # EX2B(2)'s probes miss at k = 2; over the cap Gaschuetz's product
+    # refutes it and the probes hit at 3, with no lattice built
     G = builder.build("EX2B(2)")
     assert genset.d(Analysis(G, Limits(lattice_cap=3))) == 3
     assert G._lattice_cache is None
+
+
+def _d_walked_and_counted(monkeypatch, G, limits):
+    """d_with_witness of G as image tuples, with the levels below d refuted
+    by the exhaustive walk (``_refuted`` patched to refute nothing) and as
+    the module does it; also the levels the count refuted, and whether the
+    oracle had a lattice."""
+    real, refuted = genset._refuted, []
+
+    def recording(A, k):
+        got = real(A, k)
+        if got:
+            refuted.append(k)
+        return got
+
+    def shown(A):
+        k, witness = genset.d_with_witness(A)
+        return k, [p.images for p in witness]
+
+    monkeypatch.setattr(genset, "_refuted", lambda A, k: False)
+    walked = shown(Analysis(G, limits))
+    monkeypatch.setattr(genset, "_refuted", recording)
+    counted = Analysis(G, limits)
+    got = shown(counted)
+    monkeypatch.setattr(genset, "_refuted", real)
+    assert got == walked, G
+    return refuted, counted.oracle.lattice is not None
+
+
+@pytest.mark.parametrize("tries", [genset.DEFAULT_RANDOM_TRIES, 0])
+def test_counting_refutes_what_the_walk_refutes(monkeypatch, tries):
+    # the same d and witness whether the levels below d are walked or
+    # counted: over the lattice by P. Hall's sum, over the fallback oracle
+    # by Gaschuetz's product.  The probes hit at d on all of these, so only
+    # with them off is d's own level counted, and must not be refuted
+    monkeypatch.setattr(genset, "DEFAULT_RANDOM_TRIES", tries)
+    texts = [text for path in report.corpus_files(CORPUS_DIR)
+             for text in report.read_expressions(path)]
+    assert len(texts) == 34
+    refuted = []
+    for text in texts + ["EX2B(3)", "EX1(4)"]:
+        levels, on_lattice = _d_walked_and_counted(
+            monkeypatch, builder.build(text), Limits())
+        assert on_lattice, text
+        refuted += levels
+    assert refuted
+    for text in ("CROWN(S3, 3)", "EX2B(2)"):
+        G = builder.build(text)
+        size = len(structure.subgroup_lattice(G))
+        levels, on_lattice = _d_walked_and_counted(
+            monkeypatch, G, Limits(lattice_cap=size - 1))
+        assert not on_lattice and levels, text
+
+
+def test_d_of_the_paper_families_past_the_corpus():
+    # CROWN(S3, 4) and EX2B(4) spent 31 s and over 200 s walking the levels
+    # below d; counting refutes them at once
+    for text, expected in [("CROWN(S3, 4)", 5), ("EX2B(4)", 5),
+                           ("EX2B(3)", 4), ("EX1(4)", 5)]:
+        G = builder.build(text)
+        k, witness = genset.d_with_witness(Analysis(G, Limits(seconds=20)))
+        assert k == len(witness) == expected, text
+        assert PermGroup(G.degree, witness).order() == G.order(), text
+        if text in ("CROWN(S3, 4)", "EX2B(4)"):
+            assert crowns.eulerian(G, 4) == 0 < crowns.eulerian(G, 5), text
 
 
 def test_d_probe_walks_join_rows(monkeypatch):
@@ -396,12 +462,14 @@ def test_m_second_slot_symmetry():
 # Limits.check calls of one call each, the analysis given the oracle, a, b
 # (and for the spectrum d and m) of an analysis that counted nothing: one
 # check per search node and one per C_G(r)-orbit step, taken before the
-# numpy candidate filter; the filter visits the same nodes
+# numpy candidate filter; the filter visits the same nodes.  _search_3_3 is
+# the [3, 3] walk over CROWN(S3, 3), whose d is 4: it finds nothing, so it
+# visits its whole tree
 NODE_CHECKS = [
     ("PGL2(7)", "m", 1922),
     ("D(A5, C2)", "m", 1389),
     ("PSL2(7)", "m", 325),
-    ("CROWN(S3, 3)", "d_with_witness", 18153),
+    ("CROWN(S3, 3)", "_search_3_3", 17421),
     ("S5", "spectrum", 16),
 ]
 
@@ -424,7 +492,12 @@ def test_search_visits_the_same_nodes(monkeypatch, text, call, checks,
     for name in shared:
         setattr(counted, name, getattr(warm, name))
     monkeypatch.setattr(genset, "FILTER_MIN", filter_min)
-    getattr(genset, call)(counted)
+    if call == "_search_3_3":
+        eids, rids = genset._search_candidates(G)
+        assert genset._search(counted.oracle, eids, rids, 3, 3,
+                              limits=counting) is None
+    else:
+        getattr(genset, call)(counted)
     assert counting.calls == checks
 
 
