@@ -12,11 +12,11 @@ of generating k-tuples is Gaschuetz's product over its complemented chief
 factors, which `eulerian` takes.  Both read the invariants that
 `factor_invariants` lists, computed once per group and kept on it as
 plain data that refers back to no group.  A `GfpModule` is made by one
-walk over the Cayley graph of G on element ids that carries rho and the
-derivation coefficients: it checks the matrices, and leaves C, the
-system whose solutions give s, and the rows that add delta = 0 on the
-ids of C for t, since the derivations of G/C are the derivations of G
-vanishing on C.
+`gfp.module_walk` over the Cayley graph of G on element ids, the walk
+whose affine form decides the Frattini flags: it checks the matrices,
+and leaves C, the homogeneous system whose solutions give s, and the
+rows that add delta = 0 on the ids of C for t, since the derivations of
+G/C are the derivations of G vanishing on C.
 
 The non-abelian side goes through crown-based powers: `monolithic_of`
 builds the primitive group L attached to a chief factor, `crown_power`
@@ -57,10 +57,10 @@ class GfpModule:
     factor modules, so those convert directly via `module_of_factor`.
 
     Making one checks exactly that the matrices define an action, by one
-    breadth-first walk (`_walk`) over the group's Cayley graph on element
-    ids that sets rho(x * g_i) = rho(x) @ M_i and raises GroupError on an
-    edge that disagrees; the ids acting as the identity give
-    `centralizer_kernel`, and the walk's derivation system gives H^1.
+    `gfp.module_walk` over the group's Cayley graph on element ids that
+    sets rho(x * g_i) = rho(x) @ M_i and raises GroupError on an edge that
+    disagrees; the ids acting as the identity give `centralizer_kernel`,
+    and the walk's homogeneous system, its zero rows dropped, gives H^1.
     Above COHOMOLOGY_CAP elements it raises CapExceeded before the element
     table is built; a prime with dim * (p - 1)^2 >= 2^63 is refused, as its
     int64 products would overflow.  The time budget of ``limits`` is
@@ -91,8 +91,18 @@ class GfpModule:
         self.prime = prime
         self.dim = n
         self.matrices = mats
-        self._kernel_ids, self._system, self._kernel_rows = _walk(
-            _id_rows(group), prime, mats, limits)
+        # over the rows steps[i][x] = id(x * g_i) of G's generators
+        states, system, _, _ = gfp.module_walk(
+            right_rows(group, group.ids_of_perms(group.gens), {}), mats,
+            prime, limits)
+        r = len(mats)
+        self._kernel_ids = np.flatnonzero(
+            (states[:, r] == gfp.identity(n)).all(axis=(1, 2)))
+        # the rows of c(x) = 0 over the kernel, laid out as the system's
+        rows = states[self._kernel_ids, :r].transpose(0, 3, 1, 2)
+        rows = rows.reshape(-1, r * n)
+        self._kernel_rows = rows[rows.any(axis=1)]
+        self._system = system[system.any(axis=1)]
         self._centralizer = None
 
     def is_trivial_action(self):
@@ -122,69 +132,6 @@ class GfpModule:
             self._centralizer = group_from_elements(
                 self.group.degree, table[self._kernel_ids].tolist())
         return self._centralizer
-
-
-def _id_rows(group):
-    """The rows ``steps[i][x] = id(x * g_i)`` of the generators of
-    ``group``, read off its element table."""
-    ids = group.ids_of(np.array([g.images for g in group.gens]))
-    return np.array(right_rows(group, ids.tolist(), {}))
-
-
-def _walk(steps, prime, mats, limits):
-    """One breadth-first walk, a level at a time, over the Cayley graph
-    of a group on element ids, through the rows ``steps[i][x] = id(x *
-    g_i)``, with rho(g_i) = mats[i]; returns ``(kernel, system,
-    kernel_rows)``.
-
-    The state of x holds the coefficient matrices of u_1..u_r in c(x),
-    where c(x * g_i) = c(x) rho(g_i) + u_i, and ends in rho(x).  A tree
-    edge x -> x * g_i sets the state of x * g_i; every other edge must
-    agree on rho, or GroupError is raised, and adds its n equations
-    c(x * g_i) - c(x) rho(g_i) - u_i = 0 to ``system``, one row per
-    coordinate over the r * n unknowns.  Its solutions are the
-    derivations, whatever tree the walk took, since the equations are
-    homogeneous.  ``kernel`` holds the ids x with rho(x) = 1, and
-    ``kernel_rows`` the rows of c(x) = 0 over them.  Zero rows are
-    dropped.  The time budget of ``limits`` is checked once per level.
-    """
-    r, n = len(mats), mats[0].shape[0]
-    eye = gfp.identity(n)
-    states = np.zeros((steps.shape[1], r + 1, n, n), dtype=np.int64)
-    seen = np.zeros(len(states), dtype=bool)
-    # the identity's images sort first, so its id is 0
-    states[0, r], seen[0] = eye, True
-    frontier = np.zeros(1, dtype=np.intp)
-    diffs = []
-    while len(frontier):
-        limits.check()
-        found = []
-        here = states[frontier]
-        for i, (row, mat) in enumerate(zip(steps, mats)):
-            # right multiplication by g_i is a bijection, so ys are
-            # distinct, and the new ones among them are first reached here
-            ys = row[frontier]
-            images = here @ mat
-            images[:, i] += eye
-            images %= prime
-            new = ~seen[ys]
-            fresh = ys[new]
-            states[fresh], seen[fresh] = images[new], True
-            found.append(fresh)
-            if len(fresh) == len(ys):
-                continue
-            ends, images = states[ys[~new]], images[~new]
-            if (ends[:, r] != images[:, r]).any():
-                raise GroupError(
-                    "matrices are inconsistent with the group's relations")
-            diffs.append(ends[:, :r] - images[:, :r])
-        frontier = np.concatenate(found)
-    kernel = np.flatnonzero((states[:, r] == eye).all(axis=(1, 2)))
-    # row (edge or id, c) holds coordinate c of its n equations
-    system = np.concatenate(diffs).transpose(0, 3, 1, 2).reshape(-1, r * n)
-    system %= prime
-    rows = states[kernel, :r].transpose(0, 3, 1, 2).reshape(-1, r * n)
-    return kernel, system[system.any(axis=1)], rows[rows.any(axis=1)]
 
 
 def module_of_factor(factor):
@@ -256,7 +203,7 @@ def crown_power(L, A, k):
     return out
 
 
-def eulerian(X, m, *, limits=DEFAULT_LIMITS):
+def eulerian(X, m, series=None, *, limits=DEFAULT_LIMITS):
     """The number of ordered m-tuples of elements that generate X.
 
     A soluble X of order at most COHOMOLOGY_CAP takes Gaschuetz's product
@@ -265,8 +212,8 @@ def eulerian(X, m, *, limits=DEFAULT_LIMITS):
 
         phi_X(m) = |X|^m * prod_A (1 - c_A q_A^i_A / |A|^m)
 
-    over the complemented chief factors A of one chief series, in series
-    order, where q_A = |End_X(A)| = p^end_dim, i_A counts the earlier
+    over the complemented chief factors A of one chief series, ``series``
+    when the caller has it, in series order, where q_A = |End_X(A)| = p^end_dim, i_A counts the earlier
     complemented factors X-equivalent to A, and c_A is q_A^t for a trivial
     module and |A| q_A^t otherwise, t from `module_invariants`.  It is
     evaluated in integers, dividing by prod_A |A|^m once at the end.
@@ -278,7 +225,7 @@ def eulerian(X, m, *, limits=DEFAULT_LIMITS):
         raise GroupError("tuple length must be nonnegative")
     if X.order() <= COHOMOLOGY_CAP and X.is_soluble():
         num, den = X.order() ** m, 1
-        for rec in _factor_records(X, limits):
+        for rec in _factor_records(X, limits, series):
             size = rec.above.order() // rec.below.order()
             inv = rec.invariants
             q = rec.prime ** inv.end_dim
@@ -332,7 +279,7 @@ def aut_order(S, *, limits=DEFAULT_LIMITS):
     pools = [[x for x in range(n) if orders[x] == orders[w]]
              for w in gens[1:]]
     classes = S.conjugacy_classes(limits=limits)
-    rids = S.ids_of(np.array([rep.images for rep, _ in classes])).tolist()
+    rids = S.ids_of_perms([rep for rep, _ in classes])
     firsts = [(y, size) for y, (_, size) in zip(rids, classes)
               if orders[y] == orders[gens[0]]]
     right_rows(S, {*gens, *(y for y, _ in firsts),
@@ -539,13 +486,15 @@ class _FactorRecord:
     twins: int  # earlier records whose factors are G-equivalent to this one
 
 
-def _factor_records(G, limits):
+def _factor_records(G, limits, series=None):
     """The `_FactorRecord`s of G's non-Frattini abelian chief factors, in
-    series order, memoized on G.  A factor with delta = 1 has no twin, so
-    only the others are matched by `gequivalent_abelian`, against the
-    first factor of each class met so far."""
+    series order, memoized on G; ``series`` is G's chief series when the
+    caller has it, and is made otherwise.  A factor with delta = 1 has no
+    twin, so only the others are matched by `gequivalent_abelian`, against
+    the first factor of each class met so far."""
     if G._factor_records is None:
-        series = chief_series(G, limits=limits)
+        if series is None:
+            series = chief_series(G, limits=limits)
         records, classes = [], []  # classes: [first factor, size]
         for f in series:
             if not f.is_abelian or f.is_frattini:

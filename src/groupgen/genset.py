@@ -225,8 +225,7 @@ def is_independent(A, perms):
     G, oracle = A.G, A.oracle
     if not all(p in G for p in perms):
         raise GroupError("elements are not all inside the group")
-    ids = G.ids_of(np.array([p.images for p in perms])
-                   .reshape(-1, G.degree)).tolist()
+    ids = G.ids_of_perms(perms)
     return not any(e in oracle.sets[oracle.span_of_ids(ids[:i] + ids[i + 1:])]
                    for i, e in enumerate(ids))
 
@@ -272,7 +271,7 @@ def _search_candidates(G, prime_power_only=False, *, limits=DEFAULT_LIMITS):
     keep = {o for o in set(orders)
             if o > 1 and (is_prime_power(o) or not prime_power_only)}
     reps = G.class_representatives(limits=limits)
-    rids = G.ids_of(np.array([r.images for r in reps])).tolist()
+    rids = G.ids_of_perms(reps)
     return ([e for e in sorted(range(len(orders)), key=orders.__getitem__)
              if orders[e] in keep], [r for r in rids if orders[r] in keep])
 
@@ -426,14 +425,15 @@ def d(A):
 def _refuted(A, k):
     """Whether phi_G(k) = 0, so that no k elements generate G: P. Hall's
     Moebius sum over the oracle's lattice, or Gaschuetz's product
-    (crowns.eulerian) for a soluble G of order at most
-    crowns.COHOMOLOGY_CAP.  False when neither count is at hand."""
+    (crowns.eulerian) over the analysis's chief series for a soluble G of
+    order at most crowns.COHOMOLOGY_CAP.  False when neither count is at
+    hand."""
     lattice = A.oracle.lattice
     if lattice is not None:
         return lattice.eulerian(k) == 0
     G = A.G
     return (G.order() <= crowns.COHOMOLOGY_CAP and G.is_soluble()
-            and crowns.eulerian(G, k, limits=A.limits) == 0)
+            and crowns.eulerian(G, k, A.series, limits=A.limits) == 0)
 
 
 def d_with_witness(A):

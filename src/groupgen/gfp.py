@@ -10,6 +10,14 @@ other row at once, so a tall system costs a few numpy calls per column,
 not per row.  1 x 1 matrices take closed forms: `inverse` is the inverse
 of the entry, and `intertwiner_space` of 1-dim representations is the
 scalars when the two agree on every generator and zero otherwise.
+
+`module_walk` is the one walk behind a module's check and its systems: it
+carries rho and a cocycle c over a group's element ids or the cosets of a
+normal subgroup.  Its equations off the tree are homogeneous for the
+derivations behind H^1; with the edges' relators on the right they are the
+splitting system of an elementary abelian section, whose solutions give
+its complements (D. F. Holt, B. Eick and E. A. O'Brien, *Handbook of
+Computational Group Theory*, 2005, section 7.6).
 """
 
 from __future__ import annotations
@@ -171,3 +179,80 @@ def all_vectors(n, p):
         if i < 0:
             return out
         v[i] += 1
+
+
+def module_walk(steps, mats, p, limits, elements=None):
+    """One breadth-first walk, a level at a time, from node 0 through the
+    rows ``steps[i][x]``, the node of x * g_i, with rho(g_i) = mats[i];
+    each row permutes the nodes.
+
+    A level's edges are taken in (node, generator) order and its new nodes
+    in the order they are first reached; the first edge to reach a node is
+    its tree edge, as in ``perm.coset_walk``, so a walk over the rows of
+    ``coset_walk`` has its tree.  Along a tree edge x -> x * g_i, c(x *
+    g_i) = c(x) rho(g_i) + u_i.  Every other edge, in walk order, must
+    agree on rho, or GroupError is raised, and gives the n equations c(y)
+    - c(x) rho(g_i) - u_i = z over the r * n unknowns, one row per
+    coordinate of the left side, unfiltered: z = 0 for the derivations,
+    and z the coordinates of the edge's relator for a complement.
+    The time budget of ``limits`` is checked once per level.
+
+    Returns ``(states, system, edges, reps)``: ``states[x]`` holds the
+    coefficient matrices of u_1..u_r in c(x) and then rho(x); ``system``
+    the equations, n rows per edge; ``edges`` the edges off the tree as
+    three arrays, targets, sources and generators; ``reps`` the id each
+    node's tree path reaches from the identity, id 0, through
+    ``elements``, the rows of the same generators on the group's element
+    ids, or None without them."""
+    steps = np.asarray(steps, dtype=np.intp)
+    r, n = len(mats), mats[0].shape[0]
+    eye = identity(n)
+    stacked = np.stack(mats)[:, None]
+
+    def push(sources, gens):
+        """The states reached along the edges (sources[k], gens[k])."""
+        images = states[sources] @ stacked[gens]
+        images[np.arange(len(gens)), gens] += eye
+        return images % p
+
+    states = np.zeros((steps.shape[1], r + 1, n, n), dtype=np.int64)
+    states[0, r] = eye
+    seen = np.zeros(len(states), dtype=bool)
+    seen[0] = True
+    reps = None if elements is None else np.zeros(len(states), dtype=np.intp)
+    frontier = np.zeros(1, dtype=np.intp)
+    levels, trees, walked = [], [], 0
+    while True:
+        limits.check()
+        # edge k * r + i of the level leaves frontier[k] along g_i
+        ys = steps[:, frontier].T.reshape(-1)
+        tree = np.flatnonzero(~seen[ys])
+        # a row permutes the nodes: one row's edges reach distinct nodes
+        if r > 1 and len(tree) > 1:
+            # each new node's first edge, back in edge order
+            first = np.unique(ys[tree], return_index=True)[1]
+            tree = np.sort(tree[first])
+        trees.append(tree + walked)
+        levels.append(frontier)
+        walked += len(ys)
+        if not len(tree):
+            break
+        frontier, sources, gens = ys[tree], frontier[tree // r], tree % r
+        states[frontier] = push(sources, gens)
+        seen[frontier] = True
+        if reps is not None:
+            reps[frontier] = elements[gens, reps[sources]]
+    # every edge off the tree, in walk order
+    off = np.ones(walked, dtype=bool)
+    off[np.concatenate(trees)] = False
+    off = np.flatnonzero(off)
+    sources, gens = np.concatenate(levels)[off // r], off % r
+    targets = steps[gens, sources]
+    ends, images = states[targets], push(sources, gens)
+    if (ends[:, r] != images[:, r]).any():
+        raise GroupError(
+            "matrices are inconsistent with the group's relations")
+    # row (edge, c) holds coordinate c of the edge's n equations
+    system = (ends[:, :r] - images[:, :r]).transpose(0, 3, 1, 2)
+    system = system.reshape(-1, r * n) % p
+    return states, system, (targets, sources, gens), reps

@@ -579,6 +579,13 @@ class PermGroup:
         keys = self._keys((rows[:, b] for b in self.base()), len(rows))
         return order[np.searchsorted(sorted_keys, keys)]
 
+    def ids_of_perms(self, perms):
+        """The ids of the elements ``perms`` of the group, as a list, in one
+        ``ids_of`` of their first ``prefix_width()`` images."""
+        w = self.prefix_width()
+        images = np.array([g.images[:w] for g in perms], dtype=np.intp)
+        return self.ids_of(images.reshape(len(perms), w)).tolist()
+
     def elements(self, *, limits=DEFAULT_LIMITS):
         """All elements as Perms, in the order of ``element_table``: sorted
         by image tuple.  Refuses above ``ELEMENT_CAP`` elements.

@@ -20,13 +20,16 @@ the same generators.
 
 An abelian chief factor X/Y is a GF(p) module of G itself, built once per
 factor; whether it has a complement in G/Y (so whether it is Frattini) is
-one affine linear system, ``cocycle_system``, read off ``perm.coset_walk``
-over the cosets of X in G.  A factor of the id walk does both on ids: the
-module's coordinates are kept by Y-label and its matrices read off the
-conjugation maps, and ``_cocycle_system_ids`` walks the cosets of X,
-labelled by their least ids, along the right rows of G's generators, with
-the relators' ids from one batched ``ids_of``.  No quotient group is
-built.
+one affine linear system over the cosets of X in G, read off
+``gfp.module_walk``, the walk behind ``crowns.GfpModule`` too, with the
+relators of its edges off the tree as the right hand side.  A factor of
+the id walk does both on ids: the module's coordinates are kept by
+Y-label and its matrices read off the conjugation maps, and
+``_cocycle_system_ids`` numbers the cosets of X by their least ids and
+walks them along the right rows of G's generators, with the relators'
+ids from one batched ``ids_of``.  Other factors number the cosets by
+``perm.coset_walk`` (``cocycle_system``).  Both walks take the same tree,
+so both give the same system.  No quotient group is built.
 
 The subgroup lattice is built by closing the zuppos (cyclic subgroups of
 prime power order) under joins with one another: Neubuser's cyclic
@@ -489,14 +492,6 @@ def _minimal_closures(G, Y, reps, *, limits):
     return minimal
 
 
-def _perm_ids(G, perms):
-    """The ids of the elements ``perms`` of G, in one ``ids_of`` of their
-    first ``prefix_width()`` images."""
-    w = G.prefix_width()
-    images = np.array([g.images[:w] for g in perms], dtype=np.intp)
-    return G.ids_of(images.reshape(len(perms), w)).tolist()
-
-
 def _coset_labels(G, gens, rows, *, limits):
     """The cosets of the normal subgroup N of G generated by the elements
     with ids ``gens``, as a list indexed by id: entry x is the least id of
@@ -557,7 +552,8 @@ class _IdWalk:
     def __init__(self, G, reps, limits):
         self.G, self.limits = G, limits
         self.conj = [c.tolist() for c in G.conjugation_ids(limits=limits)]
-        ids = _perm_ids(G, [x for rep, powers in reps for x in (rep, *powers)])
+        ids = G.ids_of_perms([x for rep, powers in reps
+                              for x in (rep, *powers)])
         self.reps, k = [], 0
         for _, powers in reps:
             self.reps.append((ids[k], ids[k + 1:k + 1 + len(powers)]))
@@ -572,7 +568,7 @@ class _IdWalk:
         """The normal subgroup X of G as a _Term, its id set closed one
         generator at a time."""
         G = self.G
-        gens = _perm_ids(G, X.gens)
+        gens = G.ids_of_perms(X.gens)
         ids = frozenset([0])
         for k in range(len(gens)):
             ids = _closure(G, ids, gens[:k + 1], self.rows)
@@ -663,93 +659,52 @@ def cocycle_system(G, N, matrices, p, coords_of, *, limits=DEFAULT_LIMITS):
     where ``coords_of`` gives the coordinates of N modulo a normal Y of G,
     with N/Y elementary abelian.
 
-    ``perm.coset_walk(N, G.gens)`` spans a tree on which c(x g_i) =
-    c(x) rho(g_i) + u_i; each later edge x -> y gives n equations c(y) -
-    c(x) rho(g_i) - u_i = z, in (coset, generator) order, where z is the
-    relator rep(y)^-1 * rep(x) * g_i.  The solutions are the t_i for which
-    the g_i * t_i generate a complement of N/Y in G/Y.  The system is
-    affine, so its relators hold only on this walk's tree, where rep(y) =
-    rep(x) * g_i along each tree edge.  The edges also check the matrices
-    against the group's multiplication.  ``_cocycle_system_ids`` makes the
-    same system on element ids.
+    ``gfp.module_walk`` over the rows of ``perm.coset_walk(N, G.gens)``
+    takes that walk's tree, on which c(x g_i) = c(x) rho(g_i) + u_i and
+    rep(y) = rep(x) * g_i; each later edge x -> y gives n equations c(y) -
+    c(x) rho(g_i) - u_i = z, in (coset, generator) order, where z are the
+    coordinates of the relator rep(y)^-1 * rep(x) * g_i.  The solutions
+    are the t_i for which the g_i * t_i generate a complement of N/Y in
+    G/Y.  The walk also checks the matrices against the group's
+    multiplication, and raises GroupError on an edge that disagrees.
+    Rows zero in both A and b are dropped.  ``_cocycle_system_ids`` makes
+    the same system on element ids.
     """
     reps, _, rows = coset_walk(N, G.gens, limits=limits)
     if len(reps) != G.order() // N.order():
         raise GroupError("the generators do not generate the group")
-    return _splitting_system(
-        rows, matrices, p,
-        lambda edges: [coords_of(reps[c].inverse() * reps[k] * G.gens[i])
-                       for c, k, i in edges])
+    _, A, edges, _ = gfp.module_walk(rows, matrices, p, limits)
+    return _with_relators(A, [
+        coords_of(reps[c].inverse() * reps[k] * G.gens[i])
+        for c, k, i in zip(*edges)])
 
 
 def _cocycle_system_ids(G, ids, matrices, p, coords, *, limits):
     """``cocycle_system`` for the factor X/Y of an id walk, its
-    ``_SectionIds`` ``ids``: the walk over the cosets of X, labelled by
-    ``ids.above``, along the right rows of G's generators, keeps the first
-    representative found for each coset, as ``coset_walk`` does, so the
-    tree, the edges and the system are the same.  The relators' ids come
-    from one ``ids_of`` of their images, and their coordinates are
-    ``coords`` at their Y-labels.  The time budget of ``limits`` is checked
-    once per coset."""
-    grow = right_rows(G, ids.group_gens, ids.rows)
-    labels = ids.above
-    reps, index = [0], {0: 0}
-    rows = [[] for _ in grow]
-    for rep in reps:  # grows while it is read: breadth first
-        limits.check()
-        for row, g in zip(rows, grow):
-            y = g[rep]
-            k = index.setdefault(labels[y], len(reps))
-            if k == len(reps):
-                reps.append(y)
-            row.append(k)
-
-    def relators(edges):
-        # rep(c)^-1 * y, for y = rep(k) * g_i, has images y[rep(c)^-1[q]]
-        table = G.element_table()
-        inv = np.argsort(table[[reps[c] for c, _, _ in edges]], axis=1)
-        y = table[[grow[i][reps[k]] for _, k, i in edges]]
-        z = np.take_along_axis(y, inv[:, :G.prefix_width()], axis=1)
-        return [coords[ids.below[x]] for x in G.ids_of(z).tolist()]
-
-    return _splitting_system(rows, matrices, p, relators)
+    ``_SectionIds`` ``ids``: the cosets of X are numbered densely by their
+    ``ids.above`` labels, and ``gfp.module_walk`` walks them along the
+    right rows of G's generators, which also make each coset carry the id
+    of its representative.  Its tree is ``coset_walk``'s, so the edges and
+    the system are the same.  The relators' ids come from one ``ids_of``
+    of their images, and their coordinates are ``coords`` at their
+    Y-labels."""
+    grow = np.array(right_rows(G, ids.group_gens, ids.rows), dtype=np.intp)
+    least, node = np.unique(ids.above, return_inverse=True)
+    _, A, (target, source, gen), reps = gfp.module_walk(
+        node[grow[:, least]], matrices, p, limits, grow)
+    # rep(c)^-1 * y, for y = rep(k) * g_i, has images y[rep(c)^-1[q]]
+    table = G.element_table()
+    inv = np.argsort(table[reps[target]], axis=1)
+    y = table[grow[gen, reps[source]]]
+    z = np.take_along_axis(y, inv[:, :G.prefix_width()], axis=1)
+    return _with_relators(A, [coords[ids.below[x]]
+                              for x in G.ids_of(z).tolist()])
 
 
-def _splitting_system(rows, matrices, p, relators):
-    """The splitting system of ``cocycle_system`` off a walk over the
-    cosets of N: ``rows[i][k]`` is the coset of rep(k) * g_i, cosets
-    numbered as they are found, and ``relators`` maps the list of the
-    walk's later edges (c, k, i) to the coordinates of their relators
-    rep(c)^-1 * rep(k) * g_i, all at once after the walk."""
-    r, n = len(rows), matrices[0].shape[0]
-    eye = gfp.identity(n)
-    # a coset's state: the coefficient matrices of u_1..u_r in its value,
-    # then rho of its representative; it comes from the tree edge
-    state = np.zeros((r + 1, n, n), dtype=np.int64)
-    state[r] = eye
-    states = [state]
-    diffs, edges = [], []
-    for k, sx in enumerate(states):  # grows while it is read
-        for i, row in enumerate(rows):
-            sy = sx @ matrices[i]
-            sy[i] += eye
-            sy %= p
-            c = row[k]
-            if c == len(states):
-                states.append(sy)
-                continue
-            s = states[c]
-            if (s[r] != sy[r]).any():
-                raise GroupError(
-                    "matrices are inconsistent with the group's relations")
-            diffs.append(s[:r] - sy[:r])
-            edges.append((c, k, i))
-    # row (edge, c) holds coordinate c of the edge's n equations
-    A = np.array(diffs, dtype=np.int64).reshape(-1, r, n, n)
-    A = np.mod(A.transpose(0, 3, 1, 2), p)
-    A = A.reshape(-1, r * n)
-    b = np.array(relators(edges) if edges else [], dtype=np.int64)
-    b = b.reshape(-1)
+def _with_relators(A, relators):
+    """The system A u = b, b the relators' coordinates stacked edge by
+    edge, less the rows zero in both A and b."""
+    b = np.array(relators, dtype=np.int64).reshape(-1)
     keep = A.any(axis=1) | (b != 0)
     return A[keep], b[keep]
 
@@ -782,9 +737,11 @@ class FactorModule:
     A factor of the id walk passes its ``_SectionIds``: the cosets are then
     walked on ids along the right rows of X's generators, the coordinates
     are kept by Y-label, rho(g) is read off g's conjugation map, and
-    ``has_complement`` walks the cosets of X on ids too.  Without it, the
-    cosets are keyed by ``below.coset_key`` and the walk is
-    ``cocycle_system``'s.
+    ``has_complement`` numbers the cosets of X by their least ids
+    (``_cocycle_system_ids``).  Without it, the cosets are keyed by
+    ``below.coset_key`` and numbered by ``perm.coset_walk``
+    (``cocycle_system``).  Either way ``gfp.module_walk`` makes the
+    splitting system.
     """
 
     def __init__(self, group, above, below, ids=None):
@@ -837,7 +794,7 @@ class FactorModule:
         if self._ids is None:
             return self.below.coset_key(e)
         G = self.group
-        x, = _perm_ids(G, [e])
+        x, = G.ids_of_perms([e])
         if tuple(G.element_table()[x].tolist()) != e.images:
             raise NotInGroup("element is not in the group")
         return self._ids.below[x]
@@ -982,7 +939,7 @@ def chief_series(G, *, limits=DEFAULT_LIMITS):
     if G.order() > CHIEF_IDS_ORDER:
         return _chief_series_chains(G, reps, limits)
     walk = _IdWalk(G, reps, limits)
-    group_gens = _perm_ids(G, G.gens)
+    group_gens = G.ids_of_perms(G.gens)
     Y, labels = walk.bottom, walk.labels
     rows = {}  # the rows of the terms' generators, shared by the factors
     factors = []

@@ -730,9 +730,10 @@ def test_gfp_module_checks_the_budget():
 
 def test_each_module_walks_once(monkeypatch):
     # the module's one walk checks it and keeps the derivation system, so
-    # module_invariants and h1_dimension walk nothing more
+    # module_invariants and h1_dimension walk nothing more; a Frattini
+    # flag, on ids or on the coset walk, is one walk of the same function
     walks, modules = [], []
-    real_walk, real_init = crowns._walk, crowns.GfpModule.__init__
+    real_walk, real_init = gfp.module_walk, crowns.GfpModule.__init__
 
     def walk(*args, **kwargs):
         walks.append(1)
@@ -742,15 +743,26 @@ def test_each_module_walks_once(monkeypatch):
         modules.append(self)
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(crowns, "_walk", walk)
+    monkeypatch.setattr(gfp, "module_walk", walk)
     monkeypatch.setattr(crowns.GfpModule, "__init__", init)
     assert crowns.factor_invariants(builder.build("EX1(2)"))
-    assert len(walks) == len(modules) == 4
+    # its four abelian factors: one walk for each flag, one for each module
+    assert len(modules) == 4 and len(walks) == 8
     G, M = _s3_natural()
-    assert len(walks) == 5
+    assert len(walks) == 9
     assert crowns.h1_dimension(G, M) == 1
+    assert len(walks) == 9
+    # module_invariants walks only the flags of its series' two factors
     assert crowns.module_invariants(G, M).s == 1
-    assert len(walks) == 5
+    assert len(walks) == 11
+    for text in ("EX1(2)", "WREATH(1)"):
+        abelian = [f for f in structure.chief_series(builder.build(text))
+                   if f.is_abelian]
+        assert abelian, text
+        for f in abelian:
+            del walks[:]
+            f.has_complement()
+            assert len(walks) == 1, (text, f)
 
 
 def test_gfp_module_kernel():

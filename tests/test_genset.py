@@ -299,6 +299,23 @@ def test_d_of_the_paper_families_past_the_corpus():
             assert crowns.eulerian(G, 4) == 0 < crowns.eulerian(G, 5), text
 
 
+def test_counting_reads_the_reports_chief_series(monkeypatch):
+    # with the lattice over the cap, d counts by Gaschuetz's product over
+    # the analysis's chief series; the report builds no second series
+    calls = []
+    real = structure.chief_series
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (structure, crowns):
+        monkeypatch.setattr(module, "chief_series", counting)
+    rep = report.compute_report("CROWN(S3, 3)", lattice_cap=50)
+    assert rep["d"] == 4 and "verdicts" in rep["skipped"]
+    assert len(calls) == 1
+
+
 def test_d_probe_walks_join_rows(monkeypatch):
     # up to SEARCH_ORDER_CAP a probe try walks the oracle's join rows, so
     # CROWN(S3, 3), whose 800 tries at d - 1 all miss, builds no chain per

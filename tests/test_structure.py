@@ -854,6 +854,83 @@ def test_chief_digest(text):
     assert (len(series), _chief_digest(series)) == CHIEF_DIGESTS[text]
 
 
+# the splitting system (A, b) of every abelian factor of the series above,
+# its Frattini flag's system, on ids or on the coset walk (WREATH(1))
+FLAG_SYSTEM_DIGESTS = {
+    'C2': (1, '6abfb62bb665e92d'),
+    'C3': (1, 'f48fba74f18e4f67'),
+    'C4': (2, '62cc5dc85d22732f'),
+    'C6': (2, '893b87bc0524d6d9'),
+    'C12': (3, '34e3fcaf7e817562'),
+    'C15': (2, 'e5fc17133cd8f363'),
+    'K4': (2, '65b852b6e1924db1'),
+    'D(C2, C2, C2)': (3, 'e67321201dae144f'),
+    'D(C4, C2)': (3, '3fc825b74db28e38'),
+    'D(C3, C3)': (2, 'a23bd026abc7a79a'),
+    'S3': (2, '81ab8e23c67a41e2'),
+    'Dih4': (3, '633633f4f3e193d6'),
+    'Dih5': (2, 'c6d46f4e9dad390f'),
+    'Dih6': (3, '3a76aec895d627f1'),
+    'A4': (2, '6c53dfa215b7881e'),
+    'S4': (3, '8d3e7aa81a5d19b2'),
+    'EX1(1)': (3, '66fae8c2b4f4ecc4'),
+    'EX1(2)': (4, 'ac1f70b12d84e807'),
+    'EX1(3)': (5, '2e6275125823e638'),
+    'EX2B(1)': (3, '66fae8c2b4f4ecc4'),
+    'EX2B(2)': (4, '18a1e7aa560d2a57'),
+    'D(S3, C3)': (3, '7aecd186a0df2ac0'),
+    'W(C2, 3)': (3, 'da818ac5bd7e5ded'),
+    'W(C3, 2)': (3, 'be1cf2c9a40726f9'),
+    'SD(D(C3, C3), C4, [g1 -> [g2, g1*g1]])': (3, '9cdd177175d158be'),
+    'SD(C5, C4, [g1 -> [g1*g1]])': (3, 'f8dae515e2fed2b7'),
+    'Q(S4; g1*g2)': (1, 'bd1b64aeb832e258'),
+    'SUB(S4; g1*g1, g2)': (3, '633633f4f3e193d6'),
+    'CROWN(S3, 2)': (3, '08c7f0996475ea8d'),
+    'CROWN(S3, 3)': (4, '33bb5954227ec3b1'),
+    'CROWN(S4, 2)': (4, '23e082f67dd0a2b2'),
+    'A5': (0, 'e3b0c44298fc1c14'),
+    'PSL2(5)': (0, 'e3b0c44298fc1c14'),
+    'S5': (1, '0bb8cc5de609b92b'),
+    'WREATH(1)': (2, '9c09d713a608058d'),
+    'D(S4, S4)': (6, '6fea2976db0fd291'),
+    'W(S4, 2)': (5, '37d235750f671452'),
+    'S6': (1, 'bd1b64aeb832e258'),
+    'C120': (5, 'b3831050b82b496b'),
+}
+
+
+def _flag_system(f):
+    M = f.module
+    if f.ids is None:
+        return structure.cocycle_system(f.group, f.above, M.matrices,
+                                        M.prime, M.coords_of)
+    return structure._cocycle_system_ids(f.group, f.ids, M.matrices, M.prime,
+                                         M._coords, limits=Limits())
+
+
+def _flag_system_digest(series):
+    h, count = hashlib.sha256(), 0
+    for f in series:
+        if not f.is_abelian:
+            continue
+        A, b = _flag_system(f)
+        h.update(repr((A.shape, A.dtype.str, b.shape, b.dtype.str)).encode())
+        h.update(A.tobytes())
+        h.update(b.tobytes())
+        count += 1
+    return count, h.hexdigest()[:16]
+
+
+def test_flag_system_digests_cover_the_chief_digests():
+    assert set(FLAG_SYSTEM_DIGESTS) == set(CHIEF_DIGESTS)
+
+
+@pytest.mark.parametrize("text", list(FLAG_SYSTEM_DIGESTS))
+def test_flag_system_digest(text):
+    series = structure.chief_series(builder.build(text))
+    assert _flag_system_digest(series) == FLAG_SYSTEM_DIGESTS[text]
+
+
 def test_chief_invariants_do_not_depend_on_generators():
     rng = random.Random(29)
     for G in [_sym(4), _cyclic(12), _dihedral4(), _product_with_c2(_sym(3))]:
